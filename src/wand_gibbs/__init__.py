@@ -21,12 +21,10 @@ from .model import (
 from .solver import (
     DegenerateDenominatorError,
     IterationFailureError,
-    NearBifurcationWarning,
     QuarticDomainError,
     SolverError,
     TisgmSet,
     boundary_law,
-    detect_bifurcation_onset,
     find_asymmetric,
     rhs_general,
     solve_ferrari_k3,

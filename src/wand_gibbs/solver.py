@@ -14,20 +14,39 @@ z(-1) = z2, z(0) = 1, z(+1) = z1,
 The symmetric root z1 = z2 = z* always exists and is unique: the gain map
 f(z) = ((theta+z)/(2 theta z))**k is strictly decreasing, so z - f(z) has a
 single sign change and bracketed bisection is unconditionally convergent.
-The asymmetric pair exists exactly below the critical activity
 
-    theta_cr(k) = (k^k (k-1) / 2^k)^(1/(k+1))
+Every asymmetric root lies on one explicit branch.  Put x_i = z_i^(1/k),
+t = x2/x1, P(t) = sum_{j<k} t^j and Q(t) = 1 + t^k.  The k-th roots of the
+two equations, x_i = (theta + z_i) / (theta (z1 + z2)), differ by
+(z1 - z2) / (theta (z1 + z2)), so theta (z1 + z2) = x1^(k-1) P; substituting
+back gives
 
-and is found by damped two-dimensional Newton iteration with analytic
-Jacobian, multi-seeded around z* and at the residual minima of a coarse
-log-log grid.  Roots are certified by their residual, never by iteration
-count alone.
+    theta^(k+1) = P^k (P - 1) / Q^k,    z1 = theta / (P - 1),    z2 = t^k z1.
+
+The representative with z1 > z2 has t in (0, 1).  In s = ln t < 0,
+
+    (k+1) d(ln theta)/ds = N_k(t) / ((1 - t)(1 - t^(k-1))(1 - t^(2k))),
+    N_k(t) = (1 + k t)(1 - t^(k-1))(1 - t^(2k))
+             - (k-1) t^(k-1) (1 - t)(1 - t^(2k)) - 2 k^2 t^k (1 - t)(1 - t^(k-1)).
+
+N_k = (1 - t)^4 R_k with R_k palindromic of degree 3k - 4.  For n < k - 1
+its coefficient of t^n is C(n+3, 3) + k C(n+2, 3); for k - 1 <= n <= (3k-4)/2
+the terms - k C(m+4, 3) - C(m+3, 3) - k^2 (m+1)(m+2), m = n - k, join them,
+and with m = mu - 1, k = 2 mu + 2 + d the sum is a polynomial in mu, d >= 0
+with positive coefficients.  So R_k > 0 on (0, 1) and ln theta(s) is
+strictly increasing, from -inf as s -> -inf to ln theta_cr as s -> 0-, with
+
+    theta_cr(k) = (k^k (k-1) / 2^k)^(1/(k+1)).
+
+The asymmetric pair therefore exists exactly below theta_cr and is unique up
+to the swap; it is found by bisecting s on ln theta(s), evaluated with
+expm1/log1p so that no intermediate overflows.  Roots are certified by their
+residual, never by iteration count alone.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 from .model import (
@@ -37,14 +56,12 @@ from .model import (
     ModelParams,
     wand_graph,
 )
-from .rootfind import NoBracketError, grid as _grid
 
 __all__ = [
     "SolverError",
     "DegenerateDenominatorError",
     "IterationFailureError",
     "QuarticDomainError",
-    "NearBifurcationWarning",
     "TisgmSet",
     "rhs_general",
     "boundary_law",
@@ -53,7 +70,6 @@ __all__ = [
     "solve_ferrari_k3",
     "theta_critical",
     "find_asymmetric",
-    "detect_bifurcation_onset",
     "tisgm_set",
 ]
 
@@ -74,19 +90,10 @@ class QuarticDomainError(SolverError):
     """A radicand in the closed-form quartic solution went negative."""
 
 
-class NearBifurcationWarning(UserWarning):
-    """The activity sits within 1e-4 of the critical value; the asymmetric
-    pair nearly merges with the symmetric root and the reported count is
-    governed by the deduplication tolerance."""
-
-
 _WAND = wand_graph()
 
-#: relative separation below which a root counts as the symmetric one
-_ASYM_SEPARATION = 1e-7
-
-#: relative distance below which two roots are deduplicated
-_DEDUP_TOL = 1e-8
+#: largest |ln z| for which z is a normal double
+_LOG_RANGE = 708.0
 
 
 def _field_sums(graph: InteractionGraph, theta: float, z1: float, z2: float) -> tuple:
@@ -211,13 +218,17 @@ def solve_symmetric(params: ModelParams, tol: float = DEFAULT_RESIDUAL_TOL) -> B
     return BoundaryLaw(z, z, residual)
 
 
+def _log_theta_critical(k: int) -> float:
+    return (k * math.log(k) + math.log(k - 1) - k * math.log(2.0)) / (k + 1)
+
+
 def theta_critical(k: int) -> float:
-    """Critical activity (k^k (k-1) / 2^k)^(1/(k+1)); below it three
-    translation-invariant measures exist, at or above it exactly one."""
+    """Critical activity (k^k (k-1) / 2^k)^(1/(k+1)), computed in logs so
+    that it stays finite for every k; below it three translation-invariant
+    measures exist, at or above it exactly one."""
     if isinstance(k, bool) or int(k) != k or k < 2:
         raise ValueError(f"tree order k must be an integer >= 2, got {k!r}")
-    k = int(k)
-    return (k ** k * (k - 1) / 2 ** k) ** (1.0 / (k + 1))
+    return math.exp(_log_theta_critical(int(k)))
 
 
 def _sqrt_clamped(x: float, what: str) -> float:
@@ -265,205 +276,62 @@ def solve_ferrari_k3(theta: float) -> float:
     return 0.5 * (lead + _sqrt_clamped(inner, "the final radical"))
 
 
-def _log_defect(u, v, k, theta, graph):
-    """max(|G1|, |G2|) for the log system G_i = ln z_i - ln rhs_i.
-
-    The components of the fixed-point system span enormous dynamic ranges
-    (roots near 1e-8 coexist with roots near 1e4), so the iteration and its
-    merit function live in log coordinates, where everything is O(1)."""
-    z1, z2 = math.exp(u), math.exp(v)
-    w_minus, w_zero, w_plus = _field_sums(graph, theta, z1, z2)
-    if w_zero == 0.0:
-        raise DegenerateDenominatorError("zero 0-spin field sum during Newton iteration")
-    if w_minus <= 0.0 or w_plus <= 0.0:
-        return None
-    g1 = u - k * (math.log(w_plus) - math.log(w_zero))
-    g2 = v - k * (math.log(w_minus) - math.log(w_zero))
-    return max(abs(g1), abs(g2))
+def _branch_log_p_minus_1(k: int, s: float) -> float:
+    """ln(P - 1) at t = e^s < 1, where P - 1 = t (1 - t^(k-1)) / (1 - t)."""
+    return s + math.log(-math.expm1((k - 1) * s)) - math.log(-math.expm1(s))
 
 
-def _log_system(u, v, k, theta, graph):
-    """Log-system values and analytic Jacobian at (u, v) = (ln z1, ln z2)."""
-    z1, z2 = math.exp(u), math.exp(v)
-    a = graph.adjacency
-    pows = (1.0, theta, theta ** 4)
-    z = (z2, 1.0, z1)
-    w = [sum(a[i][j] * pows[abs(i - j)] * z[j] for j in range(3)) for i in range(3)]
-    if w[1] == 0.0:
-        raise DegenerateDenominatorError("zero 0-spin field sum during Newton iteration")
-    if w[0] <= 0.0 or w[2] <= 0.0:
-        return None
-    g1 = u - k * (math.log(w[2]) - math.log(w[1]))
-    g2 = v - k * (math.log(w[0]) - math.log(w[1]))
-    # dw_i/du = (dw_i/dz1) z1 touches column +1 (index 2); dv analogous
-    dw_du = [a[i][2] * pows[abs(i - 2)] * z1 for i in range(3)]
-    dw_dv = [a[i][0] * pows[i] * z2 for i in range(3)]
-    j11 = 1.0 - k * (dw_du[2] / w[2] - dw_du[1] / w[1])
-    j12 = -k * (dw_dv[2] / w[2] - dw_dv[1] / w[1])
-    j21 = -k * (dw_du[0] / w[0] - dw_du[1] / w[1])
-    j22 = 1.0 - k * (dw_dv[0] / w[0] - dw_dv[1] / w[1])
-    return g1, g2, j11, j12, j21, j22
-
-
-def _newton_root(z1, z2, k, theta, graph, max_iter=100):
-    """Damped Newton from one seed, in log coordinates.
-
-    Returns (z1, z2, residual) at the best point reached, or None when the
-    seed was unusable (vanishing field sum or singular Jacobian)."""
-    u, v = math.log(z1), math.log(z2)
-    for _ in range(max_iter):
-        out = _log_system(u, v, k, theta, graph)
-        if out is None:
-            return None
-        g1, g2, j11, j12, j21, j22 = out
-        err = max(abs(g1), abs(g2))
-        if err <= 1e-14:
-            break
-        det = j11 * j22 - j12 * j21
-        if det == 0.0 or not math.isfinite(det):
-            return None
-        du = (-g1 * j22 + g2 * j12) / det
-        dv = (-g2 * j11 + g1 * j21) / det
-        # cap the log step so exp() stays finite on wild early iterations
-        width = max(abs(du), abs(dv))
-        if width > 60.0:
-            du *= 60.0 / width
-            dv *= 60.0 / width
-        lam = 1.0
-        improved = False
-        for _halving in range(60):
-            cand = _log_defect(u + lam * du, v + lam * dv, k, theta, graph)
-            if cand is not None and cand < err:
-                u, v = u + lam * du, v + lam * dv
-                improved = True
-                break
-            lam *= 0.5
-        if not improved:
-            break
-    z1, z2 = math.exp(u), math.exp(v)
-    return z1, z2, _residual(z1, z2, k, theta, graph)
-
-
-def _grid_seeds(k, theta, graph, z_star, points=40, keep=8):
-    """Local minima of the log defect on a points x points log-log grid."""
-    lo = 1e-6 * min(1.0, z_star, theta)
-    hi = 1e4 * max(1.0, z_star, 1.0 / theta)
-    us = [math.log(x) for x in _grid(lo, hi, points, log_scale=True)]
-    inf = math.inf
-    defect = [
-        [_log_defect(u, v, k, theta, graph) for v in us]
-        for u in us
-    ]
-    defect = [[inf if d is None else d for d in row] for row in defect]
-    seeds = []
-    for i in range(1, points - 1):
-        for j in range(1, points - 1):
-            d = defect[i][j]
-            if d < inf and all(
-                d < defect[i + di][j + dj]
-                for di in (-1, 0, 1)
-                for dj in (-1, 0, 1)
-                if (di, dj) != (0, 0)
-            ):
-                seeds.append((d, math.exp(us[i]), math.exp(us[j])))
-    seeds.sort()
-    return [(x, y) for _, x, y in seeds[:keep]]
-
-
-def _relative_distance(a, b):
-    return max(
-        abs(a[0] - b[0]) / max(a[0], b[0]),
-        abs(a[1] - b[1]) / max(a[1], b[1]),
-    )
+def _branch_log_theta(k: int, s: float) -> float:
+    """ln theta on the asymmetric branch at s = ln t < 0:
+    (k ln P + ln(P - 1) - k ln Q) / (k + 1), strictly increasing in s."""
+    log_p = math.log(-math.expm1(k * s)) - math.log(-math.expm1(s))
+    log_q = math.log1p(math.exp(k * s))
+    return (k * log_p + _branch_log_p_minus_1(k, s) - k * log_q) / (k + 1)
 
 
 def find_asymmetric(params: ModelParams, tol: float = DEFAULT_RESIDUAL_TOL) -> list:
-    """All certified fixed points with z1 != z2, as a swap-closed list.
+    """The asymmetric pair as a swap-closed list, ordered by decreasing z1.
 
-    Below the critical activity this returns exactly the two coordinate
-    swaps of the asymmetric pair, ordered by decreasing z1; at or above it,
-    the empty list.  A root counts as asymmetric only when the coordinates
-    are separated by more than 1e-7 relatively, which prevents the symmetric
-    root from being double-counted near the bifurcation.  Any additional
-    residual-certified roots would be returned rather than suppressed.
+    Below the critical activity this returns the two coordinate swaps of
+    the unique asymmetric root; at or above it (compared in logs), the
+    empty list.  The root is solved on its branch: bisection of s = ln t
+    on the increasing function ln theta(s) down to adjacent doubles, then
+    z1 = theta / (P - 1) and z2 = e^(k s) z1.  The law is returned only
+    when its residual is at most ``tol`` and z2 < z1; otherwise, or when a
+    component leaves the range of normal doubles, IterationFailureError is
+    raised.
     """
-    graph = _WAND
     k, theta = params.k, params.theta
-    z_star = solve_symmetric(params).z1
-
-    seeds = []
-    for delta in (0.1, 0.5, 0.9):
-        seeds.append((z_star * (1.0 + delta), z_star * (1.0 - delta)))
-        seeds.append((z_star * (1.0 - delta), z_star * (1.0 + delta)))
-    seeds.extend(_grid_seeds(k, theta, graph, z_star))
-
-    roots = []
-    for seed in seeds:
-        out = _newton_root(seed[0], seed[1], k, theta, graph)
-        if out is None:
-            continue
-        z1, z2, res = out
-        if res <= tol:
-            roots.append((z1, z2, res))
-    # swap closure: the system is invariant under (z1, z2) -> (z2, z1)
-    roots.extend([(z2, z1, res) for z1, z2, res in list(roots)])
-
-    asymmetric = [
-        (z1, z2, res)
-        for z1, z2, res in roots
-        if abs(z1 - z2) > _ASYM_SEPARATION * max(z1, z2)
-    ]
-    asymmetric.sort(key=lambda t: (-t[0], -t[1]))
-    unique = []
-    for cand in asymmetric:
-        if all(_relative_distance(cand, kept) > _DEDUP_TOL for kept in unique):
-            unique.append(cand)
-
-    if abs(theta - theta_critical(k)) < 1e-4:
-        warnings.warn(
-            f"theta={theta} lies within 1e-4 of the critical activity; "
-            "the asymmetric pair nearly merges and the reported count is "
-            "governed by the deduplication tolerance",
-            NearBifurcationWarning,
-            stacklevel=2,
-        )
-    return [BoundaryLaw(z1, z2, res) for z1, z2, res in unique]
-
-
-def detect_bifurcation_onset(k: int, theta_lo: float = 0.05, theta_hi: float = 10.0,
-                             xtol: float = 1e-7, points: int = 33) -> float:
-    """Empirical onset of the asymmetric pair, located without the closed form.
-
-    Scans a log grid for the activity where ``find_asymmetric`` switches from
-    two roots to none, then bisects the predicate to ``xtol``.  Raises
-    NoBracketError when the pair exists everywhere or nowhere on the scan.
-    """
-
-    def has_pair(theta: float) -> bool:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", NearBifurcationWarning)
-            return len(find_asymmetric(ModelParams(k, theta))) >= 2
-
-    xs = _grid(theta_lo, theta_hi, points, log_scale=True)
-    flags = [has_pair(x) for x in xs]
-    bracket = None
-    for i in range(points - 1):
-        if flags[i] and not flags[i + 1]:
-            bracket = (xs[i], xs[i + 1])
-    if bracket is None:
-        raise NoBracketError(
-            f"no onset of asymmetric solutions on ({theta_lo}, {theta_hi}) at k={k}"
-        )
-    lo, hi = bracket
-    while hi - lo > xtol:
+    log_theta = math.log(theta)
+    if log_theta >= _log_theta_critical(k):
+        return []
+    # ln theta(s) <= s/(k+1) - ln(1 - e^s) < s/(k+1) + 0.5 for s <= -1,
+    # so ln theta(lo) < ln theta; ln theta(s) -> ln theta_cr as s -> 0-
+    lo, hi = min(-1.0, (k + 1) * (log_theta - 0.5)), 0.0
+    while True:
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
+        if not lo < mid < hi:
             break
-        if has_pair(mid):
+        if _branch_log_theta(k, mid) < log_theta:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    log_z1 = log_theta - _branch_log_p_minus_1(k, lo)
+    log_z2 = log_z1 + k * lo
+    if max(abs(log_z1), abs(log_z2)) > _LOG_RANGE:
+        raise IterationFailureError(
+            f"asymmetric root (ln z1, ln z2) = ({log_z1:.6g}, {log_z2:.6g}) "
+            "lies outside the range of normal doubles"
+        )
+    z1, z2 = math.exp(log_z1), math.exp(log_z2)
+    residual = _residual(z1, z2, k, theta, _WAND)
+    if not (residual <= tol and z2 < z1):
+        raise IterationFailureError(
+            f"asymmetric root ({z1!r}, {z2!r}) failed certification: "
+            f"residual {residual:.3e}, tolerance {tol:.3e}"
+        )
+    law = BoundaryLaw(z1, z2, residual)
+    return [law, law.swapped()]
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,6 @@ Every tolerance here is pinned; nothing is deferred to calibration.
 
 import math
 import random
-import warnings
 
 from wand_gibbs.chain import (
     ks_all_theta_nonextremal,
@@ -28,12 +27,13 @@ from wand_gibbs.oracle import cayley_tree, check_consistency
 from wand_gibbs.rootfind import grid
 from wand_gibbs.solver import (
     boundary_law,
-    detect_bifurcation_onset,
     find_asymmetric,
     solve_ferrari_k3,
     solve_symmetric,
     theta_critical,
 )
+
+from newton_oracle import detect_bifurcation_onset
 
 
 def report(number: int, name: str, passed: bool, detail: str = ""):
@@ -151,9 +151,7 @@ def test_criterion_08_spectral_contract():
     for _ in range(150):
         k = rng.randint(2, 6)
         theta = rng.uniform(0.05, 0.95) * theta_critical(k)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            laws = find_asymmetric(ModelParams(k, theta))
+        laws = find_asymmetric(ModelParams(k, theta))
         conj_ok = conj_ok and len(laws) == 2
         if len(laws) == 2:
             reps = [spectrum(transition_matrix(law, theta), k) for law in laws]

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 from scipy.optimize import brentq
@@ -5,9 +7,9 @@ from scipy.optimize import brentq
 from wand_gibbs.model import BoundaryLaw, InteractionGraph, ModelParams
 from wand_gibbs.solver import (
     DegenerateDenominatorError,
-    NearBifurcationWarning,
+    IterationFailureError,
+    _branch_log_theta,
     boundary_law,
-    detect_bifurcation_onset,
     find_asymmetric,
     rhs_general,
     solve_ferrari_k3,
@@ -16,6 +18,8 @@ from wand_gibbs.solver import (
     theta_critical,
     tisgm_set,
 )
+
+from newton_oracle import detect_bifurcation_onset, newton_asymmetric
 
 thetas = st.floats(min_value=0.05, max_value=20.0)
 orders = st.integers(min_value=2, max_value=8)
@@ -133,6 +137,14 @@ def test_theta_critical_k3_closed_form():
     assert theta_critical(3) == pytest.approx(1.6118548977353129, rel=1e-14)
 
 
+@pytest.mark.parametrize("k", [150, 200, 10**3, 10**4])
+def test_theta_critical_large_k_finite(k):
+    # independent evaluation: the exact integer k^k (k-1) goes through
+    # math.log, which accepts integers of any size
+    log_cr = (math.log(k ** k * (k - 1)) - k * math.log(2.0)) / (k + 1)
+    assert theta_critical(k) == pytest.approx(math.exp(log_cr), rel=1e-12)
+
+
 def test_theta_critical_rejects_small_k():
     with pytest.raises(ValueError):
         theta_critical(1)
@@ -204,9 +216,87 @@ def test_swap_of_solution_is_solution():
     assert swapped.residual <= 1e-12
 
 
-def test_near_bifurcation_warning():
-    with pytest.warns(NearBifurcationWarning):
-        find_asymmetric(ModelParams(2, 1.0 + 5e-5))
+@pytest.mark.parametrize("k,theta", [(2, 1e-30), (3, 1e-8), (50, 1.0)])
+def test_asymmetric_pair_at_extreme_points(k, theta):
+    # roots spanning up to 180 decades; newton_asymmetric finds none here
+    solutions = tisgm_set(ModelParams(k, theta))
+    assert solutions.count == 3
+    for law in solutions.laws:
+        assert boundary_law(law.z1, law.z2, solutions.params).residual <= 1e-12
+
+
+def test_asymmetric_root_outside_double_range_raises():
+    # at theta = 1e-300 the pair has ln z1 ~ 1380: no double can hold it
+    with pytest.raises(IterationFailureError):
+        find_asymmetric(ModelParams(2, 1e-300))
+
+
+def test_asymmetric_root_failing_certification_raises():
+    with pytest.raises(IterationFailureError):
+        find_asymmetric(ModelParams(2, 0.5), tol=1e-300)
+
+
+@pytest.mark.parametrize("k", list(range(2, 41)) + [50, 100, 200, 500])
+def test_branch_log_theta_increasing_to_critical(k):
+    ss = [-700.0 * (j / 4000) ** 3 for j in range(4000, 0, -1)]
+    values = [_branch_log_theta(k, s) for s in ss]
+    assert all(a < b for a, b in zip(values, values[1:]))
+    log_cr = math.log(theta_critical(k))
+    assert values[-1] < log_cr
+    assert _branch_log_theta(k, -1e-9) == pytest.approx(log_cr, rel=1e-12, abs=1e-12)
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _monomial_poly(terms):
+    """Integer coefficient list of sum c t^n over (c, n) pairs."""
+    out = [0] * (max(n for _, n in terms) + 1)
+    for c, n in terms:
+        out[n] += c
+    return out
+
+
+@pytest.mark.parametrize("k", range(2, 41))
+def test_branch_derivative_numerator_has_positive_cofactor(k):
+    # the monotonicity argument in the solver docstring: N_k = (1-t)^4 R_k
+    # with every coefficient of R_k positive
+    one_minus = lambda n: _monomial_poly([(1, 0), (-1, n)])
+    parts = [
+        _poly_mul(_poly_mul(_monomial_poly([(1, 0), (k, 1)]), one_minus(k - 1)), one_minus(2 * k)),
+        _poly_mul(_poly_mul(_monomial_poly([(-(k - 1), k - 1)]), one_minus(1)), one_minus(2 * k)),
+        _poly_mul(_poly_mul(_monomial_poly([(-2 * k * k, k)]), one_minus(1)), one_minus(k - 1)),
+    ]
+    numerator = [sum(p[n] if n < len(p) else 0 for p in parts)
+                 for n in range(max(map(len, parts)))]
+    cofactor = numerator
+    for _ in range(4):  # synthetic division by (1 - t), lowest degree first
+        quotient, carry = [], 0
+        for c in cofactor[:-1]:
+            carry += c
+            quotient.append(carry)
+        assert carry + cofactor[-1] == 0
+        cofactor = quotient
+    assert len(cofactor) == 3 * k - 3
+    assert cofactor == cofactor[::-1]
+    assert all(c > 0 for c in cofactor)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("frac", [0.1, 0.3, 0.5, 0.7, 0.9, 0.99])
+def test_branch_pair_matches_newton_oracle(k, frac):
+    params = ModelParams(k, frac * theta_critical(k))
+    branch = find_asymmetric(params)
+    newton = newton_asymmetric(params)
+    assert len(branch) == len(newton) == 2
+    for ours, theirs in zip(branch, newton):
+        assert ours.z1 == pytest.approx(theirs.z1, rel=1e-10)
+        assert ours.z2 == pytest.approx(theirs.z2, rel=1e-10)
 
 
 # --- tisgm bundle -----------------------------------------------------------

@@ -12,21 +12,19 @@ from .model import (
     DEFAULT_RESIDUAL_TOL,
     SPINS,
     SPIN_INDEX,
+    WAND_ADJACENCY,
     BoundaryLaw,
-    InteractionGraph,
     ModelParams,
+    allows,
     is_admissible,
-    wand_graph,
 )
 from .solver import (
-    DegenerateDenominatorError,
     IterationFailureError,
     QuarticDomainError,
     SolverError,
     TisgmSet,
     boundary_law,
     find_asymmetric,
-    rhs_general,
     solve_ferrari_k3,
     solve_symmetric,
     symmetric_gain,

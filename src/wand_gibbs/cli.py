@@ -1,15 +1,17 @@
 """Command-line front end: solve, scan, thresholds, verify, plot.
 
 Exit codes are a stable contract: 0 success, 2 usage error, 3 solver
-failure, 4 I/O failure, 5 verification failure.  The environment variable
-WAND_GIBBS_TOL overrides the default 1e-12 residual acceptance (for
-exploration only).  JSON output follows the schema printed by --help.
+failure (including any arithmetic error), 4 I/O failure, 5 verification
+failure.  The environment variable WAND_GIBBS_TOL overrides the default
+1e-12 residual acceptance (for exploration only).  JSON output follows the
+schema printed by --help.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -456,10 +458,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # once per process: building it and its JSON-schema epilog costs more than a command
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
@@ -469,7 +476,8 @@ def main(argv=None) -> int:
         # enumeration cap) are all usage-level failures
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SolverError, NoBracketError) as exc:
+    except (SolverError, NoBracketError, ArithmeticError) as exc:
+        # a leftover overflow or division by zero is a solver failure too
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except (CliIOError, OSError) as exc:

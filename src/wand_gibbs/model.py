@@ -1,8 +1,8 @@
 """Domain types for the hard-core Blume-Capel model on a Cayley tree.
 
 Spins take the three values -1, 0, +1.  Admissible nearest-neighbour spin
-pairs are the edges of a symmetric 3x3 constraint graph; the preset used
-throughout is the "wand" graph with edges {0,-1}, {0,1}, {-1,-1}, {1,1}.
+pairs are the edges of the "wand" constraint graph: {0,-1}, {0,1}, {-1,-1}
+and {1,1}.
 All coupling/temperature dependence enters through the single positive
 activity theta = exp(-J*beta), and a candidate translation-invariant state
 is described by a pair of positive boundary-law ratios (z1, z2), where z1
@@ -28,44 +28,18 @@ SPIN_INDEX = {-1: 0, 0: 1, 1: 2}
 DEFAULT_RESIDUAL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class InteractionGraph:
-    """Symmetric 0/1 adjacency matrix over the spin alphabet.
-
-    ``adjacency[i][j]`` is 1 when spins ``SPINS[i]`` and ``SPINS[j]`` may
-    occupy adjacent tree vertices, 0 otherwise.
-    """
-
-    adjacency: tuple
-
-    def __post_init__(self):
-        rows = tuple(tuple(int(v) for v in row) for row in self.adjacency)
-        if len(rows) != 3 or any(len(row) != 3 for row in rows):
-            raise ValueError("adjacency must be a 3x3 matrix")
-        if any(v not in (0, 1) for row in rows for v in row):
-            raise ValueError("adjacency entries must be 0 or 1")
-        for i in range(3):
-            for j in range(i):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError("adjacency must be symmetric")
-        object.__setattr__(self, "adjacency", rows)
-
-    def allows(self, s: int, t: int) -> bool:
-        """True when spins ``s`` and ``t`` may sit on adjacent vertices."""
-        return self.adjacency[SPIN_INDEX[s]][SPIN_INDEX[t]] == 1
-
-    def edge_count(self) -> int:
-        """Number of undirected edges (diagonal entries count once)."""
-        return sum(self.adjacency[i][j] for i in range(3) for j in range(i, 3))
+#: the wand constraint graph as a 0/1 adjacency matrix in SPINS order:
+#: edges {0,-1}, {0,1}, {-1,-1}, {1,1}; no 0-0 and no -1/+1 neighbours
+WAND_ADJACENCY = (
+    (1, 1, 0),
+    (1, 0, 1),
+    (0, 1, 1),
+)
 
 
-def wand_graph() -> InteractionGraph:
-    """The wand constraint graph: edges {0,-1}, {0,1}, {-1,-1}, {1,1}."""
-    return InteractionGraph((
-        (1, 1, 0),
-        (1, 0, 1),
-        (0, 1, 1),
-    ))
+def allows(s: int, t: int) -> bool:
+    """True when spins ``s`` and ``t`` may sit on adjacent vertices."""
+    return WAND_ADJACENCY[SPIN_INDEX[s]][SPIN_INDEX[t]] == 1
 
 
 @dataclass(frozen=True)
@@ -126,12 +100,12 @@ class BoundaryLaw:
         return BoundaryLaw(self.z2, self.z1, self.residual)
 
 
-def is_admissible(config: Mapping, edges: Iterable, graph: InteractionGraph) -> bool:
-    """Check a spin configuration on a finite tree against a constraint graph.
+def is_admissible(config: Mapping, edges: Iterable) -> bool:
+    """Check a spin configuration on a finite tree against the wand graph.
 
     ``config`` maps vertices to spins and ``edges`` lists the tree's
     nearest-neighbour pairs.  Returns True iff every edge carries a spin
-    pair that is an edge of ``graph``.  The edges must connect all of
+    pair that is an edge of the wand graph.  The edges must connect all of
     ``config``'s vertices; configurations over disconnected vertex sets
     are rejected with ValueError.
     """
@@ -158,4 +132,4 @@ def is_admissible(config: Mapping, edges: Iterable, graph: InteractionGraph) -> 
         stack.extend(neighbours[v])
     if seen != vertices:
         raise ValueError("configuration vertices are not connected by the given edges")
-    return all(graph.allows(config[u], config[v]) for u, v in edge_list)
+    return all(allows(config[u], config[v]) for u, v in edge_list)

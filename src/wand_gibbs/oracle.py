@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import SPINS, BoundaryLaw, InteractionGraph, wand_graph
+from .model import SPINS, WAND_ADJACENCY, BoundaryLaw, allows
 
 __all__ = [
     "ENUMERATION_CAP",
@@ -39,7 +39,8 @@ __all__ = [
 #: largest vertex count the enumeration routines accept
 ENUMERATION_CAP = 16
 
-_WAND = wand_graph()
+#: the spins each spin admits on a neighbouring vertex
+_ALLOWED = {s: tuple(t for t in SPINS if allows(s, t)) for s in SPINS}
 
 
 class SizeCapError(ValueError):
@@ -115,19 +116,18 @@ def cayley_tree(k: int, depth: int, full_root: bool = False) -> FiniteCayleyTree
     )
 
 
-def hamiltonian(config, tree: FiniteCayleyTree, graph: InteractionGraph | None = None) -> int:
+def hamiltonian(config, tree: FiniteCayleyTree) -> int:
     """The J-free energy sum over edges of (spin(x) - spin(y))^2.
 
     ``config`` is a spin sequence indexed by vertex id.  Non-admissible
     configurations (an edge outside the constraint graph) are rejected.
     """
-    graph = _WAND if graph is None else graph
     if len(config) != tree.size:
         raise ValueError(f"configuration has {len(config)} spins for {tree.size} vertices")
     total = 0
     for v in range(1, tree.size):
         su, sv = config[tree.parents[v]], config[v]
-        if not graph.allows(su, sv):
+        if not allows(su, sv):
             raise ValueError(f"configuration is not admissible: pair ({su}, {sv}) on edge ({tree.parents[v]}, {v})")
         total += (su - sv) ** 2
     return total
@@ -140,43 +140,30 @@ def _check_cap(tree: FiniteCayleyTree):
         )
 
 
-def enumerate_admissible(tree: FiniteCayleyTree, graph: InteractionGraph | None = None) -> list:
+def enumerate_admissible(tree: FiniteCayleyTree) -> list:
     """All admissible spin configurations on ``tree``, as vertex-indexed tuples.
 
-    Depth-first with early pruning: a vertex only tries the spins its
-    parent's spin allows, so the cost is proportional to the admissible
-    count, not to 3^(vertices).
+    Vertex by vertex in id order, each parent before its children: every
+    admissible prefix is extended by the spins its parent's spin allows, so
+    the cost is proportional to the admissible count, not to 3^(vertices).
+    Configurations come out in lexicographic order.
     """
-    graph = _WAND if graph is None else graph
     _check_cap(tree)
-    allowed = {s: tuple(t for t in SPINS if graph.allows(s, t)) for s in SPINS}
-    n = tree.size
-    parents = tree.parents
-    out = []
-    config = [0] * n
-
-    def descend(v: int):
-        if v == n:
-            out.append(tuple(config))
-            return
-        options = SPINS if v == 0 else allowed[config[parents[v]]]
-        for s in options:
-            config[v] = s
-            descend(v + 1)
-
-    descend(0)
-    return out
+    configs = [(s,) for s in SPINS]
+    for v in range(1, tree.size):
+        parent = tree.parents[v]
+        configs = [c + (s,) for c in configs for s in _ALLOWED[c[parent]]]
+    return configs
 
 
-def admissible_count_formula(tree: FiniteCayleyTree, graph: InteractionGraph | None = None) -> int:
+def admissible_count_formula(tree: FiniteCayleyTree) -> int:
     """Admissible-configuration count via the adjacency-power recursion.
 
     Bottom-up over the tree: a leaf admits one completion per spin, an
     internal vertex with spin s admits the product over children of the
     adjacency-weighted sums of their counts.  Independent of enumeration.
     """
-    graph = _WAND if graph is None else graph
-    a = graph.adjacency
+    a = WAND_ADJACENCY
     counts = [[1, 1, 1] for _ in range(tree.size)]
     for v in range(tree.size - 1, -1, -1):
         for i in range(3):
@@ -207,19 +194,18 @@ class FiniteVolumeMeasure:
         return math.exp(self.log_partition)
 
 
-def finite_volume_measure(tree: FiniteCayleyTree, theta: float, law: BoundaryLaw,
-                          graph: InteractionGraph | None = None) -> FiniteVolumeMeasure:
+def finite_volume_measure(tree: FiniteCayleyTree, theta: float,
+                          law: BoundaryLaw) -> FiniteVolumeMeasure:
     """The finite-volume measure with boundary fields on the last generation.
 
     Each admissible configuration gets weight theta^(energy) times the
     product of z(spin) over the outermost generation, with z(-1) = z2,
     z(0) = 1, z(+1) = z1; interior vertices carry no field.
     """
-    graph = _WAND if graph is None else graph
     theta = float(theta)
     if not (math.isfinite(theta) and theta > 0.0):
         raise ValueError(f"theta must be positive and finite, got {theta!r}")
-    configs = enumerate_admissible(tree, graph)
+    configs = enumerate_admissible(tree)
     log_theta = math.log(theta)
     log_z = {-1: math.log(law.z2), 0: 0.0, 1: math.log(law.z1)}
     ring = tree.boundary()
@@ -248,10 +234,9 @@ def finite_volume_measure(tree: FiniteCayleyTree, theta: float, law: BoundaryLaw
     )
 
 
-def root_marginal(tree: FiniteCayleyTree, theta: float, law: BoundaryLaw,
-                  graph: InteractionGraph | None = None) -> tuple:
+def root_marginal(tree: FiniteCayleyTree, theta: float, law: BoundaryLaw) -> tuple:
     """Marginal distribution of the root spin, in spin order (-1, 0, +1)."""
-    measure = finite_volume_measure(tree, theta, law, graph)
+    measure = finite_volume_measure(tree, theta, law)
     marginal = {s: 0.0 for s in SPINS}
     for config, p in measure.probabilities.items():
         marginal[config[0]] += p
@@ -259,8 +244,7 @@ def root_marginal(tree: FiniteCayleyTree, theta: float, law: BoundaryLaw,
 
 
 def check_consistency(tree_small: FiniteCayleyTree, tree_big: FiniteCayleyTree,
-                      theta: float, law: BoundaryLaw,
-                      graph: InteractionGraph | None = None) -> float:
+                      theta: float, law: BoundaryLaw) -> float:
     """Max defect between the depth-(n-1) measure and the depth-n marginal.
 
     The two trees must share order and root geometry and differ by one
@@ -272,8 +256,8 @@ def check_consistency(tree_small: FiniteCayleyTree, tree_big: FiniteCayleyTree,
         raise ValueError("trees must share order k and root geometry")
     if tree_big.depth != tree_small.depth + 1:
         raise ValueError("trees must differ by exactly one generation")
-    small = finite_volume_measure(tree_small, theta, law, graph)
-    big = finite_volume_measure(tree_big, theta, law, graph)
+    small = finite_volume_measure(tree_small, theta, law)
+    big = finite_volume_measure(tree_big, theta, law)
     n_small = tree_small.size
     marginal = {}
     for config, p in big.probabilities.items():

@@ -1,4 +1,4 @@
-"""Bracketed bisection with a coarse pre-scan, used for threshold location."""
+"""Grid scans for sign changes and plain bisection, used for threshold location."""
 
 from __future__ import annotations
 
@@ -77,18 +77,3 @@ def sign_change_brackets(fn, lo: float, hi: float, points: int, log_scale: bool 
         i += 1
     return brackets
 
-
-def scan_root(fn, lo: float, hi: float, points: int = 500, xtol: float = 1e-8,
-              log_scale: bool = True) -> float:
-    """Locate the (expected unique) root of ``fn`` on (lo, hi).
-
-    Pre-scans a grid for a sign change, then bisects the first bracket to
-    ``xtol``.  Raises NoBracketError when the scan finds no change.
-    """
-    brackets = sign_change_brackets(fn, lo, hi, points, log_scale)
-    if not brackets:
-        raise NoBracketError(f"no sign change of {getattr(fn, '__name__', 'fn')} on ({lo}, {hi})")
-    a, b = brackets[0]
-    if a == b:
-        return a
-    return bisect(fn, a, b, xtol)

@@ -1,19 +1,30 @@
 """Fixed-point machinery for translation-invariant boundary laws.
 
-Translation-invariant splitting Gibbs measures of the constrained model
-correspond to positive solutions of the two-component fixed-point system
+Translation-invariant splitting Gibbs measures of the wand model correspond
+to positive solutions of the two-component fixed-point system
 
     z1 = ((theta + z1) / (theta * (z1 + z2)))**k
-    z2 = ((theta + z2) / (theta * (z1 + z2)))**k        (wand graph)
+    z2 = ((theta + z2) / (theta * (z1 + z2)))**k.
 
-or, for a generic constraint graph with adjacency a_ij and the convention
-z(-1) = z2, z(0) = 1, z(+1) = z1,
+Both sides are compared in logs.  The map F_i = k ln((theta + z_i) /
+(theta (z1 + z2))) is built from the ratio z_i / (z1 + z2) and log1p terms,
+so no power overflows, and a law's residual max |z_i - rhs_i| / max(1, z_i)
+is evaluated as min(1, z_i) |expm1(F_i - ln z_i)|.
 
-    z_i = ( sum_j a_ij theta^((i-j)^2) z_j  /  sum_j a_0j theta^(j^2) z_j )**k.
+The symmetric root z1 = z2 = z* always exists and is unique.  In u = ln z
+it is the zero of
 
-The symmetric root z1 = z2 = z* always exists and is unique: the gain map
-f(z) = ((theta+z)/(2 theta z))**k is strictly decreasing, so z - f(z) has a
-single sign change and bracketed bisection is unconditionally convergent.
+    h(u) = u - k ln((e^-u + 1/theta) / 2),
+    h'(u) = 1 + k e^-u / (e^-u + 1/theta)  in (1, k+1),
+
+and h' decreases in u, so h is increasing and concave.  A Newton step lands
+on the zero of the tangent, and the tangent of a concave function lies
+above it, so the step lands at or left of the root from any start.  From
+u = 0 the first step therefore lands at or left of the root, and every
+later step climbs monotonically toward it; the iteration stops when a step
+no longer increases u, so it needs neither a bracket nor an iteration cap.
+Since z*^(k+1) = ((theta + z*) / (2 theta))^k > 2^-k, the root can leave
+the range of doubles only upwards, as theta -> 0.
 
 Every asymmetric root lies on one explicit branch.  Put x_i = z_i^(1/k),
 t = x2/x1, P(t) = sum_{j<k} t^j and Q(t) = 1 + t^k.  The k-th roots of the
@@ -47,23 +58,16 @@ residual, never by iteration count alone.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-from .model import (
-    DEFAULT_RESIDUAL_TOL,
-    BoundaryLaw,
-    InteractionGraph,
-    ModelParams,
-    wand_graph,
-)
+from .model import DEFAULT_RESIDUAL_TOL, BoundaryLaw, ModelParams
 
 __all__ = [
     "SolverError",
-    "DegenerateDenominatorError",
     "IterationFailureError",
     "QuarticDomainError",
     "TisgmSet",
-    "rhs_general",
     "boundary_law",
     "symmetric_gain",
     "solve_symmetric",
@@ -78,69 +82,52 @@ class SolverError(RuntimeError):
     """Base class for fixed-point solver failures."""
 
 
-class DegenerateDenominatorError(SolverError):
-    """The 0-spin field sum vanished, so the fixed-point map is undefined."""
-
-
 class IterationFailureError(SolverError):
-    """An iteration or bracket-expansion budget was exhausted."""
+    """A root left the range of doubles or failed its certificate."""
 
 
 class QuarticDomainError(SolverError):
     """A radicand in the closed-form quartic solution went negative."""
 
 
-_WAND = wand_graph()
-
 #: largest |ln z| for which z is a normal double
 _LOG_RANGE = 708.0
 
 
-def _field_sums(graph: InteractionGraph, theta: float, z1: float, z2: float) -> tuple:
-    """Per-spin field sums (w_minus, w_zero, w_plus).
+def _log_rhs(z1: float, z2: float, k: int, theta: float) -> list:
+    """[F1, F2], F_i = k ln((theta + z_i) / (theta (z1 + z2))): the logs of
+    the fixed-point right-hand sides, free of overflow and of cancellation
+    between large logs."""
+    big = max(z1, z2)
+    q = min(z1, z2) / big
+    log_total = math.log(big) + math.log1p(q)  # ln(z1 + z2)
+    logs = []
+    for z in (z1, z2):
+        if z <= theta:
+            log_ratio = math.log1p(z / theta) - log_total
+        else:
+            share = z / big / (1.0 + q)  # z / (z1 + z2)
+            # far below the normal range the share's log comes from ln z
+            log_share = math.log(z) - log_total if share < sys.float_info.min else math.log(share)
+            log_ratio = log_share - math.log(theta) + math.log1p(theta / z)
+        logs.append(k * log_ratio)
+    return logs
 
-    w_i = sum_j a_ij theta^((i-j)^2) z_j with z = (z2, 1, z1) in spin order.
-    """
-    a = graph.adjacency
-    # index distance d = |i - j| maps to spin difference d, exponent d^2
-    pows = (1.0, theta, theta ** 4)
-    z = (z2, 1.0, z1)
-    return tuple(
-        sum(a[i][j] * pows[abs(i - j)] * z[j] for j in range(3))
-        for i in range(3)
+
+def _residual(z1: float, z2: float, k: int, theta: float) -> float:
+    """max |z_i - rhs_i| / max(1, z_i), as min(1, z_i) |expm1(F_i - ln z_i)|.
+
+    The exponent is clamped at _LOG_RANGE, so the value is always finite,
+    and exact unless a component is subnormal."""
+    return max(
+        min(1.0, z) * abs(math.expm1(min(log_rhs - math.log(z), _LOG_RANGE)))
+        for z, log_rhs in zip((z1, z2), _log_rhs(z1, z2, k, theta))
     )
 
 
-def _rhs(z1: float, z2: float, k: int, theta: float, graph: InteractionGraph) -> tuple:
-    w_minus, w_zero, w_plus = _field_sums(graph, theta, z1, z2)
-    if w_zero == 0.0:
-        raise DegenerateDenominatorError(
-            "the 0-spin field sum a(0,-1)*theta*z2 + a(0,0) + a(0,1)*theta*z1 is zero"
-        )
-    return (w_plus / w_zero) ** k, (w_minus / w_zero) ** k
-
-
-def _residual(z1: float, z2: float, k: int, theta: float, graph: InteractionGraph) -> float:
-    r1, r2 = _rhs(z1, z2, k, theta, graph)
-    return max(abs(z1 - r1) / max(1.0, z1), abs(z2 - r2) / max(1.0, z2))
-
-
-def rhs_general(law: BoundaryLaw, params: ModelParams, graph: InteractionGraph | None = None) -> tuple:
-    """Right-hand sides of the fixed-point system at ``law`` for a generic graph.
-
-    Returns the pair (rhs for z1, rhs for z2) under the translation-invariant
-    ansatz, i.e. the per-successor field ratio raised to the k-th power.
-    Raises DegenerateDenominatorError when the 0-spin field sum vanishes.
-    """
-    graph = _WAND if graph is None else graph
-    return _rhs(law.z1, law.z2, params.k, params.theta, graph)
-
-
-def boundary_law(z1: float, z2: float, params: ModelParams,
-                 graph: InteractionGraph | None = None) -> BoundaryLaw:
+def boundary_law(z1: float, z2: float, params: ModelParams) -> BoundaryLaw:
     """A BoundaryLaw carrying the fixed-point residual evaluated at (z1, z2)."""
-    graph = _WAND if graph is None else graph
-    return BoundaryLaw(z1, z2, _residual(float(z1), float(z2), params.k, params.theta, graph))
+    return BoundaryLaw(z1, z2, _residual(float(z1), float(z2), params.k, params.theta))
 
 
 def symmetric_gain(z: float, params: ModelParams) -> float:
@@ -154,63 +141,35 @@ def symmetric_gain(z: float, params: ModelParams) -> float:
 def solve_symmetric(params: ModelParams, tol: float = DEFAULT_RESIDUAL_TOL) -> BoundaryLaw:
     """The unique symmetric root z1 = z2 = z* of the fixed-point system.
 
-    Bisects the strictly increasing log-gap
-        d(z) = (1+k) ln z + k ln(2 theta) - k ln(theta + z),
-    whose zero is the fixed point of f; working with logs keeps the bracket
-    expansion overflow-free even when z* is astronomically large (theta -> 0).
-    The bracket starts at [1e-12, 1] and the upper end doubles until the gap
-    turns positive (at most 200 doublings); bisection then runs to relative
-    width 1e-15.  An exact zero hit is returned as-is, which in particular
-    yields z* = 1.0 exactly at theta = 1.
+    Newton's method in u = ln z on the increasing, concave
+    h(u) = u - k ln((e^-u + 1/theta) / 2), from u = 0 until a step no longer
+    increases u (see the module docstring).  The log-sum is shifted by its
+    larger term, so it stays finite at every activity; at theta = 1 the
+    first step is exactly 0, which yields z* = 1.0.  Raises
+    IterationFailureError when ln z* leaves the range of normal doubles or
+    the root's residual exceeds ``tol``.
     """
     k, theta = params.k, params.theta
-    log_2theta = math.log(2.0 * theta)
+    log_inv_theta, ln2 = -math.log(theta), math.log(2.0)
 
-    def gap(z: float) -> float:
-        return (1.0 + k) * math.log(z) + k * log_2theta - k * math.log(theta + z)
+    def newton_step(u: float) -> float:
+        # ln(e^a + e^b) and e^a / (e^a + e^b) at a = -u, b = ln(1/theta)
+        a = -u
+        e = math.exp(-abs(a - log_inv_theta))
+        log_sum = max(a, log_inv_theta) + math.log1p(e)
+        share = (1.0 if a >= log_inv_theta else e) / (1.0 + e)
+        return u - (u - k * (log_sum - ln2)) / (1.0 + k * share)
 
-    lo = 1e-12
-    shrinks = 0
-    glo = gap(lo)
-    while glo > 0.0:
-        # cannot occur for valid params (f blows up at 0); defensive
-        lo *= 0.5
-        shrinks += 1
-        if shrinks > 200:
-            raise IterationFailureError("lower bracket shrink exceeded 200 halvings")
-        glo = gap(lo)
-    if glo == 0.0:
-        z = lo
-    else:
-        hi = 1.0
-        ghi = gap(hi)
-        doublings = 0
-        while ghi < 0.0:
-            hi *= 2.0
-            doublings += 1
-            if doublings > 200:
-                raise IterationFailureError("bracket expansion exceeded 200 doublings")
-            ghi = gap(hi)
-        if ghi == 0.0:
-            z = hi
-        else:
-            for _ in range(200):
-                if hi - lo <= 1e-15 * hi:
-                    break
-                mid = 0.5 * (lo + hi)
-                if mid <= lo or mid >= hi:
-                    break
-                gmid = gap(mid)
-                if gmid == 0.0:
-                    lo = hi = mid
-                    break
-                if gmid > 0.0:
-                    hi = mid
-                else:
-                    lo = mid
-            z = 0.5 * (lo + hi)
-
-    residual = abs(z - symmetric_gain(z, params)) / max(1.0, z)
+    u, after = -math.inf, newton_step(0.0)
+    while after > u:
+        u = after
+        if abs(u) > _LOG_RANGE:
+            raise IterationFailureError(
+                f"symmetric root has ln z* beyond {u:.6g}, outside the range of normal doubles"
+            )
+        after = newton_step(u)
+    z = math.exp(u)
+    residual = _residual(z, z, k, theta)
     if residual > tol:
         raise IterationFailureError(
             f"symmetric root residual {residual:.3e} exceeds tolerance {tol:.3e}"
@@ -324,7 +283,7 @@ def find_asymmetric(params: ModelParams, tol: float = DEFAULT_RESIDUAL_TOL) -> l
             "lies outside the range of normal doubles"
         )
     z1, z2 = math.exp(log_z1), math.exp(log_z2)
-    residual = _residual(z1, z2, k, theta, _WAND)
+    residual = _residual(z1, z2, k, theta)
     if not (residual <= tol and z2 < z1):
         raise IterationFailureError(
             f"asymmetric root ({z1!r}, {z2!r}) failed certification: "

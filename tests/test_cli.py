@@ -3,7 +3,9 @@ import json
 import math
 
 import jsonschema
+import pytest
 
+from wand_gibbs import cli
 from wand_gibbs.cli import JSON_SCHEMAS, main
 from wand_gibbs.scan import CSV_COLUMNS
 
@@ -62,6 +64,26 @@ def test_solve_invalid_params(capsys):
 
 def test_unknown_command_usage_error(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def test_arithmetic_error_maps_to_solver_exit(monkeypatch, capsys):
+    def overflow(*args, **kwargs):
+        raise OverflowError("math range error")
+
+    monkeypatch.setattr(cli, "tisgm_set", overflow)
+    code, out, err = run(capsys, "solve", "--k", "2", "--theta", "0.5")
+    assert code == 3
+    assert out == ""
+    assert err == "solver error: math range error\n"
+
+
+def test_parser_built_once_per_process(monkeypatch, capsys):
+    code, first, _ = run(capsys, "solve", "--k", "2", "--theta", "0.5")
+    assert code == 0
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+    assert run(capsys, "solve", "--k", "2", "--theta", "0.5", "--format", "csv")[0] == 0
+    assert run(capsys, "frobnicate")[0] == 2
+    assert run(capsys, "solve", "--k", "2", "--theta", "0.5") == (0, first, "")
 
 
 # --- scan ------------------------------------------------------------------------
@@ -177,6 +199,13 @@ def test_verify_passes(capsys):
     assert code == 0
     assert "all consistency checks passed" in out
     assert out.count("PASS") == 8
+
+
+def test_verify_extreme_activity(capsys):
+    # theta^4 = 1e320 is beyond every double; the wand map never forms it
+    code, out, _ = run(capsys, "verify", "--k", "2", "--depth", "1", "--thetas", "1e80")
+    assert code == 0
+    assert "all consistency checks passed" in out
 
 
 def test_verify_k3_unit_activity(capsys):

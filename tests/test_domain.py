@@ -1,0 +1,120 @@
+"""The whole domain: every (k, theta) gets the right count or a typed error.
+
+A test-side oracle locates every root in logs by plain bisection, without
+the library's Newton iteration or certificate: the symmetric root on
+h(u) = u - k ln((e^-u + 1/theta) / 2), the asymmetric pair on its branch in
+s = ln t.  Where every root has |ln z| <= MUST_ANSWER_LOG, each root is a
+normal double with room to spare, so the library must answer, with the
+right count and certified residuals; beyond that it may raise SolverError.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from wand_gibbs.model import ModelParams
+from wand_gibbs.solver import SolverError, tisgm_set
+
+MUST_ANSWER_LOG = 690.0
+
+
+def log_theta_critical(k):
+    # the exact integer k^k (k-1) goes through math.log
+    return (math.log(k ** k * (k - 1)) - k * math.log(2.0)) / (k + 1)
+
+
+def _logaddexp(a, b):
+    return max(a, b) + math.log1p(math.exp(-abs(a - b)))
+
+
+def _bisect(fn, lo, hi):
+    """Last point of [lo, hi] where the increasing ``fn`` is negative."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo
+        if fn(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def symmetric_log_root(k, log_theta):
+    h = lambda u: u - k * (_logaddexp(-u, -log_theta) - math.log(2.0))
+    # h(-1) < 0 < h(U) for U = 2 + k (|ln theta| + 1)
+    return _bisect(h, -1.0, 2.0 + k * (abs(log_theta) + 1.0))
+
+
+def _branch(k, s):
+    """(ln theta, ln(P - 1)) on the asymmetric branch at s = ln t < 0."""
+    log_one_minus_t = math.log(-math.expm1(s))
+    log_p = math.log(-math.expm1(k * s)) - log_one_minus_t
+    log_p_minus_1 = s + math.log(-math.expm1((k - 1) * s)) - log_one_minus_t
+    log_q = math.log1p(math.exp(k * s))
+    return (k * log_p + log_p_minus_1 - k * log_q) / (k + 1), log_p_minus_1
+
+
+def asymmetric_log_roots(k, log_theta):
+    """(ln z1, ln z2) of the representative with z1 > z2."""
+    lo = -1.0
+    while _branch(k, lo)[0] >= log_theta:
+        lo *= 2.0
+    s = _bisect(lambda x: _branch(k, x)[0] - log_theta, lo, 0.0)
+    log_z1 = log_theta - _branch(k, s)[1]
+    return log_z1, log_z1 + k * s
+
+
+def oracle(k, theta):
+    """(expected count, whether every root has |ln z| <= MUST_ANSWER_LOG)."""
+    log_theta = math.log(theta)
+    below = log_theta < log_theta_critical(k)
+    logs = [symmetric_log_root(k, log_theta)]
+    if below:
+        logs.extend(asymmetric_log_roots(k, log_theta))
+    return (3 if below else 1), max(map(abs, logs)) <= MUST_ANSWER_LOG
+
+
+def solve_or_none(k, theta):
+    """tisgm_set at (k, theta), or None when it raises a SolverError; any
+    other exception escapes and fails the test."""
+    try:
+        return tisgm_set(ModelParams(k, theta))
+    except SolverError:
+        return None
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.integers(min_value=2, max_value=256),
+       st.floats(min_value=-300.0, max_value=300.0))
+def test_every_in_range_point_answers(k, log10_theta):
+    theta = 10.0 ** log10_theta
+    count, must_answer = oracle(k, theta)
+    solutions = solve_or_none(k, theta)
+    if solutions is None:
+        assert not must_answer
+        return
+    assert solutions.count == count
+    assert all(law.residual <= 1e-12 for law in solutions.laws)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.integers(min_value=257, max_value=10 ** 4),
+       st.floats(min_value=-300.0, max_value=300.0))
+def test_high_order_never_miscounts(k, log10_theta):
+    # for k >~ 500 the best double root can read a residual above 1e-12
+    # (about k * eps), so here a typed error is allowed even in range
+    theta = 10.0 ** log10_theta
+    solutions = solve_or_none(k, theta)
+    if solutions is not None:
+        assert solutions.count == oracle(k, theta)[0]
+        assert all(law.residual <= 1e-12 for law in solutions.laws)
+
+
+def test_oracle_agrees_on_known_points():
+    # the k = 2 roots pinned in test_solver
+    z_sym = math.exp(symmetric_log_root(2, math.log(0.25)))
+    assert z_sym == pytest.approx(4.460902774953157, rel=1e-10)
+    log_z1, log_z2 = asymmetric_log_roots(2, math.log(0.5))
+    assert math.exp(log_z1) == pytest.approx(4.776082975517309, rel=1e-10)
+    assert math.exp(log_z2) == pytest.approx(0.05234414922888182, rel=1e-10)

@@ -6,46 +6,38 @@ from hypothesis import given, strategies as st
 from wand_gibbs.model import (
     SPINS,
     SPIN_INDEX,
+    WAND_ADJACENCY,
     BoundaryLaw,
-    InteractionGraph,
     ModelParams,
+    allows,
     is_admissible,
-    wand_graph,
 )
 
 
 def test_wand_adjacency_entries():
-    g = wand_graph()
-    assert g.allows(1, 1)
-    assert g.allows(1, 0)
-    assert not g.allows(1, -1)
-    assert not g.allows(0, 0)
-    assert g.allows(0, -1)
-    assert g.allows(-1, -1)
+    assert allows(1, 1)
+    assert allows(1, 0)
+    assert not allows(1, -1)
+    assert not allows(0, 0)
+    assert allows(0, -1)
+    assert allows(-1, -1)
 
 
 def test_wand_is_symmetric():
-    a = wand_graph().adjacency
+    a = WAND_ADJACENCY
     assert a == tuple(tuple(a[j][i] for j in range(3)) for i in range(3))
+    assert all(allows(s, t) == allows(t, s) for s in SPINS for t in SPINS)
 
 
 def test_wand_has_four_undirected_edges():
-    assert wand_graph().edge_count() == 4
+    a = WAND_ADJACENCY
+    assert {v for row in a for v in row} == {0, 1}
+    assert sum(a[i][j] for i in range(3) for j in range(i, 3)) == 4
 
 
 def test_spin_index_order():
     assert SPINS == (-1, 0, 1)
     assert [SPIN_INDEX[s] for s in SPINS] == [0, 1, 2]
-
-
-def test_graph_rejects_asymmetric():
-    with pytest.raises(ValueError, match="symmetric"):
-        InteractionGraph(((1, 1, 0), (0, 0, 1), (0, 1, 1)))
-
-
-def test_graph_rejects_non_boolean():
-    with pytest.raises(ValueError):
-        InteractionGraph(((2, 0, 0), (0, 0, 0), (0, 0, 0)))
 
 
 @pytest.mark.parametrize("k", [1, 0, -3, 2.5])
@@ -80,31 +72,27 @@ def test_law_defaults_and_swap():
 
 
 def test_admissible_two_vertex_examples():
-    g = wand_graph()
     edges = [(0, 1)]
-    assert not is_admissible({0: 0, 1: 0}, edges, g)
-    assert is_admissible({0: 0, 1: 1}, edges, g)
-    assert not is_admissible({0: -1, 1: 1}, edges, g)
+    assert not is_admissible({0: 0, 1: 0}, edges)
+    assert is_admissible({0: 0, 1: 1}, edges)
+    assert not is_admissible({0: -1, 1: 1}, edges)
 
 
 def test_admissible_pair_count():
     # of the 9 ordered spin pairs on a single edge, exactly 6 are admissible:
     # (0,0), (-1,1) and (1,-1) are excluded
-    g = wand_graph()
-    count = sum(is_admissible({0: a, 1: b}, [(0, 1)], g) for a in SPINS for b in SPINS)
+    count = sum(is_admissible({0: a, 1: b}, [(0, 1)]) for a in SPINS for b in SPINS)
     assert count == 6
 
 
 def test_admissible_rejects_disconnected():
-    g = wand_graph()
     with pytest.raises(ValueError, match="not connected"):
-        is_admissible({0: 1, 1: 1, 2: 1}, [(0, 1)], g)
+        is_admissible({0: 1, 1: 1, 2: 1}, [(0, 1)])
 
 
 def test_admissible_rejects_stray_edge():
-    g = wand_graph()
     with pytest.raises(ValueError, match="leaves"):
-        is_admissible({0: 1, 1: 1}, [(0, 7)], g)
+        is_admissible({0: 1, 1: 1}, [(0, 7)])
 
 
 def _random_tree_config(draw_edges, spins):
@@ -117,10 +105,9 @@ def _random_tree_config(draw_edges, spins):
        st.integers(min_value=1, max_value=7))
 def test_admissible_monotone_under_restriction(spins, cut):
     """A path configuration admissible on the whole stays admissible on a prefix."""
-    g = wand_graph()
     config, edges = _random_tree_config(None, spins)
     cut = min(cut, len(spins) - 1)
-    if is_admissible(config, edges, g):
+    if is_admissible(config, edges):
         sub_config = {i: spins[i] for i in range(cut + 1)}
         sub_edges = [(i, i + 1) for i in range(cut)]
-        assert is_admissible(sub_config, sub_edges, g)
+        assert is_admissible(sub_config, sub_edges)

@@ -4,14 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.optimize import brentq
 
-from wand_gibbs.model import BoundaryLaw, InteractionGraph, ModelParams
+from wand_gibbs.model import BoundaryLaw, ModelParams
 from wand_gibbs.solver import (
-    DegenerateDenominatorError,
     IterationFailureError,
     _branch_log_theta,
     boundary_law,
     find_asymmetric,
-    rhs_general,
     solve_ferrari_k3,
     solve_symmetric,
     symmetric_gain,
@@ -31,48 +29,56 @@ def brentq_symmetric(k, theta):
                   1e-12, 1e20, rtol=8.9e-16, maxiter=400)
 
 
-# --- rhs_general -----------------------------------------------------------
+def direct_residual(law, params):
+    """The residual max |z_i - rhs_i| / max(1, z_i), with the right-hand
+    side ((theta + z_i) / (theta (z1 + z2)))**k evaluated as written."""
+    k, theta = params.k, params.theta
+    total = theta * (law.z1 + law.z2)
+    return max(abs(z - ((theta + z) / total) ** k) / max(1.0, z) for z in (law.z1, law.z2))
+
+
+# --- fixed-point residual ----------------------------------------------------
 
 def test_rhs_symmetric_point_is_identity():
-    params = ModelParams(3, 1.0)
-    assert rhs_general(BoundaryLaw(1.0, 1.0), params) == (1.0, 1.0)
+    assert boundary_law(1.0, 1.0, ModelParams(3, 1.0)).residual == 0.0
 
 
 @pytest.mark.parametrize("k,theta,z", [(2, 0.5, 0.7), (3, 2.0, 1.3), (4, 0.8, 5.0)])
 def test_rhs_symmetric_reduces_to_gain_map(k, theta, z):
     params = ModelParams(k, theta)
-    r1, r2 = rhs_general(BoundaryLaw(z, z), params)
-    expected = symmetric_gain(z, params)
-    assert r1 == pytest.approx(expected, rel=1e-15)
-    assert r2 == pytest.approx(expected, rel=1e-15)
+    expected = abs(z - symmetric_gain(z, params)) / max(1.0, z)
+    assert boundary_law(z, z, params).residual == pytest.approx(expected, rel=1e-13)
 
 
 def test_rhs_hand_evaluated_point():
     # k=2, theta=0.5, (z1, z2) = (1, 2):
-    #   rhs1 = ((0.5+1)/(0.5*3))^2 = 1,  rhs2 = ((0.5+2)/(0.5*3))^2 = 25/9
+    #   rhs1 = ((0.5+1)/(0.5*3))^2 = 1,  rhs2 = ((0.5+2)/(0.5*3))^2 = 25/9,
+    #   residual = max(0, (25/9 - 2) / 2) = 7/18, the same after the swap
     params = ModelParams(2, 0.5)
-    r1, r2 = rhs_general(BoundaryLaw(1.0, 2.0), params)
-    assert r1 == pytest.approx(1.0, rel=1e-15)
-    assert r2 == pytest.approx(25.0 / 9.0, rel=1e-15)
+    assert boundary_law(1.0, 2.0, params).residual == pytest.approx(7.0 / 18.0, rel=1e-15)
+    assert boundary_law(2.0, 1.0, params).residual == pytest.approx(7.0 / 18.0, rel=1e-15)
 
 
-def test_rhs_degenerate_denominator():
-    # a graph whose 0 spin has no neighbours: the denominator vanishes
-    isolated_zero = InteractionGraph(((1, 0, 0), (0, 0, 0), (0, 0, 1)))
-    with pytest.raises(DegenerateDenominatorError):
-        rhs_general(BoundaryLaw(1.0, 1.0), ModelParams(2, 0.5), isolated_zero)
+@given(st.integers(min_value=2, max_value=8),
+       st.floats(min_value=1e-2, max_value=1e2),
+       st.floats(min_value=1e-3, max_value=1e3),
+       st.floats(min_value=1e-3, max_value=1e3))
+def test_residual_matches_direct_definition(k, theta, z1, z2):
+    params = ModelParams(k, theta)
+    law = BoundaryLaw(z1, z2)
+    assert boundary_law(z1, z2, params).residual == pytest.approx(
+        direct_residual(law, params), rel=1e-9, abs=1e-13)
 
 
-def test_rhs_generic_graph_with_opposite_spin_weight():
-    # the all-edges graph keeps the -1/+1 coupling alive, whose energy
-    # difference of 4 puts a theta^4 weight on those terms:
-    #   num(+1) = th^4 z2 + th + z1, num(-1) = z2 + th + th^4 z1,
-    #   den = th z2 + 1 + th z1
-    complete = InteractionGraph(((1, 1, 1), (1, 1, 1), (1, 1, 1)))
-    params = ModelParams(2, 0.5)
-    r1, r2 = rhs_general(BoundaryLaw(1.0, 2.0), params, complete)
-    assert r1 == pytest.approx(((0.0625 * 2 + 0.5 + 1.0) / 2.5) ** 2, rel=1e-15)
-    assert r2 == pytest.approx(((2.0 + 0.5 + 0.0625) / 2.5) ** 2, rel=1e-15)
+@pytest.mark.parametrize("z1,z2,theta", [
+    (1e300, 1e300, 1e-300), (1e300, 1e-300, 1e300), (5e-324, 1.7e308, 1.0),
+    (1.7e308, 1.7e308, 5e-324), (1e300, 1e-30, 1e-40),
+])
+def test_residual_finite_at_extreme_values(z1, z2, theta):
+    # the power form overflows at all of these points, and at the last one
+    # z2 / (z1 + z2) underflows to 0
+    residual = boundary_law(z1, z2, ModelParams(7, theta)).residual
+    assert math.isfinite(residual) and residual > 1e-12
 
 
 # --- symmetric root --------------------------------------------------------
@@ -121,9 +127,8 @@ def test_sign_property(k, theta):
 def test_fixed_point_property(k, theta):
     params = ModelParams(k, theta)
     law = solve_symmetric(params)
-    r1, r2 = rhs_general(law, params)
-    assert abs(law.z1 - r1) / max(1.0, law.z1) <= 1e-12
-    assert abs(law.z2 - r2) / max(1.0, law.z2) <= 1e-12
+    assert law.residual <= 1e-12
+    assert direct_residual(law, params) <= 1e-12
 
 
 # --- critical activity -----------------------------------------------------
@@ -204,9 +209,8 @@ def test_asymmetric_laws_are_fixed_points(k, frac):
     laws = find_asymmetric(params)
     assert len(laws) == 2
     for law in laws:
-        r1, r2 = rhs_general(law, params)
-        assert abs(law.z1 - r1) / max(1.0, law.z1) <= 1e-12
-        assert abs(law.z2 - r2) / max(1.0, law.z2) <= 1e-12
+        assert law.residual <= 1e-12
+        assert direct_residual(law, params) <= 1e-12
 
 
 def test_swap_of_solution_is_solution():
@@ -229,6 +233,32 @@ def test_asymmetric_root_outside_double_range_raises():
     # at theta = 1e-300 the pair has ln z1 ~ 1380: no double can hold it
     with pytest.raises(IterationFailureError):
         find_asymmetric(ModelParams(2, 1e-300))
+
+
+@pytest.mark.parametrize("k,theta", [(42, 4.97e96), (3, 1e308)])
+def test_single_measure_at_huge_activity(k, theta):
+    # z* is near 2^(-k/(k+1)); a residual formed by raising a rounded
+    # ratio to the k-th power reads above 1e-12 at the first point
+    solutions = tisgm_set(ModelParams(k, theta))
+    assert solutions.count == 1
+    assert solutions.symmetric.residual <= 1e-12
+
+
+def test_symmetric_root_far_above_one():
+    # z* = (1/(2 theta))^k (1 + theta/z*)^k = 500^50 ~ 2^448 to double precision
+    params = ModelParams(50, 1e-3)
+    law = solve_symmetric(params)
+    assert law.z1 == pytest.approx(float(500 ** 50), rel=1e-13)
+    assert law.residual <= 1e-12
+    # the pair at this point has ln z2 ~ -17269: no double can hold it
+    with pytest.raises(IterationFailureError):
+        tisgm_set(params)
+
+
+def test_symmetric_root_outside_double_range_raises():
+    # ln z* ~ 2 ln(1/(2 theta)) ~ 1380
+    with pytest.raises(IterationFailureError, match="range"):
+        solve_symmetric(ModelParams(2, 1e-300))
 
 
 def test_asymmetric_root_failing_certification_raises():

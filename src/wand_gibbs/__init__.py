@@ -20,12 +20,10 @@ from .model import (
 )
 from .solver import (
     IterationFailureError,
-    QuarticDomainError,
     SolverError,
     TisgmSet,
     boundary_law,
     find_asymmetric,
-    solve_ferrari_k3,
     solve_symmetric,
     symmetric_gain,
     theta_critical,
@@ -45,18 +43,13 @@ from .chain import (
     transition_matrix,
 )
 from .extremality import (
-    ConditionalSpinDistribution,
     ExtremalityReport,
-    conditional_distributions,
     extremality_certificate,
     extremality_thresholds_k3,
     gamma_bound,
     kappa,
-    kappa_from_rows,
     msw_gap,
     msw_threshold_pair,
-    pairwise_differences,
-    pairwise_max_discrepancy,
 )
 from .oracle import (
     ENUMERATION_CAP,

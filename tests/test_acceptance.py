@@ -15,24 +15,23 @@ from wand_gibbs.chain import (
     spectrum,
     transition_matrix,
 )
-from wand_gibbs.extremality import (
-    conditional_distributions,
-    extremality_thresholds_k3,
-    msw_gap,
-    pairwise_differences,
-    pairwise_max_discrepancy,
-)
+from wand_gibbs.extremality import extremality_thresholds_k3, msw_gap
 from wand_gibbs.model import ModelParams
 from wand_gibbs.oracle import cayley_tree, check_consistency
 from wand_gibbs.rootfind import grid
 from wand_gibbs.solver import (
     boundary_law,
     find_asymmetric,
-    solve_ferrari_k3,
     solve_symmetric,
     theta_critical,
 )
 
+from contraction_oracle import (
+    conditional_distributions,
+    pairwise_differences,
+    pairwise_max_discrepancy,
+)
+from ferrari_oracle import solve_ferrari_k3
 from newton_oracle import detect_bifurcation_onset
 
 

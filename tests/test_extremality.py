@@ -5,18 +5,21 @@ from hypothesis import given, strategies as st
 
 from wand_gibbs.chain import transition_matrix, ks_thresholds_k3
 from wand_gibbs.extremality import (
-    conditional_distributions,
     extremality_certificate,
     extremality_thresholds_k3,
     gamma_bound,
     kappa,
-    kappa_from_rows,
     msw_threshold_pair,
-    pairwise_differences,
-    pairwise_max_discrepancy,
 )
 from wand_gibbs.model import BoundaryLaw, ModelParams
 from wand_gibbs.solver import solve_symmetric
+
+from contraction_oracle import (
+    conditional_distributions,
+    kappa_from_rows,
+    pairwise_differences,
+    pairwise_max_discrepancy,
+)
 
 thetas = st.floats(min_value=0.05, max_value=20.0)
 orders = st.integers(min_value=2, max_value=8)

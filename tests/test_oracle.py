@@ -1,8 +1,12 @@
 import math
+import sys
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wand_gibbs.model import BoundaryLaw, ModelParams, allows
+from wand_gibbs import cli, oracle
+from wand_gibbs.model import SPINS, BoundaryLaw, ModelParams, allows
 from wand_gibbs.oracle import (
     ENUMERATION_CAP,
     FiniteCayleyTree,
@@ -15,6 +19,14 @@ from wand_gibbs.oracle import (
     hamiltonian,
     root_marginal,
 )
+from wand_gibbs.solver import boundary_law, find_asymmetric, solve_symmetric, theta_critical
+
+
+#: (k, small depth, full_root) for every consistency pair that fits the cap
+CONSISTENCY_CASES = (
+    (2, 0, False), (2, 1, False), (2, 2, False), (3, 0, False), (3, 1, False),
+    (2, 0, True), (2, 1, True), (3, 0, True),
+)
 
 
 def single_edge_tree():
@@ -22,7 +34,6 @@ def single_edge_tree():
     return FiniteCayleyTree(k=2, depth=1, full_root=False,
                             parents=(-1, 0), children=((1,), ()),
                             generation=(0, 1))
-from wand_gibbs.solver import boundary_law, find_asymmetric, solve_symmetric
 
 
 # --- tree construction ---------------------------------------------------------
@@ -239,3 +250,118 @@ def test_consistency_rejects_mismatched_trees():
         check_consistency(cayley_tree(2, 1), cayley_tree(3, 2), 1.0, BoundaryLaw(1.0, 1.0))
     with pytest.raises(ValueError):
         check_consistency(cayley_tree(2, 1), cayley_tree(2, 3), 1.0, BoundaryLaw(1.0, 1.0))
+
+
+# --- grouped evaluation against the per-configuration measure ------------------------
+
+def brute_force_marginal(measure, prefix_size):
+    """Marginal of the first ``prefix_size`` spins, summed configuration by
+    configuration over a finite-volume measure."""
+    marginal = {}
+    for config, p in measure.probabilities.items():
+        prefix = config[:prefix_size]
+        marginal[prefix] = marginal.get(prefix, 0.0) + p
+    return marginal
+
+
+def brute_force_defect(tree_small, tree_big, theta, law):
+    """The consistency defect from two per-configuration measures."""
+    small = finite_volume_measure(tree_small, theta, law)
+    big = finite_volume_measure(tree_big, theta, law)
+    marginal = brute_force_marginal(big, tree_small.size)
+    defect = 0.0
+    for config in set(marginal) | set(small.probabilities):
+        diff = abs(marginal.get(config, 0.0) - small.probabilities.get(config, 0.0))
+        if diff > defect:
+            defect = diff
+    return defect
+
+
+def brute_force_root_marginal(tree, theta, law):
+    marginal = brute_force_marginal(finite_volume_measure(tree, theta, law), 1)
+    return tuple(marginal[(s,)] for s in SPINS)
+
+
+def close(a, b, rel=1e-9, floor=sys.float_info.min):
+    return abs(a - b) <= rel * max(abs(a), abs(b), floor)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(st.sampled_from(CONSISTENCY_CASES), st.floats(min_value=-30.0, max_value=300.0),
+       st.floats(min_value=-3.0, max_value=3.0), st.floats(min_value=-3.0, max_value=3.0))
+def test_grouped_oracle_matches_per_configuration_oracle(case, log10_theta, log10_z1, log10_z2):
+    k, depth, full_root = case
+    small = cayley_tree(k, depth, full_root)
+    big = cayley_tree(k, depth + 1, full_root)
+    theta = 10.0 ** log10_theta
+    params = ModelParams(k, theta)
+    symmetric = solve_symmetric(params)
+    solved = [symmetric] + find_asymmetric(params)[:1]
+    perturbed = boundary_law(symmetric.z1 * 1.1, symmetric.z2 * 0.9, params)
+    drawn = BoundaryLaw(10.0 ** log10_z1, 10.0 ** log10_z2)
+    # the full tree's root has k + 1 children, so its depth-0 ball carries
+    # the wrong power of the law and is not consistent with depth 1
+    consistent = not (full_root and depth == 0)
+    for law in solved + [perturbed, drawn]:
+        grouped = check_consistency(small, big, theta, law)
+        brute = brute_force_defect(small, big, theta, law)
+        if consistent and law in solved:
+            assert grouped <= 1e-10 and brute <= 1e-10
+        else:
+            # a drawn law may solve the system, so its defect may be rounding noise
+            assert close(grouped, brute, floor=1e-6)
+        assert all(close(g, b) for g, b in zip(root_marginal(small, theta, law),
+                                                 brute_force_root_marginal(small, theta, law)))
+
+
+def test_grouped_oracle_covers_both_sides_of_theta_critical():
+    # the property above draws theta log-uniformly, so most draws sit above
+    # theta_cr; pin one asymmetric law per order below it
+    for k, theta in ((2, 0.5), (3, 0.9)):
+        assert theta < theta_critical(k)
+        small, big = cayley_tree(k, 1), cayley_tree(k, 2)
+        law = find_asymmetric(ModelParams(k, theta))[0]
+        grouped = check_consistency(small, big, theta, law)
+        assert grouped <= 1e-10 and brute_force_defect(small, big, theta, law) <= 1e-10
+        assert all(close(g, b) for g, b in zip(root_marginal(big, theta, law),
+                                                 brute_force_root_marginal(big, theta, law)))
+
+
+# --- grouped counts --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("k,depth,full_root", CONSISTENCY_CASES)
+def test_grouped_counts_sum_to_admissible_count(k, depth, full_root):
+    for tree in (cayley_tree(k, depth, full_root), cayley_tree(k, depth + 1, full_root)):
+        for prefix_size in (1, cayley_tree(k, depth, full_root).size):
+            groups = oracle._grouped_counts(tree, prefix_size)
+            total = sum(count for _, terms in groups for count, _ in terms)
+            assert total == admissible_count_formula(tree)
+
+
+@pytest.mark.parametrize("k,depth,expected", [(3, 2, 564), (2, 3, 4416)])
+def test_grouped_counts_collapse(k, depth, expected):
+    groups = oracle._grouped_counts(cayley_tree(k, depth), cayley_tree(k, depth - 1).size)
+    assert sum(len(terms) for _, terms in groups) == expected
+
+
+def test_verify_enumerates_each_tree_once(monkeypatch, capsys):
+    calls = Counter()
+    enumerate_original = oracle.enumerate_admissible
+
+    def counting(tree):
+        calls[tree] += 1
+        return enumerate_original(tree)
+
+    monkeypatch.setattr(oracle, "enumerate_admissible", counting)
+    oracle._grouped_counts.cache_clear()
+    try:
+        for thetas in ("0.5,0.9", "1.7"):
+            assert cli.main(["verify", "--k", "3", "--depth", "2", "--thetas", thetas]) == 0
+    finally:
+        oracle._grouped_counts.cache_clear()
+    capsys.readouterr()
+    assert calls == Counter({cayley_tree(3, 1): 1, cayley_tree(3, 2): 1})
+    # failed enumerations are not cached: an over-cap tree raises every time
+    for _ in range(2):
+        with pytest.raises(SizeCapError):
+            root_marginal(cayley_tree(3, 3), 1.0, BoundaryLaw(1.0, 1.0))

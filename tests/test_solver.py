@@ -10,13 +10,13 @@ from wand_gibbs.solver import (
     _branch_log_theta,
     boundary_law,
     find_asymmetric,
-    solve_ferrari_k3,
     solve_symmetric,
     symmetric_gain,
     theta_critical,
     tisgm_set,
 )
 
+from ferrari_oracle import solve_ferrari_k3
 from newton_oracle import detect_bifurcation_onset, newton_asymmetric
 
 thetas = st.floats(min_value=0.05, max_value=20.0)

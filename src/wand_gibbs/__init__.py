@@ -68,6 +68,7 @@ from .rootfind import NoBracketError
 from .scan import (
     CLASS_EXTREMAL_MSW,
     CLASS_NONEXTREMAL_KS,
+    CLASS_SOLVER_ERROR,
     CLASS_UNDETERMINED,
     CSV_COLUMNS,
     ScanRow,

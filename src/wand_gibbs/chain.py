@@ -12,11 +12,15 @@ graph's zero pattern (no -1 <-> +1 or 0 -> 0 moves):
 One eigenvalue is always 1.  The chain is reversible (detailed balance holds
 for pi_i proportional to z_i * w_i), so the other two eigenvalues are real;
 they are the roots of the deflated quadratic s^2 - (trace - 1) s + det and
-have opposite signs since det < 0.  For the symmetric law z1 = z2 = z they
-collapse to the closed forms s1 = z/(z+t) and s2 = -t/(z+t), which are
-literally matrix entries.  The measure is provably non-extremal when
-k * lambda2^2 > 1 with lambda2 = max(|s1|, |s2|); equality is classified
-as undetermined, never as non-extremal.
+have opposite signs since det < 0.  Their sum is formed without subtracting
+1, as p00 p22 - p01 p21 = (z1 z2 - t^2) / ((z1 + t)(z2 + t)), and their
+product det = -(p00 p12 p21 + p01 p10 p22) has no cancellation either, so
+an eigenvalue near 0, as on the asymmetric branch, keeps its relative
+accuracy.  For the symmetric law z1 = z2 = z they collapse to the closed
+forms s1 = z/(z+t) and s2 = -t/(z+t), which are literally matrix entries.
+The measure is provably non-extremal when k * lambda2^2 > 1 with
+lambda2 = max(|s1|, |s2|); equality is classified as undetermined, never
+as non-extremal.
 """
 
 from __future__ import annotations
@@ -106,22 +110,28 @@ def transition_matrix(law: BoundaryLaw, theta: float) -> TransitionMatrix:
 
 
 def _deflated_pair(trace: float, det: float) -> tuple:
-    """Non-unit eigenvalues: roots of s^2 - (trace - 1) s + det.
+    """Non-unit eigenvalues: roots of s^2 - trace s + det, where ``trace``
+    and ``det`` belong to the chain with its unit eigenvalue deflated.
 
     The chain is reversible so both roots are real; a discriminant dipping
     below zero by more than rounding noise (imaginary part > 1e-10) is
-    reported as an error rather than silently truncated."""
-    b = trace - 1.0
-    disc = b * b - 4.0 * det
+    reported as an error rather than silently truncated.  The larger root
+    in modulus is formed without cancellation and the other as det / root,
+    so a tiny eigenvalue keeps its relative accuracy."""
+    disc = trace * trace - 4.0 * det
     if disc < 0.0:
         imag = 0.5 * math.sqrt(-disc)
         if imag > 1e-10:
             raise ComplexSpectrumError(
-                f"complex eigenvalue pair {0.5 * b} +/- {imag}i from the deflated quadratic"
+                f"complex eigenvalue pair {0.5 * trace} +/- {imag}i from the deflated quadratic"
             )
         disc = 0.0
     root = math.sqrt(disc)
-    return 0.5 * (b + root), 0.5 * (b - root)
+    if trace < 0.0:
+        big = 0.5 * (trace - root)
+        return det / big, big
+    big = 0.5 * (trace + root)
+    return big, (det / big if big else 0.0)
 
 
 def _det3(p) -> float:
@@ -142,8 +152,9 @@ def spectrum(matrix: TransitionMatrix, k: int) -> SpectralReport:
     if isinstance(k, bool) or int(k) != k or k < 2:
         raise ValueError(f"tree order k must be an integer >= 2, got {k!r}")
     p = matrix.entries
-    trace = p[0][0] + p[1][1] + p[2][2]
-    s_pos, s_neg = _deflated_pair(trace, _det3(p))
+    # trace - 1 = p00 + p22 - 1 = p00 p22 - p01 p21, since p11 = 0 and the
+    # rows sum to 1: the product form needs no subtraction of 1
+    s_pos, s_neg = _deflated_pair(p[0][0] * p[2][2] - p[0][1] * p[2][1], _det3(p))
     if p[0][0] == p[2][2] and p[0][1] == p[2][1]:
         s1_closed, s2_closed = p[2][2], -p[2][1]
         if abs(s_pos - s1_closed) > 1e-12 or abs(s_neg - s2_closed) > 1e-12:

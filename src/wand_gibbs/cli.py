@@ -30,6 +30,7 @@ from .extremality import kappa, gamma_bound, msw_threshold_pair
 from .oracle import cayley_tree, check_consistency
 from .rootfind import NoBracketError
 from .scan import (
+    CLASS_SOLVER_ERROR,
     CSV_COLUMNS,
     classify,
     format_value,
@@ -96,19 +97,20 @@ JSON_SCHEMAS = {
                     "required": list(CSV_COLUMNS),
                     "properties": {
                         "theta": {"type": "number"},
-                        "z_sym": {"type": "number"},
+                        "z_sym": {"type": ["number", "null"]},
                         "z_asym_1": {"type": ["number", "null"]},
                         "z_asym_2": {"type": ["number", "null"]},
-                        "tisgm_count": {"enum": [1, 3]},
-                        "s1": {"type": "number"},
-                        "s2": {"type": "number"},
-                        "lambda2": {"type": "number"},
-                        "ks_value": {"type": "number"},
-                        "kappa": {"type": "number"},
-                        "gamma": {"type": "number"},
-                        "product": {"type": "number"},
+                        "tisgm_count": {"enum": [1, 3, None]},
+                        "s1": {"type": ["number", "null"]},
+                        "s2": {"type": ["number", "null"]},
+                        "lambda2": {"type": ["number", "null"]},
+                        "ks_value": {"type": ["number", "null"]},
+                        "kappa": {"type": ["number", "null"]},
+                        "gamma": {"type": ["number", "null"]},
+                        "product": {"type": ["number", "null"]},
                         "classification": {
-                            "enum": ["nonextremal-KS", "extremal-MSW", "undetermined"]
+                            "enum": ["nonextremal-KS", "extremal-MSW", "undetermined",
+                                     "solver-error"]
                         },
                     },
                 },
@@ -252,6 +254,11 @@ def cmd_scan(args) -> int:
             data = row.as_dict()
             writer.writerow([format_value(data[col]) for col in CSV_COLUMNS])
         _write_text(args.out, buffer.getvalue())
+    failed = sum(row.classification == CLASS_SOLVER_ERROR for row in rows)
+    if failed:
+        print(f"solver error: {failed} of {len(rows)} rows could not be solved "
+              f"(labelled {CLASS_SOLVER_ERROR})", file=sys.stderr)
+        return EXIT_SOLVER
     return EXIT_OK
 
 
@@ -351,6 +358,8 @@ def _read_scan_csv(path: str):
             raise CliIOError(f"{path}: line 1: missing columns {missing}")
         rows = []
         for lineno, record in enumerate(reader, start=2):
+            if record.get("classification") == CLASS_SOLVER_ERROR:
+                continue  # a point the scan could not solve has no spectrum
             try:
                 rows.append({
                     "theta": float(record["theta"]),

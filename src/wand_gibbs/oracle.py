@@ -300,12 +300,16 @@ def check_consistency(tree_small: FiniteCayleyTree, tree_big: FiniteCayleyTree,
     The two trees must share order and root geometry and differ by one
     generation.  For a law solving the fixed-point system the defect is at
     rounding level (<= 1e-10 comfortably); for a law that does not solve it
-    the defect is visibly positive, which is the empirical 'only if'.
+    the defect is visibly positive, which is the empirical 'only if'.  The
+    full-root pair at depths (0, 1) is rejected: the root's k + 1 children
+    make its depth-0 ball carry the wrong power of the law.
     """
     if tree_small.k != tree_big.k or tree_small.full_root != tree_big.full_root:
         raise ValueError("trees must share order k and root geometry")
     if tree_big.depth != tree_small.depth + 1:
         raise ValueError("trees must differ by exactly one generation")
+    if tree_small.full_root and tree_small.depth == 0:
+        raise ValueError("the full-root ball of depth 0 is not consistent with depth 1")
     small = _prefix_marginals(tree_small, tree_small.size, theta, law)
     big = _prefix_marginals(tree_big, tree_small.size, theta, law)
     return max(abs(big.get(config, 0.0) - small.get(config, 0.0))

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import DEFAULT_RESIDUAL_TOL, ModelParams
-from .solver import solve_symmetric, find_asymmetric
+from .solver import SolverError, solve_symmetric, find_asymmetric
 from .chain import transition_matrix, spectrum
 from .extremality import kappa, gamma_bound
 from .rootfind import grid
@@ -14,6 +14,7 @@ __all__ = [
     "CLASS_NONEXTREMAL_KS",
     "CLASS_EXTREMAL_MSW",
     "CLASS_UNDETERMINED",
+    "CLASS_SOLVER_ERROR",
     "CSV_COLUMNS",
     "ScanRow",
     "classify",
@@ -26,6 +27,8 @@ __all__ = [
 CLASS_NONEXTREMAL_KS = "nonextremal-KS"
 CLASS_EXTREMAL_MSW = "extremal-MSW"
 CLASS_UNDETERMINED = "undetermined"
+#: label of a row whose point could not be solved; its other cells are empty
+CLASS_SOLVER_ERROR = "solver-error"
 
 #: flat-table column order, stable across releases
 CSV_COLUMNS = (
@@ -41,21 +44,23 @@ class ScanRow:
 
     All spectral and certificate quantities refer to the symmetric law.
     The asymmetric columns hold the representative root with z1 > z2 and
-    are None above the critical activity.
+    are None above the critical activity.  A point the solver could not
+    answer keeps only ``theta``: every other cell is None and the label is
+    CLASS_SOLVER_ERROR.
     """
 
     theta: float
-    z_sym: float
+    z_sym: float | None
     z_asym_1: float | None
     z_asym_2: float | None
-    tisgm_count: int
-    s1: float
-    s2: float
-    lambda2: float
-    ks_value: float
-    kappa: float
-    gamma: float
-    product: float
+    tisgm_count: int | None
+    s1: float | None
+    s2: float | None
+    lambda2: float | None
+    ks_value: float | None
+    kappa: float | None
+    gamma: float | None
+    product: float | None
     classification: str
 
     def as_dict(self) -> dict:
@@ -118,8 +123,18 @@ def scan_row(params: ModelParams, p0: float = 0.5,
 
 def scan_rows(k: int, thetas, p0: float = 0.5,
               tol: float = DEFAULT_RESIDUAL_TOL) -> list:
-    """ScanRow per grid point, in grid order."""
-    return [scan_row(ModelParams(k, theta), p0, tol) for theta in thetas]
+    """ScanRow per grid point, in grid order.
+
+    A point whose solve raises SolverError or ArithmeticError yields a
+    CLASS_SOLVER_ERROR row instead of ending the scan."""
+    rows = []
+    for theta in thetas:
+        try:
+            rows.append(scan_row(ModelParams(k, theta), p0, tol))
+        except (SolverError, ArithmeticError):
+            cells = dict.fromkeys(CSV_COLUMNS)
+            rows.append(ScanRow(**dict(cells, theta=theta, classification=CLASS_SOLVER_ERROR)))
+    return rows
 
 
 def format_value(value) -> str:

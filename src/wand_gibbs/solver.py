@@ -50,9 +50,23 @@ strictly increasing, from -inf as s -> -inf to ln theta_cr as s -> 0-, with
     theta_cr(k) = (k^k (k-1) / 2^k)^(1/(k+1)).
 
 The asymmetric pair therefore exists exactly below theta_cr and is unique up
-to the swap; it is found by bisecting s on ln theta(s), evaluated with
-expm1/log1p so that no intermediate overflows.  Roots are certified by their
-residual, never by iteration count alone.
+to the swap.  It is the zero of g(s) = (k+1) (ln theta(s) - ln theta), found
+by safeguarded Newton in s.  With D_m = d/ds ln(1 - t^m) = -m t^m / (1 - t^m),
+
+    g'(s) = k (D_k - D_1) + 1 + D_(k-1) - D_1 - k^2 t^k / (1 + t^k),
+
+built from the same expm1 terms as g, so that no intermediate overflows.
+Newton alone is not monotone here: g is convex as s -> -inf, where
+(k+1) ln theta ~ s + (k+1) e^s, and concave near 0-, where g' -> 0.  So the
+iteration keeps the sign bracket [lo, 0) with g(lo) < 0 and takes the
+midpoint whenever a Newton step leaves it.  Every evaluation lies strictly
+inside the bracket and replaces one of its ends, so the bracket loses at
+least one double per evaluation and the iteration terminates; it stops
+earlier when |g| is below the rounding error of its terms, or when a Newton
+step is at most a few ulps.  From the start min(lo/2, (k+1) ln theta), the
+far-field root, it takes ~5 evaluations on the k = 3 scan grid and at most
+~30 near theta_cr, where g' vanishes and Newton first halves s.  Roots are
+certified by their residual, never by iteration count alone.
 """
 
 from __future__ import annotations
@@ -189,12 +203,28 @@ def _branch_log_p_minus_1(k: int, s: float) -> float:
     return s + math.log(-math.expm1((k - 1) * s)) - math.log(-math.expm1(s))
 
 
+def _branch(k: int, s: float) -> tuple:
+    """(k+1) ln theta and its derivative in s on the asymmetric branch at
+    s = ln t < 0.  The value is k ln P + ln(P - 1) - k ln Q; with
+    D_m = d/ds ln(1 - t^m) = -m t^m / (1 - t^m), the slope is
+    k (D_k - D_1) + 1 + D_(k-1) - D_1 - k^2 t^k / (1 + t^k)."""
+    a1 = -math.expm1(s)  # 1 - t
+    ak1 = -math.expm1((k - 1) * s)  # 1 - t^(k-1)
+    ak = -math.expm1(k * s)  # 1 - t^k
+    tk = math.exp(k * s)
+    log_a1 = math.log(a1)
+    log_p_minus_1 = s + math.log(ak1) - log_a1
+    value = k * (math.log(ak) - log_a1) + log_p_minus_1 - k * math.log1p(tk)
+    d1 = (a1 - 1.0) / a1
+    slope = (k * (-k * tk / ak - d1) + 1.0 - (k - 1) * (1.0 - ak1) / ak1 - d1
+             - k * k * tk / (1.0 + tk))
+    return value, slope
+
+
 def _branch_log_theta(k: int, s: float) -> float:
     """ln theta on the asymmetric branch at s = ln t < 0:
     (k ln P + ln(P - 1) - k ln Q) / (k + 1), strictly increasing in s."""
-    log_p = math.log(-math.expm1(k * s)) - math.log(-math.expm1(s))
-    log_q = math.log1p(math.exp(k * s))
-    return (k * log_p + _branch_log_p_minus_1(k, s) - k * log_q) / (k + 1)
+    return _branch(k, s)[0] / (k + 1)
 
 
 def find_asymmetric(params: ModelParams, tol: float = DEFAULT_RESIDUAL_TOL) -> list:
@@ -202,30 +232,46 @@ def find_asymmetric(params: ModelParams, tol: float = DEFAULT_RESIDUAL_TOL) -> l
 
     Below the critical activity this returns the two coordinate swaps of
     the unique asymmetric root; at or above it (compared in logs), the
-    empty list.  The root is solved on its branch: bisection of s = ln t
-    on the increasing function ln theta(s) down to adjacent doubles, then
-    z1 = theta / (P - 1) and z2 = e^(k s) z1.  The law is returned only
-    when its residual is at most ``tol`` and z2 < z1; otherwise, or when a
-    component leaves the range of normal doubles, IterationFailureError is
-    raised.
+    empty list.  The root is solved on its branch: safeguarded Newton in
+    s = ln t on g(s) = (k+1) (ln theta(s) - ln theta) inside a sign bracket
+    (see the module docstring), then z1 = theta / (P - 1) and
+    z2 = e^(k s) z1.  The law is returned only when its residual is at most
+    ``tol`` and z2 < z1; otherwise, or when a component leaves the range of
+    normal doubles, IterationFailureError is raised.
     """
     k, theta = params.k, params.theta
     log_theta = math.log(theta)
     if log_theta >= _log_theta_critical(k):
         return []
+    target = (k + 1) * log_theta
     # ln theta(s) <= s/(k+1) - ln(1 - e^s) < s/(k+1) + 0.5 for s <= -1,
-    # so ln theta(lo) < ln theta; ln theta(s) -> ln theta_cr as s -> 0-
+    # so g(lo) < 0; ln theta(s) -> ln theta_cr > ln theta as s -> 0-
     lo, hi = min(-1.0, (k + 1) * (log_theta - 0.5)), 0.0
+    s = min(0.5 * lo, target)
+    # one rounding unit of the terms summed in g: below it the sign of g is noise
+    noise = sys.float_info.epsilon * ((k + 1) * math.log(2 * k) + abs(target))
     while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
+        value, slope = _branch(k, s)
+        g = value - target
+        if abs(g) <= noise:
             break
-        if _branch_log_theta(k, mid) < log_theta:
-            lo = mid
+        if g < 0.0:
+            lo = s
         else:
-            hi = mid
-    log_z1 = log_theta - _branch_log_p_minus_1(k, lo)
-    log_z2 = log_z1 + k * lo
+            hi = s
+        step = g / slope if slope > 0.0 else math.inf
+        after = s - step
+        if not lo < after < hi:
+            after = 0.5 * (lo + hi)
+            if not lo < after < hi:
+                s = lo
+                break
+        elif abs(step) <= 4.0 * math.ulp(s):
+            s = after
+            break
+        s = after
+    log_z1 = log_theta - _branch_log_p_minus_1(k, s)
+    log_z2 = log_z1 + k * s
     if max(abs(log_z1), abs(log_z2)) > _LOG_RANGE:
         raise IterationFailureError(
             f"asymmetric root (ln z1, ln z2) = ({log_z1:.6g}, {log_z2:.6g}) "

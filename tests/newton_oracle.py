@@ -1,12 +1,17 @@
-"""Independent oracle for the asymmetric pair: a multi-seeded 2-D Newton
-search on the fixed-point system that never uses the explicit branch.
+"""Independent oracles for the asymmetric pair.
 
-The library solves the asymmetric pair in closed form on its branch
-(``solver.find_asymmetric``).  This module keeps the older numerical search
-so that the tests can locate the pair, and the bifurcation onset, without
-the closed form: damped Newton iteration in log coordinates with analytic
-Jacobian, seeded around the symmetric root and at the residual minima of a
-coarse log-log grid.  Roots are certified by their residual.
+The library solves the asymmetric pair on its explicit branch in s = ln t
+by safeguarded Newton (``solver.find_asymmetric``).  This module keeps two
+searches that share none of that iteration:
+
+- ``asymmetric_log_roots``: plain bisection of s on ln theta(s), run to
+  adjacent doubles, with its own evaluation of the branch;
+- ``newton_asymmetric``: a multi-seeded 2-D Newton search on the
+  fixed-point system that never uses the branch, so that the tests can
+  locate the pair, and the bifurcation onset, without the closed form:
+  damped Newton iteration in log coordinates with analytic Jacobian,
+  seeded around the symmetric root and at the residual minima of a coarse
+  log-log grid.  Roots are certified by their residual.
 """
 
 from __future__ import annotations
@@ -22,6 +27,41 @@ ASYM_SEPARATION = 1e-7
 
 #: relative distance below which two roots are deduplicated
 DEDUP_TOL = 1e-8
+
+
+def bisect_increasing(fn, lo, hi):
+    """Last point of [lo, hi] where the increasing ``fn`` is negative,
+    bisected down to adjacent doubles."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo
+        if fn(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def branch_logs(k, s):
+    """(ln theta, ln(P - 1)) on the asymmetric branch at s = ln t < 0,
+    where theta^(k+1) = P^k (P - 1) / Q^k, P = sum_{j<k} t^j, Q = 1 + t^k."""
+    log_one_minus_t = math.log(-math.expm1(s))
+    log_p = math.log(-math.expm1(k * s)) - log_one_minus_t
+    log_p_minus_1 = s + math.log(-math.expm1((k - 1) * s)) - log_one_minus_t
+    log_q = math.log1p(math.exp(k * s))
+    return (k * log_p + log_p_minus_1 - k * log_q) / (k + 1), log_p_minus_1
+
+
+def asymmetric_log_roots(k, log_theta):
+    """(ln z1, ln z2) of the representative with z1 > z2, for ln theta
+    below ln theta_cr: bisection of s on the increasing ln theta(s).
+
+    ln theta(s) < s/(k+1) + 0.5 for s <= -1, so the bracket starts at
+    min(-1, (k+1)(ln theta - 0.5))."""
+    lo = min(-1.0, (k + 1) * (log_theta - 0.5))
+    s = bisect_increasing(lambda x: branch_logs(k, x)[0] - log_theta, lo, 0.0)
+    log_z1 = log_theta - branch_logs(k, s)[1]
+    return log_z1, log_z1 + k * s
 
 
 def _log_defect(u, v, k, theta):

@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +20,12 @@ from wand_gibbs.chain import (
 )
 from wand_gibbs.model import BoundaryLaw, ModelParams
 from wand_gibbs.rootfind import NoBracketError, grid
-from wand_gibbs.solver import find_asymmetric, solve_symmetric, theta_critical
+from wand_gibbs.solver import (
+    IterationFailureError,
+    find_asymmetric,
+    solve_symmetric,
+    theta_critical,
+)
 
 thetas = st.floats(min_value=0.05, max_value=20.0)
 orders = st.integers(min_value=2, max_value=8)
@@ -109,6 +116,40 @@ def test_spectrum_matches_numpy_asymmetric(k, frac):
     assert sorted(eigs.real) == pytest.approx(sorted([rep.s1, rep.s2, rep.s3]), abs=1e-10)
 
 
+def exact_lambda2(law, theta):
+    """lambda2 of the exact chain at the double values (z1, z2, theta): the
+    non-unit eigenvalues' sum and product in Fractions, the roots of the
+    deflated quadratic in 80-digit decimals."""
+    z1, z2, t = Fraction(law.z1), Fraction(law.z2), Fraction(theta)
+    total = (z1 * z2 - t * t) / ((z1 + t) * (z2 + t))
+    det = -(z2 / (z2 + t) * z1 / (z1 + z2) * t / (z1 + t)
+            + t / (z2 + t) * z2 / (z1 + z2) * z1 / (z1 + t))
+    with localcontext() as ctx:
+        ctx.prec = 80
+        total = Decimal(total.numerator) / total.denominator
+        det = Decimal(det.numerator) / det.denominator
+        root = (total * total - 4 * det).sqrt()
+        return max(abs(total + root), abs(total - root)) / 2
+
+
+@pytest.mark.parametrize("k", [3, 10, 20])
+def test_asymmetric_lambda2_matches_exact_roots(k):
+    # tiny eigenvalues along the branch: forming trace - 1 by subtraction
+    # got lambda2 wrong by up to 100% here (7.4e-82 for ~5.5e-17 at k = 10)
+    checked = 0
+    for j in range(120):
+        theta = 10.0 ** (-4.0 + j / 30.0) * theta_critical(k)
+        try:
+            law = find_asymmetric(ModelParams(k, theta))[0]
+        except IterationFailureError:
+            continue  # a root outside the range of doubles
+        lam = spectrum(transition_matrix(law, theta), k).lambda2
+        exact = exact_lambda2(law, theta)
+        assert abs(Decimal(lam) - exact) <= Decimal("1e-12") * exact
+        checked += 1
+    assert checked >= 40
+
+
 @given(orders, thetas)
 def test_ones_vector_is_right_eigenvector(k, theta):
     law = solve_symmetric(ModelParams(k, theta))
@@ -138,9 +179,10 @@ def test_swap_conjugacy(k, frac):
 
 
 def test_complex_spectrum_signalled():
-    # 3-cycle rotation: eigenvalues are the complex cube roots of unity
+    # 3-cycle rotation: its non-unit eigenvalues, the complex cube roots of
+    # unity, have sum -1 and product 1
     with pytest.raises(ComplexSpectrumError):
-        _deflated_pair(trace=0.0, det=1.0)
+        _deflated_pair(trace=-1.0, det=1.0)
 
 
 # --- Kesten-Stigum criterion --------------------------------------------------

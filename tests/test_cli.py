@@ -151,6 +151,44 @@ def test_scan_k5_log_all_nonextremal(capsys):
     assert all(r["classification"] == "nonextremal-KS" for r in rows)
 
 
+def test_scan_keeps_rows_around_unsolvable_points(tmp_path, capsys):
+    # at theta <= 1 a root of the k = 300 system leaves the range of doubles
+    argv = ["scan", "--k", "300", "--theta-min", "1e-8", "--theta-max", "1e8",
+            "--steps", "5", "--scale", "log"]
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert len(err.strip().splitlines()) == 1 and "3 of 5 rows" in err
+    lines = out.splitlines()
+    assert lines[0] == ",".join(CSV_COLUMNS)
+    rows = list(csv.DictReader(lines))
+    assert len(rows) == 5
+    failed = [row for row in rows if row["classification"] == "solver-error"]
+    assert len(failed) == 3
+    assert all(value == "" for row in failed for name, value in row.items()
+               if name not in ("theta", "classification"))
+    for row in rows:
+        if row["classification"] == "solver-error":
+            continue
+        code, solved, _ = run(capsys, "solve", "--k", "300", "--theta", row["theta"])
+        assert code == 0
+        doc = json.loads(solved)
+        sym = doc["laws"][0]
+        assert int(row["tisgm_count"]) == doc["tisgm_count"] == 1
+        assert float(row["z_sym"]) == sym["z1"]
+        for name in ("s1", "s2", "lambda2", "ks_value", "kappa", "gamma", "product"):
+            assert float(row[name]) == sym[name]
+        assert row["classification"] == sym["classification"]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 3
+    doc = json.loads(out)
+    jsonschema.validate(doc, JSON_SCHEMAS["scan"])
+    assert sum(row["classification"] == "solver-error" for row in doc["rows"]) == 3
+    path = tmp_path / "scan.csv"
+    run(capsys, *argv, "--out", str(path))
+    code, _, _ = run(capsys, "plot", str(path), "--out", str(tmp_path / "fig.svg"))
+    assert code == 0
+
+
 # --- thresholds --------------------------------------------------------------------
 
 def test_thresholds_k3_ks(capsys):

@@ -16,6 +16,8 @@ from hypothesis import given, settings, strategies as st
 from wand_gibbs.model import ModelParams
 from wand_gibbs.solver import SolverError, tisgm_set
 
+from newton_oracle import asymmetric_log_roots, bisect_increasing
+
 MUST_ANSWER_LOG = 690.0
 
 
@@ -28,41 +30,10 @@ def _logaddexp(a, b):
     return max(a, b) + math.log1p(math.exp(-abs(a - b)))
 
 
-def _bisect(fn, lo, hi):
-    """Last point of [lo, hi] where the increasing ``fn`` is negative."""
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            return lo
-        if fn(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-
-
 def symmetric_log_root(k, log_theta):
     h = lambda u: u - k * (_logaddexp(-u, -log_theta) - math.log(2.0))
     # h(-1) < 0 < h(U) for U = 2 + k (|ln theta| + 1)
-    return _bisect(h, -1.0, 2.0 + k * (abs(log_theta) + 1.0))
-
-
-def _branch(k, s):
-    """(ln theta, ln(P - 1)) on the asymmetric branch at s = ln t < 0."""
-    log_one_minus_t = math.log(-math.expm1(s))
-    log_p = math.log(-math.expm1(k * s)) - log_one_minus_t
-    log_p_minus_1 = s + math.log(-math.expm1((k - 1) * s)) - log_one_minus_t
-    log_q = math.log1p(math.exp(k * s))
-    return (k * log_p + log_p_minus_1 - k * log_q) / (k + 1), log_p_minus_1
-
-
-def asymmetric_log_roots(k, log_theta):
-    """(ln z1, ln z2) of the representative with z1 > z2."""
-    lo = -1.0
-    while _branch(k, lo)[0] >= log_theta:
-        lo *= 2.0
-    s = _bisect(lambda x: _branch(k, x)[0] - log_theta, lo, 0.0)
-    log_z1 = log_theta - _branch(k, s)[1]
-    return log_z1, log_z1 + k * s
+    return bisect_increasing(h, -1.0, 2.0 + k * (abs(log_theta) + 1.0))
 
 
 def oracle(k, theta):

@@ -299,17 +299,20 @@ def test_grouped_oracle_matches_per_configuration_oracle(case, log10_theta, log1
     solved = [symmetric] + find_asymmetric(params)[:1]
     perturbed = boundary_law(symmetric.z1 * 1.1, symmetric.z2 * 0.9, params)
     drawn = BoundaryLaw(10.0 ** log10_z1, 10.0 ** log10_z2)
-    # the full tree's root has k + 1 children, so its depth-0 ball carries
-    # the wrong power of the law and is not consistent with depth 1
-    consistent = not (full_root and depth == 0)
     for law in solved + [perturbed, drawn]:
-        grouped = check_consistency(small, big, theta, law)
-        brute = brute_force_defect(small, big, theta, law)
-        if consistent and law in solved:
-            assert grouped <= 1e-10 and brute <= 1e-10
+        if full_root and depth == 0:
+            # the full tree's root has k + 1 children, so its depth-0 ball
+            # carries the wrong power of the law: the pair is rejected
+            with pytest.raises(ValueError):
+                check_consistency(small, big, theta, law)
         else:
-            # a drawn law may solve the system, so its defect may be rounding noise
-            assert close(grouped, brute, floor=1e-6)
+            grouped = check_consistency(small, big, theta, law)
+            brute = brute_force_defect(small, big, theta, law)
+            if law in solved:
+                assert grouped <= 1e-10 and brute <= 1e-10
+            else:
+                # a drawn law may solve the system, so its defect may be rounding noise
+                assert close(grouped, brute, floor=1e-6)
         assert all(close(g, b) for g, b in zip(root_marginal(small, theta, law),
                                                  brute_force_root_marginal(small, theta, law)))
 

@@ -1,12 +1,15 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
+from wand_gibbs import solver
 from wand_gibbs.model import BoundaryLaw, ModelParams
+from wand_gibbs.scan import theta_grid
 from wand_gibbs.solver import (
     IterationFailureError,
+    _branch,
     _branch_log_theta,
     boundary_law,
     find_asymmetric,
@@ -17,7 +20,7 @@ from wand_gibbs.solver import (
 )
 
 from ferrari_oracle import solve_ferrari_k3
-from newton_oracle import detect_bifurcation_onset, newton_asymmetric
+from newton_oracle import asymmetric_log_roots, detect_bifurcation_onset, newton_asymmetric
 
 thetas = st.floats(min_value=0.05, max_value=20.0)
 orders = st.integers(min_value=2, max_value=8)
@@ -327,6 +330,81 @@ def test_branch_pair_matches_newton_oracle(k, frac):
     for ours, theirs in zip(branch, newton):
         assert ours.z1 == pytest.approx(theirs.z1, rel=1e-10)
         assert ours.z2 == pytest.approx(theirs.z2, rel=1e-10)
+
+
+# --- safeguarded Newton on the branch ---------------------------------------
+
+def count_branch_evaluations(mp):
+    """Wrap solver._branch so that every evaluation of g and g' is recorded."""
+    calls = []
+    inner = solver._branch
+
+    def counted(k, s):
+        calls.append(s)
+        return inner(k, s)
+
+    mp.setattr(solver, "_branch", counted)
+    return calls
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 10, 50])
+@pytest.mark.parametrize("s", [-5.0, -1.0, -0.3, -0.05])
+def test_branch_slope_matches_closed_form(k, s):
+    # (k+1) d ln theta/ds = N_k(t) / ((1 - t)(1 - t^(k-1))(1 - t^(2k))),
+    # the numerator of the monotonicity argument in the solver docstring
+    t = math.exp(s)
+    numerator = ((1 + k * t) * (1 - t ** (k - 1)) * (1 - t ** (2 * k))
+                 - (k - 1) * t ** (k - 1) * (1 - t) * (1 - t ** (2 * k))
+                 - 2 * k * k * t ** k * (1 - t) * (1 - t ** (k - 1)))
+    expected = numerator / ((1 - t) * (1 - t ** (k - 1)) * (1 - t ** (2 * k)))
+    assert _branch(k, s)[1] == pytest.approx(expected, rel=1e-9)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.randoms(use_true_random=False))
+def test_newton_branch_matches_bisection_oracle(rng):
+    # drawn from a seeded Random, so the 30% share below holds exactly
+    # in distribution (hypothesis' own strategies favour small values)
+    k = rng.randint(2, 256)
+    log_cr = math.log(theta_critical(k))
+    if rng.random() < 0.3:
+        # within 1e-12 ... 1e-1 of theta_cr, where g' -> 0
+        theta = math.exp(log_cr + math.log1p(-10.0 ** rng.uniform(-12.0, -1.0)))
+    else:
+        # log-uniform on [1e-300, theta_cr)
+        theta = math.exp(rng.uniform(-300.0 * math.log(10.0), log_cr))
+        if theta >= theta_critical(k):
+            return
+    params = ModelParams(k, theta)
+    log_z1, log_z2 = asymmetric_log_roots(k, math.log(theta))
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_branch_evaluations(mp)
+        try:
+            laws = find_asymmetric(params)
+        except IterationFailureError:
+            laws = None
+    # never worse than about bisection to adjacent doubles
+    assert len(calls) <= 70
+    if max(abs(log_z1), abs(log_z2)) > 690.0:
+        return
+    assert laws is not None and len(laws) == 2
+    rel = 1e-10 if theta / theta_critical(k) <= 1.0 - 1e-6 else 1e-6
+    assert laws[0].z1 == pytest.approx(math.exp(log_z1), rel=rel)
+    assert laws[0].z2 == pytest.approx(math.exp(log_z2), rel=rel)
+    assert all(law.residual <= 1e-12 for law in laws)
+
+
+def test_newton_evaluations_on_scan_grid(monkeypatch):
+    # the k = 3 grid of the Fig. 2 table; bisection took ~55 evaluations
+    calls = count_branch_evaluations(monkeypatch)
+    counts = []
+    for theta in theta_grid(0.1, 3.0, 300):
+        calls.clear()
+        if find_asymmetric(ModelParams(3, theta)):
+            counts.append(len(calls))
+    assert len(counts) > 100
+    assert sum(counts) / len(counts) <= 8
+    assert max(counts) <= 16
 
 
 # --- tisgm bundle -----------------------------------------------------------

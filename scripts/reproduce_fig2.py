@@ -12,9 +12,9 @@ Usage:
 import argparse
 from pathlib import Path
 
-from wand_gibbs.chain import ks_thresholds_k3
+from wand_gibbs.chain import ks_threshold_pair
 from wand_gibbs.cli import main as cli_main
-from wand_gibbs.extremality import extremality_thresholds_k3
+from wand_gibbs.extremality import msw_threshold_pair
 
 
 def main() -> int:
@@ -43,8 +43,8 @@ def main() -> int:
     if code != 0:
         return code
 
-    ks = ks_thresholds_k3()
-    msw = extremality_thresholds_k3()
+    ks = ks_threshold_pair(3)
+    msw = msw_threshold_pair(3)
     print(f"wrote {csv_path} and {svg_path}")
     print(f"k=3 Kesten-Stigum thresholds: lower {ks[0]:.8f}, upper {ks[1]:.8f}")
     print(f"k=3 certificate thresholds:   lower {msw[0]:.8f}, upper {msw[1]:.8f}")

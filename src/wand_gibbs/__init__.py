@@ -25,7 +25,6 @@ from .solver import (
     boundary_law,
     find_asymmetric,
     solve_symmetric,
-    symmetric_gain,
     theta_critical,
     tisgm_set,
 )
@@ -34,23 +33,13 @@ from .chain import (
     KsSweepReport,
     SpectralReport,
     TransitionMatrix,
-    kesten_stigum_nonextremal,
     ks_all_theta_nonextremal,
     ks_gap,
     ks_threshold_pair,
-    ks_thresholds_k3,
     spectrum,
     transition_matrix,
 )
-from .extremality import (
-    ExtremalityReport,
-    extremality_certificate,
-    extremality_thresholds_k3,
-    gamma_bound,
-    kappa,
-    msw_gap,
-    msw_threshold_pair,
-)
+from .extremality import certificate_cells, msw_gap, msw_threshold_pair
 from .oracle import (
     ENUMERATION_CAP,
     FiniteCayleyTree,

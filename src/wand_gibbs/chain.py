@@ -39,12 +39,14 @@ __all__ = [
     "KsSweepReport",
     "transition_matrix",
     "spectrum",
-    "kesten_stigum_nonextremal",
     "ks_gap",
     "ks_threshold_pair",
-    "ks_thresholds_k3",
     "ks_all_theta_nonextremal",
 ]
+
+
+#: activity range, points per side and tolerance of the threshold search
+_SCAN_LO, _SCAN_HI, _SCAN_POINTS, _XTOL = 1e-3, 1e3, 500, 1e-8
 
 
 class ComplexSpectrumError(SolverError):
@@ -166,45 +168,42 @@ def spectrum(matrix: TransitionMatrix, k: int) -> SpectralReport:
     return SpectralReport(s1=s_pos, s2=s_neg, s3=1.0, lambda2=lam, ks_value=k * lam * lam)
 
 
-def kesten_stigum_nonextremal(params: ModelParams, law: BoundaryLaw) -> bool:
-    """True iff k * lambda2^2 > 1 (strict) for the chain of ``law``."""
-    report = spectrum(transition_matrix(law, params.theta), params.k)
-    return report.ks_value > 1.0
-
-
 def ks_gap(k: int, theta: float) -> float:
     """k * lambda2^2 - 1 evaluated on the symmetric law at (k, theta)."""
     law = solve_symmetric(ModelParams(k, theta))
     return spectrum(transition_matrix(law, theta), k).ks_value - 1.0
 
 
-def ks_threshold_pair(k: int, scan_lo: float = 1e-3, scan_hi: float = 1e3,
-                      points: int = 500, xtol: float = 1e-8) -> tuple:
+def ks_threshold_pair(k: int) -> tuple:
     """The two activities where the Kesten-Stigum statistic crosses 1.
 
-    The gap k*lambda2^2 - 1 is positive for extreme activities and negative
-    around theta = 1 (when k < 4); a coarse log-uniform pre-scan brackets
-    the sign change on each side of 1 and bisection refines it to ``xtol``.
-    Raises NoBracketError when a side shows no crossing (the k >= 4 case).
+    For k in {2, 3} the gap k*lambda2^2 - 1 is positive for extreme
+    activities and negative around theta = 1; a log-uniform pre-scan of
+    _SCAN_POINTS points on each side of 1 brackets the sign change and
+    bisection refines it to _XTOL.  For k >= 4 there is no crossing:
+    lambda2 = max(z, theta)/(z+theta) >= 1/2, so k*lambda2^2 >= k/4 >= 1,
+    with equality only at k = 4, theta = 1, where the curve touches 1 without
+    crossing it.  NoBracketError is raised then, before anything is solved,
+    and whenever a side of the scan shows no crossing.
     """
+    k = ModelParams(k, 1.0).k
+    if k >= 4:
+        raise NoBracketError(
+            f"no Kesten-Stigum crossing at k={k}: k*lambda2^2 >= k/4 >= 1 at every activity"
+        )
 
     def gap(theta: float) -> float:
         return ks_gap(k, theta)
 
-    low = sign_change_brackets(gap, scan_lo, 1.0, points)
-    high = sign_change_brackets(gap, 1.0, scan_hi, points)
+    low = sign_change_brackets(gap, _SCAN_LO, 1.0, _SCAN_POINTS)
+    high = sign_change_brackets(gap, 1.0, _SCAN_HI, _SCAN_POINTS)
     if not low or not high:
         raise NoBracketError(
-            f"no Kesten-Stigum crossing bracketed on ({scan_lo}, {scan_hi}) at k={k}"
+            f"no Kesten-Stigum crossing bracketed on ({_SCAN_LO}, {_SCAN_HI}) at k={k}"
         )
-    lower = low[0][0] if low[0][0] == low[0][1] else bisect(gap, *low[0], xtol)
-    upper = high[0][0] if high[0][0] == high[0][1] else bisect(gap, *high[0], xtol)
+    lower = low[0][0] if low[0][0] == low[0][1] else bisect(gap, *low[0], _XTOL)
+    upper = high[0][0] if high[0][0] == high[0][1] else bisect(gap, *high[0], _XTOL)
     return lower, upper
-
-
-def ks_thresholds_k3() -> tuple:
-    """The k = 3 non-extremality thresholds, approximately (0.83, 1.226)."""
-    return ks_threshold_pair(3)
 
 
 @dataclass(frozen=True)

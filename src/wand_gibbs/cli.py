@@ -26,7 +26,7 @@ from .solver import (
     solve_symmetric,
 )
 from .chain import transition_matrix, spectrum, ks_threshold_pair
-from .extremality import kappa, gamma_bound, msw_threshold_pair
+from .extremality import certificate_cells
 from .oracle import cayley_tree, check_consistency
 from .rootfind import NoBracketError
 from .scan import (
@@ -193,12 +193,8 @@ def _law_report(law, params, tol, symmetric: bool) -> dict:
         "product": None,
     }
     if symmetric:
-        kap = kappa(law, params.theta)
-        gam = gamma_bound(0.5, law, params.theta)
-        doc["kappa"] = kap
-        doc["gamma"] = gam
-        doc["product"] = params.k * kap * gam
-        doc["classification"] = classify(rep.ks_value, doc["product"])
+        doc["kappa"], doc["gamma"], doc["product"] = certificate_cells(rep)
+        doc["classification"] = classify(rep.ks_value)
     else:
         # no extremality statement exists for the asymmetric pair at k >= 3
         doc["classification"] = "no-claim"
@@ -275,17 +271,13 @@ def cmd_thresholds(args) -> int:
         "msw": None,
         "agreement": None,
     }
-    if args.criterion in ("ks", "both"):
-        lower, upper = ks_threshold_pair(k)
-        doc["ks"] = {"lower": lower, "upper": upper}
-    if args.criterion in ("msw", "both"):
-        lower, upper = msw_threshold_pair(k, p0=0.5)
-        doc["msw"] = {"lower": lower, "upper": upper}
+    # both criteria have one window (see ``extremality``): search it once
+    lower, upper = ks_threshold_pair(k)
+    for name in ("ks", "msw"):
+        if args.criterion in (name, "both"):
+            doc[name] = {"lower": lower, "upper": upper}
     if args.criterion == "both":
-        doc["agreement"] = max(
-            abs(doc["ks"]["lower"] - doc["msw"]["lower"]),
-            abs(doc["ks"]["upper"] - doc["msw"]["upper"]),
-        )
+        doc["agreement"] = 0.0
     if args.format == "json":
         _write_text(args.out, json.dumps(doc, indent=2) + "\n")
     else:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from .model import DEFAULT_RESIDUAL_TOL, ModelParams
 from .solver import SolverError, solve_symmetric, find_asymmetric
 from .chain import transition_matrix, spectrum
-from .extremality import kappa, gamma_bound
+from .extremality import certificate_cells
 from .rootfind import grid
 
 __all__ = [
@@ -67,16 +67,16 @@ class ScanRow:
         return {name: getattr(self, name) for name in CSV_COLUMNS}
 
 
-def classify(ks_value: float, product: float) -> str:
-    """Regime label from the two criteria; both inequalities are strict.
+def classify(ks_value: float) -> str:
+    """Regime label of the symmetric law from its Kesten-Stigum statistic.
 
-    The Kesten-Stigum side is checked first, so the two labelled regimes
-    are mutually exclusive by construction; the boundary ks_value = 1 is
-    undetermined, never non-extremal.
+    ks_value > 1 proves non-extremality; ks_value < 1 is the certificate
+    product k * kappa * gamma < 1 (the two are equal, see ``extremality``)
+    and proves extremality; the boundary ks_value = 1 is undetermined.
     """
     if ks_value > 1.0:
         return CLASS_NONEXTREMAL_KS
-    if product < 1.0:
+    if ks_value < 1.0:
         return CLASS_EXTREMAL_MSW
     return CLASS_UNDETERMINED
 
@@ -92,15 +92,12 @@ def theta_grid(theta_min: float, theta_max: float, steps: int, scale: str = "lin
     return grid(theta_min, theta_max, steps, log_scale=scale == "log")
 
 
-def scan_row(params: ModelParams, p0: float = 0.5,
-             tol: float = DEFAULT_RESIDUAL_TOL) -> ScanRow:
+def scan_row(params: ModelParams, tol: float = DEFAULT_RESIDUAL_TOL) -> ScanRow:
     """Solve everything at one (k, theta) and classify the regime."""
     sym = solve_symmetric(params, tol)
     asym = find_asymmetric(params, tol=tol)
     report = spectrum(transition_matrix(sym, params.theta), params.k)
-    kap = kappa(sym, params.theta)
-    gam = gamma_bound(p0, sym, params.theta)
-    product = params.k * kap * gam
+    kap, gam, product = certificate_cells(report)
     z_asym_1 = z_asym_2 = None
     if asym:
         z_asym_1, z_asym_2 = asym[0].z1, asym[0].z2
@@ -117,12 +114,11 @@ def scan_row(params: ModelParams, p0: float = 0.5,
         kappa=kap,
         gamma=gam,
         product=product,
-        classification=classify(report.ks_value, product),
+        classification=classify(report.ks_value),
     )
 
 
-def scan_rows(k: int, thetas, p0: float = 0.5,
-              tol: float = DEFAULT_RESIDUAL_TOL) -> list:
+def scan_rows(k: int, thetas, tol: float = DEFAULT_RESIDUAL_TOL) -> list:
     """ScanRow per grid point, in grid order.
 
     A point whose solve raises SolverError or ArithmeticError yields a
@@ -130,7 +126,7 @@ def scan_rows(k: int, thetas, p0: float = 0.5,
     rows = []
     for theta in thetas:
         try:
-            rows.append(scan_row(ModelParams(k, theta), p0, tol))
+            rows.append(scan_row(ModelParams(k, theta), tol))
         except (SolverError, ArithmeticError):
             cells = dict.fromkeys(CSV_COLUMNS)
             rows.append(ScanRow(**dict(cells, theta=theta, classification=CLASS_SOLVER_ERROR)))

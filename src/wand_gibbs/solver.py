@@ -82,7 +82,6 @@ __all__ = [
     "IterationFailureError",
     "TisgmSet",
     "boundary_law",
-    "symmetric_gain",
     "solve_symmetric",
     "theta_critical",
     "find_asymmetric",
@@ -136,14 +135,6 @@ def _residual(z1: float, z2: float, k: int, theta: float) -> float:
 def boundary_law(z1: float, z2: float, params: ModelParams) -> BoundaryLaw:
     """A BoundaryLaw carrying the fixed-point residual evaluated at (z1, z2)."""
     return BoundaryLaw(z1, z2, _residual(float(z1), float(z2), params.k, params.theta))
-
-
-def symmetric_gain(z: float, params: ModelParams) -> float:
-    """The symmetric gain map f(z) = ((theta + z) / (2 theta z))**k."""
-    if z <= 0.0:
-        raise ValueError("z must be positive")
-    theta = params.theta
-    return ((theta + z) / (2.0 * theta * z)) ** params.k
 
 
 def solve_symmetric(params: ModelParams, tol: float = DEFAULT_RESIDUAL_TOL) -> BoundaryLaw:

@@ -1,10 +1,13 @@
-"""Independent oracles for the contraction quantities: kappa straight from
-the transition-matrix rows, and gamma as the worst coordinate discrepancy
-between the explicit conditional spin distributions.
+"""Independent oracles for the two extremality criteria on the symmetric
+law: kappa straight from the transition-matrix rows and in its piecewise
+closed form, gamma as the worst coordinate discrepancy between the explicit
+conditional spin distributions and as the closed-form bound at any mixing
+weight p0, and the Kesten-Stigum predicate on a law.
 
-The library evaluates both in closed form (``extremality.kappa`` and
-``extremality.gamma_bound``).  This module keeps the direct constructions
-so that the tests can check the closed forms against them.
+The library reads kappa, gamma and the certificate product off the
+spectrum, where at p0 = 1/2 they equal lambda2, lambda2 and k * lambda2^2
+(see ``extremality``).  This module keeps the direct constructions so that
+the tests can check that identity, and the general-p0 bound, against them.
 """
 
 from __future__ import annotations
@@ -12,7 +15,57 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from wand_gibbs.chain import TransitionMatrix
+from wand_gibbs.chain import TransitionMatrix, spectrum, transition_matrix
+from wand_gibbs.model import BoundaryLaw, ModelParams
+
+
+def kesten_stigum_nonextremal(params: ModelParams, law: BoundaryLaw) -> bool:
+    """True iff k * lambda2^2 > 1 (strict) for the chain of ``law``."""
+    report = spectrum(transition_matrix(law, params.theta), params.k)
+    return report.ks_value > 1.0
+
+
+def _require_symmetric(law: BoundaryLaw, what: str) -> float:
+    if abs(law.z1 - law.z2) > 1e-12 * max(law.z1, law.z2):
+        raise ValueError(f"{what} is derived for the symmetric law only, got {law!r}")
+    return law.z1
+
+
+def kappa(law: BoundaryLaw, theta: float) -> float:
+    """The row-contraction coefficient for a symmetric law.
+
+    Piecewise closed form: z/(z+theta) for 0 < theta < 1, theta/(z+theta)
+    for theta >= 1.  Asymmetric laws are rejected.
+    """
+    theta = float(theta)
+    if not (math.isfinite(theta) and theta > 0.0):
+        raise ValueError(f"theta must be positive and finite, got {theta!r}")
+    z = _require_symmetric(law, "kappa")
+    if theta < 1.0:
+        return z / (z + theta)
+    return theta / (z + theta)
+
+
+def gamma_bound(p0: float, law: BoundaryLaw, theta: float) -> float:
+    """Upper bound on gamma at mixing weight ``p0`` for a symmetric law.
+
+    Case split at p0 = theta/(z+theta):
+        p0 >= theta/(z+theta):  z p0 / ((z-theta) p0 + theta)
+        p0 <= theta/(z+theta):  theta (1-p0) / ((z-theta) p0 + theta)
+    Both expressions equal 1/2 at the boundary; the shared denominator is
+    positive for all z, theta > 0 and p0 in [0, 1].
+    """
+    p0 = float(p0)
+    if not 0.0 < p0 < 1.0:
+        raise ValueError(f"p0 must lie strictly inside (0, 1), got {p0!r}")
+    theta = float(theta)
+    if not (math.isfinite(theta) and theta > 0.0):
+        raise ValueError(f"theta must be positive and finite, got {theta!r}")
+    z = _require_symmetric(law, "the gamma bound")
+    den = (z - theta) * p0 + theta
+    if p0 >= theta / (z + theta):
+        return z * p0 / den
+    return theta * (1.0 - p0) / den
 
 
 def kappa_from_rows(matrix: TransitionMatrix) -> float:

@@ -12,6 +12,9 @@ searches that share none of that iteration:
   damped Newton iteration in log coordinates with analytic Jacobian,
   seeded around the symmetric root and at the residual minima of a coarse
   log-log grid.  Roots are certified by their residual.
+
+``symmetric_gain`` is the fixed-point map restricted to z1 = z2, evaluated
+as written (no logs), for the tests of the symmetric root and the residual.
 """
 
 from __future__ import annotations
@@ -27,6 +30,14 @@ ASYM_SEPARATION = 1e-7
 
 #: relative distance below which two roots are deduplicated
 DEDUP_TOL = 1e-8
+
+
+def symmetric_gain(z: float, params: ModelParams) -> float:
+    """The symmetric gain map f(z) = ((theta + z) / (2 theta z))**k."""
+    if z <= 0.0:
+        raise ValueError("z must be positive")
+    theta = params.theta
+    return ((theta + z) / (2.0 * theta * z)) ** params.k
 
 
 def bisect_increasing(fn, lo, hi):

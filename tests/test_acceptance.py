@@ -11,11 +11,10 @@ from wand_gibbs.chain import (
     ks_all_theta_nonextremal,
     ks_gap,
     ks_threshold_pair,
-    ks_thresholds_k3,
     spectrum,
     transition_matrix,
 )
-from wand_gibbs.extremality import extremality_thresholds_k3, msw_gap
+from wand_gibbs.extremality import msw_gap, msw_threshold_pair
 from wand_gibbs.model import ModelParams
 from wand_gibbs.oracle import cayley_tree, check_consistency
 from wand_gibbs.rootfind import grid
@@ -52,7 +51,7 @@ def test_criterion_01_critical_activity_formula_and_onset():
 
 
 def test_criterion_02_ks_thresholds_k3():
-    lower, upper = ks_thresholds_k3()
+    lower, upper = ks_threshold_pair(3)
     ok = abs(lower - 0.83) <= 0.01 and abs(upper - 1.226) <= 0.01
     report(2, "k=3 Kesten-Stigum thresholds", ok,
            f"({lower:.6f}, {upper:.6f}) vs (0.83, 1.226)")
@@ -164,14 +163,14 @@ def test_criterion_08_spectral_contract():
 
 
 def test_criterion_09_certificate_thresholds_and_disjointness():
-    msw = extremality_thresholds_k3(0.5)
-    ks = ks_thresholds_k3()
+    msw = msw_threshold_pair(3)
+    ks = ks_threshold_pair(3)
     ok = abs(msw[0] - 0.83) <= 0.01 and abs(msw[1] - 1.226) <= 0.01
     ok = ok and abs(msw[0] - ks[0]) <= 1e-4 and abs(msw[1] - ks[1]) <= 1e-4
     disjoint = True
     for theta in grid(0.01, 20.0, 2000, log_scale=True):
         ks_fires = ks_gap(3, theta) > 0.0
-        msw_fires = msw_gap(3, theta, 0.5) < 0.0
+        msw_fires = msw_gap(3, theta) < 0.0
         if ks_fires and msw_fires:
             disjoint = False
             break

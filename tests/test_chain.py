@@ -10,11 +10,9 @@ from wand_gibbs.chain import (
     ComplexSpectrumError,
     TransitionMatrix,
     _deflated_pair,
-    kesten_stigum_nonextremal,
     ks_all_theta_nonextremal,
     ks_gap,
     ks_threshold_pair,
-    ks_thresholds_k3,
     spectrum,
     transition_matrix,
 )
@@ -26,6 +24,8 @@ from wand_gibbs.solver import (
     solve_symmetric,
     theta_critical,
 )
+
+from contraction_oracle import kesten_stigum_nonextremal
 
 thetas = st.floats(min_value=0.05, max_value=20.0)
 orders = st.integers(min_value=2, max_value=8)
@@ -204,7 +204,7 @@ def test_ks_value_k3_theta3_above_one():
 
 
 def test_ks_thresholds_k3():
-    lower, upper = ks_thresholds_k3()
+    lower, upper = ks_threshold_pair(3)
     assert lower == pytest.approx(0.83, abs=0.01)
     assert upper == pytest.approx(1.226, abs=0.01)
     assert abs(ks_gap(3, lower)) <= 1e-7
@@ -218,8 +218,16 @@ def test_ks_thresholds_k2_closed_forms():
 
 
 def test_ks_no_bracket_for_k4():
-    with pytest.raises(NoBracketError):
+    with pytest.raises(NoBracketError, match="no Kesten-Stigum crossing"):
         ks_threshold_pair(4)
+
+
+@pytest.mark.parametrize("k", [5, 6, 7, 8, 9, 10, 115, 300, 10**4])
+def test_ks_no_bracket_above_k4(k):
+    # the k/4 floor decides it before any root is solved, so no order is
+    # too large for the symmetric root to stay in range
+    with pytest.raises(NoBracketError, match="no Kesten-Stigum crossing"):
+        ks_threshold_pair(k)
 
 
 def test_ks_gap_single_sign_change_each_side_k3():

@@ -214,11 +214,20 @@ def test_thresholds_both_agree(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["agreement"] <= 1e-4
+    assert doc["ks"] == doc["msw"]
 
 
 def test_thresholds_no_bracket_k5(capsys):
     code, _, err = run(capsys, "thresholds", "--k", "5", "--criterion", "ks")
     assert code == 3
+
+
+@pytest.mark.parametrize("k", ["300", "10000"])
+def test_thresholds_large_k_reports_missing_crossing(capsys, k):
+    code, out, err = run(capsys, "thresholds", "--k", k)
+    assert code == 3 and out == ""
+    assert "no Kesten-Stigum crossing" in err
+    assert "ln z*" not in err
 
 
 def test_thresholds_csv(capsys):

@@ -1,21 +1,18 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from wand_gibbs.chain import transition_matrix, ks_thresholds_k3
-from wand_gibbs.extremality import (
-    extremality_certificate,
-    extremality_thresholds_k3,
-    gamma_bound,
-    kappa,
-    msw_threshold_pair,
-)
+from wand_gibbs.chain import ks_threshold_pair, spectrum, transition_matrix
+from wand_gibbs.extremality import certificate_cells, msw_threshold_pair
 from wand_gibbs.model import BoundaryLaw, ModelParams
-from wand_gibbs.solver import solve_symmetric
+from wand_gibbs.scan import CLASS_EXTREMAL_MSW, scan_row
+from wand_gibbs.solver import SolverError, solve_symmetric
 
 from contraction_oracle import (
     conditional_distributions,
+    gamma_bound,
+    kappa,
     kappa_from_rows,
     pairwise_differences,
     pairwise_max_discrepancy,
@@ -162,35 +159,49 @@ def test_gamma_equals_worst_discrepancy(p0, k, theta):
 # --- certificate -----------------------------------------------------------------
 
 def test_certificate_unit_point():
-    report = extremality_certificate(ModelParams(3, 1.0))
-    assert report.kappa == 0.5 and report.gamma_bound == 0.5
-    assert report.product == 0.75
-    assert report.fires
-    assert not report.exploratory
+    row = scan_row(ModelParams(3, 1.0))
+    assert row.kappa == 0.5 and row.gamma == 0.5
+    assert row.product == 0.75
+    assert row.classification == CLASS_EXTREMAL_MSW
 
 
 def test_certificate_does_not_fire_low_activity():
-    report = extremality_certificate(ModelParams(3, 0.5))
-    assert report.product >= 1.0
-    assert not report.fires
+    row = scan_row(ModelParams(3, 0.5))
+    assert row.product >= 1.0
+    assert row.classification != CLASS_EXTREMAL_MSW
 
 
 def test_certificate_fires_at_1p2():
-    report = extremality_certificate(ModelParams(3, 1.2))
-    assert report.product == pytest.approx(0.9731430644456538, rel=1e-12)
-    assert report.fires
+    row = scan_row(ModelParams(3, 1.2))
+    assert row.product == pytest.approx(0.9731430644456538, rel=1e-12)
+    assert row.classification == CLASS_EXTREMAL_MSW
 
 
-def test_certificate_exploratory_flag():
-    assert extremality_certificate(ModelParams(4, 1.0)).exploratory
-    assert not extremality_certificate(ModelParams(3, 1.0)).exploratory
+@settings(derandomize=True, max_examples=300)
+@given(st.integers(min_value=2, max_value=50),
+       st.floats(min_value=math.log(1e-3), max_value=math.log(1e3)))
+def test_certificate_cells_match_contraction_oracles(k, log_theta):
+    """kappa = gamma(1/2) = lambda2 and product = k lambda2^2: the cells the
+    library reads off the spectrum agree with the row-wise kappa, the
+    closed-form gamma bound and their product."""
+    theta = math.exp(log_theta)
+    try:
+        law = solve_symmetric(ModelParams(k, theta))
+    except SolverError:
+        return  # symmetric root outside the range of doubles
+    matrix = transition_matrix(law, theta)
+    cells = certificate_cells(spectrum(matrix, k))
+    kap = kappa_from_rows(matrix)
+    gam = gamma_bound(0.5, law, theta)
+    for cell, oracle in zip(cells, (kap, gam, k * kap * gam)):
+        assert abs(cell - oracle) <= 1e-15 * oracle
 
 
 def test_thresholds_k3():
-    lower, upper = extremality_thresholds_k3()
+    lower, upper = msw_threshold_pair(3)
     assert lower == pytest.approx(0.83, abs=0.01)
     assert upper == pytest.approx(1.226, abs=0.01)
-    ks_lower, ks_upper = ks_thresholds_k3()
+    ks_lower, ks_upper = ks_threshold_pair(3)
     assert abs(lower - ks_lower) <= 1e-4
     assert abs(upper - ks_upper) <= 1e-4
 

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from wand_gibbs.model import ModelParams
@@ -14,12 +16,12 @@ from wand_gibbs.scan import (
 
 
 def test_classify_regions():
-    assert classify(1.5, 0.5) == CLASS_NONEXTREMAL_KS
-    assert classify(0.8, 0.9) == CLASS_EXTREMAL_MSW
-    assert classify(0.9, 1.2) == CLASS_UNDETERMINED
-    # strictness at both boundaries
-    assert classify(1.0, 1.0) == CLASS_UNDETERMINED
-    assert classify(1.0, 0.5) == CLASS_EXTREMAL_MSW
+    assert classify(1.5) == CLASS_NONEXTREMAL_KS
+    assert classify(0.8) == CLASS_EXTREMAL_MSW
+    # both inequalities are strict: the boundary is decided by neither
+    assert classify(1.0) == CLASS_UNDETERMINED
+    assert classify(math.nextafter(1.0, 2.0)) == CLASS_NONEXTREMAL_KS
+    assert classify(math.nextafter(1.0, 0.0)) == CLASS_EXTREMAL_MSW
 
 
 def test_grid_exact_endpoints():

@@ -14,13 +14,17 @@ from wand_gibbs.solver import (
     boundary_law,
     find_asymmetric,
     solve_symmetric,
-    symmetric_gain,
     theta_critical,
     tisgm_set,
 )
 
 from ferrari_oracle import solve_ferrari_k3
-from newton_oracle import asymmetric_log_roots, detect_bifurcation_onset, newton_asymmetric
+from newton_oracle import (
+    asymmetric_log_roots,
+    detect_bifurcation_onset,
+    newton_asymmetric,
+    symmetric_gain,
+)
 
 thetas = st.floats(min_value=0.05, max_value=20.0)
 orders = st.integers(min_value=2, max_value=8)

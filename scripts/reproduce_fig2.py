@@ -2,7 +2,7 @@
 """Regenerate the k=3 regime figure: spectral-gap curves over activity.
 
 Writes a scan CSV and the corresponding SVG (curves 3*s1^2-1 and 3*s2^2-1
-with the zero line and threshold markers), and prints the bisected
+with the zero line and threshold markers), and prints the closed-form
 thresholds of both criteria.
 
 Usage:

@@ -3,18 +3,19 @@
 
 For k = 2 and 3: the critical activity, the Kesten-Stigum window and the
 extremality-certificate window (they coincide).  For k = 4..10: the minimum
-of the Kesten-Stigum statistic over a wide log grid, demonstrating
-non-extremality at every activity (with the k = 4, theta = 1 boundary
-point sitting exactly on the criterion).
+k/4 of the Kesten-Stigum statistic, taken at theta = 1 (see ``chain`` for
+why it is the minimum), and the reason there is no crossing: the symmetric
+measure is non-extremal at every activity, with the k = 4, theta = 1
+boundary point sitting exactly on the criterion.
 
 Usage:
     python3 scripts/threshold_report.py
 """
 
-from wand_gibbs.chain import ks_all_theta_nonextremal, ks_threshold_pair, spectrum, transition_matrix
+from wand_gibbs.chain import ks_threshold_pair, spectrum, transition_matrix
 from wand_gibbs.extremality import msw_threshold_pair
 from wand_gibbs.model import ModelParams
-from wand_gibbs.rootfind import grid
+from wand_gibbs.rootfind import NoBracketError
 from wand_gibbs.solver import solve_symmetric, theta_critical
 
 
@@ -30,15 +31,14 @@ def main() -> int:
         print(f"  k={k}: KS  ({ks[0]:.8f}, {ks[1]:.8f})")
         print(f"       MSW ({msw[0]:.8f}, {msw[1]:.8f})")
 
-    print("\nhigh orders: min Kesten-Stigum statistic over theta in [0.01, 100]:")
-    thetas = grid(0.01, 100.0, 500, log_scale=True)
+    print("\nhigh orders: min Kesten-Stigum statistic, at theta = 1 (k = 4: exactly 1,"
+          " where the strict criterion does not fire; undetermined):")
     for k in range(4, 11):
-        rep = ks_all_theta_nonextremal(k, thetas)
-        print(f"  k={k:2d}: min k*lambda2^2 = {rep.min_ks:.6f} at theta={rep.min_theta:.4f} "
-              f"(floor k/4 = {rep.lower_bound})  non-extremal everywhere: {rep.all_nonextremal}")
-    boundary = spectrum(transition_matrix(solve_symmetric(ModelParams(4, 1.0)), 1.0), 4)
-    print(f"  boundary point k=4, theta=1: k*lambda2^2 = {boundary.ks_value} "
-          "(strict criterion does not fire; undetermined)")
+        rep = spectrum(transition_matrix(solve_symmetric(ModelParams(k, 1.0)), 1.0), k)
+        try:
+            ks_threshold_pair(k)
+        except NoBracketError as exc:
+            print(f"  k={k:2d}: min k*lambda2^2 = {rep.ks_value!r} (k/4 = {k / 4}); {exc}")
     return 0
 
 

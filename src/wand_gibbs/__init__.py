@@ -17,6 +17,7 @@ from .model import (
     ModelParams,
     allows,
     is_admissible,
+    tree_order,
 )
 from .solver import (
     IterationFailureError,
@@ -30,10 +31,8 @@ from .solver import (
 )
 from .chain import (
     ComplexSpectrumError,
-    KsSweepReport,
     SpectralReport,
     TransitionMatrix,
-    ks_all_theta_nonextremal,
     ks_gap,
     ks_threshold_pair,
     spectrum,

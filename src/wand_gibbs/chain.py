@@ -21,6 +21,32 @@ forms s1 = z/(z+t) and s2 = -t/(z+t), which are literally matrix entries.
 The measure is provably non-extremal when k * lambda2^2 > 1 with
 lambda2 = max(|s1|, |s2|); equality is classified as undetermined, never
 as non-extremal.
+
+The Kesten-Stigum window of the symmetric law in closed form.  Write
+r = z/t for the symmetric root z of z = ((t + z)/(2 t z))^k.  Then
+z^(k+1) (2t)^k = (t + z)^k becomes
+
+    t^(k+1) = (1 + r)^k / (2^k r^(k+1)),
+
+whose right side is strictly decreasing in r, so r falls strictly from
+infinity to 0 as t runs over (0, infinity), with r = 1 at t = 1.  Hence
+lambda2 = max(r, 1)/(1 + r) is r/(1 + r) below t = 1, strictly decreasing
+in t, and 1/(1 + r) above it, strictly increasing; k * lambda2^2 tends to
+k at both ends and has its minimum k/4 at t = 1.  For k >= 4 that minimum
+is >= 1: there is no crossing (k = 4 touches 1 at t = 1 only).  For
+k in {2, 3} there is exactly one crossing on each side of t = 1:
+
+- below, r/(1 + r) = 1/sqrt(k) at r = 1/(sqrt k - 1), that is
+  z* = t/(sqrt k - 1), and 1 + r = sqrt k r gives
+  theta_lo^(k+1) = (sqrt k - 1)(sqrt k / 2)^k;
+- above, 1/(1 + r) = 1/sqrt(k) at r = sqrt k - 1, that is
+  z* = t (sqrt k - 1), and 1 + r = sqrt k gives
+  theta_hi^(k+1) = (sqrt k / (2 (sqrt k - 1)))^k / (sqrt k - 1).
+
+k * lambda2^2 < 1 exactly on (theta_lo, theta_hi).  Both ends are taken in
+logs; ln theta_lo - ln theta_hi = (k + 2)/(k + 1) ln(sqrt k - 1) is
+negative for k < 4, zero at k = 4 and positive beyond, so the formulas
+themselves say the window is empty from k = 4 on.
 """
 
 from __future__ import annotations
@@ -28,25 +54,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import BoundaryLaw, ModelParams
-from .rootfind import bisect, sign_change_brackets, NoBracketError
+from .model import BoundaryLaw, ModelParams, tree_order
+from .rootfind import NoBracketError
 from .solver import SolverError, solve_symmetric
 
 __all__ = [
     "ComplexSpectrumError",
     "TransitionMatrix",
     "SpectralReport",
-    "KsSweepReport",
     "transition_matrix",
     "spectrum",
     "ks_gap",
     "ks_threshold_pair",
-    "ks_all_theta_nonextremal",
 ]
-
-
-#: activity range, points per side and tolerance of the threshold search
-_SCAN_LO, _SCAN_HI, _SCAN_POINTS, _XTOL = 1e-3, 1e3, 500, 1e-8
 
 
 class ComplexSpectrumError(SolverError):
@@ -151,8 +171,7 @@ def spectrum(matrix: TransitionMatrix, k: int) -> SpectralReport:
     s1 = P(+1,+1) and s2 = -P(+1,0) are verified against the deflated
     quadratic's roots to 1e-12 and then returned exactly.
     """
-    if isinstance(k, bool) or int(k) != k or k < 2:
-        raise ValueError(f"tree order k must be an integer >= 2, got {k!r}")
+    tree_order(k)
     p = matrix.entries
     # trace - 1 = p00 + p22 - 1 = p00 p22 - p01 p21, since p11 = 0 and the
     # rows sum to 1: the product form needs no subtraction of 1
@@ -174,83 +193,28 @@ def ks_gap(k: int, theta: float) -> float:
     return spectrum(transition_matrix(law, theta), k).ks_value - 1.0
 
 
+def _log_window(k: int) -> tuple:
+    """(ln theta_lo, ln theta_hi), the Kesten-Stigum window of the symmetric
+    law in closed form (see the module docstring); empty for k >= 4."""
+    root_k = math.sqrt(k)
+    log_lo = (math.log(root_k - 1.0) + k * math.log(root_k / 2.0)) / (k + 1)
+    log_hi = (k * math.log(root_k / (2.0 * (root_k - 1.0))) - math.log(root_k - 1.0)) / (k + 1)
+    return log_lo, log_hi
+
+
 def ks_threshold_pair(k: int) -> tuple:
     """The two activities where the Kesten-Stigum statistic crosses 1.
 
-    For k in {2, 3} the gap k*lambda2^2 - 1 is positive for extreme
-    activities and negative around theta = 1; a log-uniform pre-scan of
-    _SCAN_POINTS points on each side of 1 brackets the sign change and
-    bisection refines it to _XTOL.  For k >= 4 there is no crossing:
-    lambda2 = max(z, theta)/(z+theta) >= 1/2, so k*lambda2^2 >= k/4 >= 1,
-    with equality only at k = 4, theta = 1, where the curve touches 1 without
-    crossing it.  NoBracketError is raised then, before anything is solved,
-    and whenever a side of the scan shows no crossing.
+    For k in {2, 3} these are theta_lo < 1 < theta_hi in closed form, taken
+    from their logs.  For k >= 4 there is no crossing: lambda2 >= 1/2, so
+    k*lambda2^2 >= k/4 >= 1, with equality only at k = 4, theta = 1, where
+    the curve touches 1 without crossing it.  NoBracketError is raised then,
+    before anything is computed, so no order is too large to answer.
     """
-    k = ModelParams(k, 1.0).k
+    k = tree_order(k)
     if k >= 4:
         raise NoBracketError(
             f"no Kesten-Stigum crossing at k={k}: k*lambda2^2 >= k/4 >= 1 at every activity"
         )
-
-    def gap(theta: float) -> float:
-        return ks_gap(k, theta)
-
-    low = sign_change_brackets(gap, _SCAN_LO, 1.0, _SCAN_POINTS)
-    high = sign_change_brackets(gap, 1.0, _SCAN_HI, _SCAN_POINTS)
-    if not low or not high:
-        raise NoBracketError(
-            f"no Kesten-Stigum crossing bracketed on ({_SCAN_LO}, {_SCAN_HI}) at k={k}"
-        )
-    lower = low[0][0] if low[0][0] == low[0][1] else bisect(gap, *low[0], _XTOL)
-    upper = high[0][0] if high[0][0] == high[0][1] else bisect(gap, *high[0], _XTOL)
-    return lower, upper
-
-
-@dataclass(frozen=True)
-class KsSweepReport:
-    """Grid sweep of the Kesten-Stigum statistic for k >= 4.
-
-    ``all_nonextremal`` records min ks_value > 1 over the grid;
-    ``lower_bound`` is the analytic floor k/4 and ``ratio_side_ok`` whether
-    z*/theta stayed above 1 for theta < 1 and below 1 for theta > 1 at every
-    grid point.
-    """
-
-    k: int
-    thetas: tuple
-    ks_values: tuple
-    min_ks: float
-    min_theta: float
-    all_nonextremal: bool
-    lower_bound: float
-    ratio_side_ok: bool
-
-
-def ks_all_theta_nonextremal(k: int, grid) -> KsSweepReport:
-    """Evaluate the Kesten-Stigum statistic on ``grid`` using the symmetric law."""
-    if isinstance(k, bool) or int(k) != k or k < 4:
-        raise ValueError(f"the all-activity sweep applies for integer k >= 4, got {k!r}")
-    thetas = tuple(float(t) for t in grid)
-    if not thetas:
-        raise ValueError("empty activity grid")
-    ks_values = []
-    ratio_ok = True
-    for theta in thetas:
-        law = solve_symmetric(ModelParams(k, theta))
-        ks_values.append(spectrum(transition_matrix(law, theta), k).ks_value)
-        if theta < 1.0 and not law.z1 > theta:
-            ratio_ok = False
-        if theta > 1.0 and not law.z1 < theta:
-            ratio_ok = False
-    min_ks = min(ks_values)
-    min_theta = thetas[ks_values.index(min_ks)]
-    return KsSweepReport(
-        k=int(k),
-        thetas=thetas,
-        ks_values=tuple(ks_values),
-        min_ks=min_ks,
-        min_theta=min_theta,
-        all_nonextremal=min_ks > 1.0,
-        lower_bound=k / 4.0,
-        ratio_side_ok=ratio_ok,
-    )
+    log_lo, log_hi = _log_window(k)
+    return math.exp(log_lo), math.exp(log_hi)

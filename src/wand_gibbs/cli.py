@@ -18,7 +18,7 @@ import math
 import os
 import sys
 
-from .model import DEFAULT_RESIDUAL_TOL, ModelParams
+from .model import DEFAULT_RESIDUAL_TOL, ModelParams, tree_order
 from .solver import (
     SolverError,
     boundary_law,
@@ -176,6 +176,16 @@ def _write_text(path: str | None, text: str):
         raise CliIOError(f"cannot write {path}: {exc}") from exc
 
 
+def _write_csv(path: str | None, columns, records):
+    """Write ``records``, mappings keyed by ``columns``, as CSV under a
+    header row, every cell through ``format_value``."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([format_value(record[col]) for col in columns] for record in records)
+    _write_text(path, buffer.getvalue())
+
+
 def _law_report(law, params, tol, symmetric: bool) -> dict:
     rep = spectrum(transition_matrix(law, params.theta), params.k)
     doc = {
@@ -219,21 +229,14 @@ def cmd_solve(args) -> int:
     if args.format == "json":
         _write_text(args.out, json.dumps(doc, indent=2) + "\n")
     else:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
         columns = ("kind", "z1", "z2", "residual", "theta_cr", "s1", "s2",
                    "lambda2", "ks_value", "kappa", "gamma", "product", "classification")
-        writer.writerow(columns)
-        for law in laws:
-            row = dict(law, theta_cr=solutions.theta_cr)
-            writer.writerow([format_value(row.get(col)) for col in columns])
-        _write_text(args.out, buffer.getvalue())
+        _write_csv(args.out, columns, (dict(law, theta_cr=solutions.theta_cr) for law in laws))
     return EXIT_OK
 
 
 def cmd_scan(args) -> int:
-    if args.k < 2 or int(args.k) != args.k:
-        raise UsageError(f"tree order k must be an integer >= 2, got {args.k}")
+    tree_order(args.k)
     try:
         thetas = theta_grid(args.theta_min, args.theta_max, args.steps, args.scale)
     except ValueError as exc:
@@ -243,13 +246,7 @@ def cmd_scan(args) -> int:
         doc = {"command": "scan", "k": args.k, "rows": [row.as_dict() for row in rows]}
         _write_text(args.out, json.dumps(doc, indent=2) + "\n")
     else:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            data = row.as_dict()
-            writer.writerow([format_value(data[col]) for col in CSV_COLUMNS])
-        _write_text(args.out, buffer.getvalue())
+        _write_csv(args.out, CSV_COLUMNS, (row.as_dict() for row in rows))
     failed = sum(row.classification == CLASS_SOLVER_ERROR for row in rows)
     if failed:
         print(f"solver error: {failed} of {len(rows)} rows could not be solved "
@@ -259,9 +256,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_thresholds(args) -> int:
-    if args.k < 2 or int(args.k) != args.k:
-        raise UsageError(f"tree order k must be an integer >= 2, got {args.k}")
-    k = int(args.k)
+    k = tree_order(args.k)
     doc = {
         "command": "thresholds",
         "k": k,
@@ -271,7 +266,7 @@ def cmd_thresholds(args) -> int:
         "msw": None,
         "agreement": None,
     }
-    # both criteria have one window (see ``extremality``): search it once
+    # both criteria have one window (see ``extremality``): compute it once
     lower, upper = ks_threshold_pair(k)
     for name in ("ks", "msw"):
         if args.criterion in (name, "both"):
@@ -281,18 +276,10 @@ def cmd_thresholds(args) -> int:
     if args.format == "json":
         _write_text(args.out, json.dumps(doc, indent=2) + "\n")
     else:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(("criterion", "k", "lower", "upper", "certified"))
-        for name in ("ks", "msw"):
-            if doc[name] is not None:
-                writer.writerow((
-                    name, k,
-                    format_value(doc[name]["lower"]),
-                    format_value(doc[name]["upper"]),
-                    str(doc["certified"]).lower(),
-                ))
-        _write_text(args.out, buffer.getvalue())
+        certified = str(doc["certified"]).lower()
+        _write_csv(args.out, ("criterion", "k", "lower", "upper", "certified"),
+                   [dict(doc[name], criterion=name, k=k, certified=certified)
+                    for name in ("ks", "msw") if doc[name] is not None])
     return EXIT_OK
 
 
@@ -436,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--out", default=None, help="output path (default stdout)")
     p_scan.set_defaults(func=cmd_scan)
 
-    p_thr = sub.add_parser("thresholds", help="bisect the regime thresholds")
+    p_thr = sub.add_parser("thresholds", help="print the regime thresholds (closed form)")
     p_thr.add_argument("--k", type=int, required=True)
     p_thr.add_argument("--criterion", choices=("ks", "msw", "both"), default="both")
     p_thr.add_argument("--format", choices=("csv", "json"), default="json")

@@ -42,6 +42,14 @@ def allows(s: int, t: int) -> bool:
     return WAND_ADJACENCY[SPIN_INDEX[s]][SPIN_INDEX[t]] == 1
 
 
+def tree_order(k) -> int:
+    """``k`` as an int after checking that it is a valid tree order: an
+    integer >= 2 (booleans are rejected); ValueError otherwise."""
+    if isinstance(k, bool) or int(k) != k or k < 2:
+        raise ValueError(f"tree order k must be an integer >= 2, got {k!r}")
+    return int(k)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Tree order ``k`` (direct successors per vertex) and activity ``theta``.
@@ -53,9 +61,7 @@ class ModelParams:
     theta: float
 
     def __post_init__(self):
-        if isinstance(self.k, bool) or int(self.k) != self.k or self.k < 2:
-            raise ValueError(f"tree order k must be an integer >= 2, got {self.k!r}")
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "k", tree_order(self.k))
         theta = float(self.theta)
         if not math.isfinite(theta) or theta <= 0.0:
             raise ValueError(f"activity theta must be positive and finite, got {self.theta!r}")

@@ -33,7 +33,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .model import SPINS, WAND_ADJACENCY, BoundaryLaw, allows
+from .model import SPINS, WAND_ADJACENCY, BoundaryLaw, allows, tree_order
 
 __all__ = [
     "ENUMERATION_CAP",
@@ -99,11 +99,10 @@ class FiniteCayleyTree:
 
 def cayley_tree(k: int, depth: int, full_root: bool = False) -> FiniteCayleyTree:
     """Build the radius-``depth`` ball of the order-``k`` Cayley tree."""
-    if isinstance(k, bool) or int(k) != k or k < 2:
-        raise ValueError(f"tree order k must be an integer >= 2, got {k!r}")
+    k = tree_order(k)
     if int(depth) != depth or depth < 0:
         raise ValueError(f"depth must be a nonnegative integer, got {depth!r}")
-    k, depth = int(k), int(depth)
+    depth = int(depth)
     parents = [-1]
     generation = [0]
     frontier = [0]

@@ -1,4 +1,14 @@
-"""Grid scans for sign changes and plain bisection, used for threshold location."""
+"""Activity grids, grid scans for sign changes and plain bisection.
+
+The library uses ``grid`` (for ``scan``) and ``NoBracketError`` (for the
+missing Kesten-Stigum crossing at k >= 4).  It no longer searches for
+thresholds: ``chain`` gives them in closed form.  ``bisect`` and
+``sign_change_brackets`` remain here because the benchmark's per-layer
+report reads them by name (``rootfind.bisect.calls_per_answer``,
+``rootfind.sign_change_brackets.points_per_answer``), so removing them
+takes a change to the benchmark; until then the tests' bisection oracle
+for the closed-form thresholds is built on them.
+"""
 
 from __future__ import annotations
 

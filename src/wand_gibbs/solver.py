@@ -75,7 +75,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .model import DEFAULT_RESIDUAL_TOL, BoundaryLaw, ModelParams
+from .model import DEFAULT_RESIDUAL_TOL, BoundaryLaw, ModelParams, tree_order
 
 __all__ = [
     "SolverError",
@@ -184,9 +184,7 @@ def theta_critical(k: int) -> float:
     """Critical activity (k^k (k-1) / 2^k)^(1/(k+1)), computed in logs so
     that it stays finite for every k; below it three translation-invariant
     measures exist, at or above it exactly one."""
-    if isinstance(k, bool) or int(k) != k or k < 2:
-        raise ValueError(f"tree order k must be an integer >= 2, got {k!r}")
-    return math.exp(_log_theta_critical(int(k)))
+    return math.exp(_log_theta_critical(tree_order(k)))
 
 
 def _branch_log_p_minus_1(k: int, s: float) -> float:

@@ -8,7 +8,6 @@ import math
 import random
 
 from wand_gibbs.chain import (
-    ks_all_theta_nonextremal,
     ks_gap,
     ks_threshold_pair,
     spectrum,
@@ -32,6 +31,7 @@ from contraction_oracle import (
 )
 from ferrari_oracle import solve_ferrari_k3
 from newton_oracle import detect_bifurcation_onset
+from threshold_oracle import ks_sweep
 
 
 def report(number: int, name: str, passed: bool, detail: str = ""):
@@ -61,7 +61,8 @@ def test_criterion_03_k2_thresholds_closed_forms():
     lower, upper = ks_threshold_pair(2)
     lower_closed = 0.5 * (4.0 * math.sqrt(2.0) - 4.0) ** (1.0 / 3.0)
     upper_closed = 0.5 * (28.0 + 20.0 * math.sqrt(2.0)) ** (1.0 / 3.0)
-    ok = abs(lower - lower_closed) <= 1e-4 and abs(upper - upper_closed) <= 1e-4
+    ok = (abs(lower - lower_closed) <= 1e-14 * lower_closed
+          and abs(upper - upper_closed) <= 1e-14 * upper_closed)
     report(3, "k=2 thresholds vs closed forms", ok,
            f"({lower:.8f}, {upper:.8f}) vs ({lower_closed:.8f}, {upper_closed:.8f})")
 
@@ -71,20 +72,20 @@ def test_criterion_04_high_order_sweep():
     ok = True
     details = []
     for k in range(5, 11):
-        rep = ks_all_theta_nonextremal(k, thetas)
-        ok = ok and rep.all_nonextremal and rep.ratio_side_ok
-        details.append(f"k={k} min {rep.min_ks:.4f}")
+        values, sides_ok = ks_sweep(k, thetas)
+        ok = ok and min(values) > 1.0 and sides_ok
+        details.append(f"k={k} min {min(values):.4f}")
     # k = 4: strictly above 1 away from theta = 1; the boundary point itself
     # gives exactly 1 and stays undetermined
-    rep4 = ks_all_theta_nonextremal(4, thetas)
+    values4, _ = ks_sweep(4, thetas)
     spacing = math.log(100.0 / 0.01) / 499
-    away = [v for t, v in zip(rep4.thetas, rep4.ks_values) if abs(math.log(t)) > spacing]
-    near = [v for t, v in zip(rep4.thetas, rep4.ks_values) if abs(math.log(t)) <= spacing]
+    away = [v for t, v in zip(thetas, values4) if abs(math.log(t)) > spacing]
+    near = [v for t, v in zip(thetas, values4) if abs(math.log(t)) <= spacing]
     boundary = spectrum(transition_matrix(solve_symmetric(ModelParams(4, 1.0)), 1.0), 4)
     ok = ok and min(away) > 1.0 and all(v >= 1.0 - 1e-12 for v in near)
     ok = ok and boundary.ks_value == 1.0
     report(4, "k>=4 sweep non-extremal", ok,
-           "; ".join(details) + f"; k=4 min {rep4.min_ks:.4f}, ks(4,1)={boundary.ks_value}")
+           "; ".join(details) + f"; k=4 min {min(values4):.4f}, ks(4,1)={boundary.ks_value}")
 
 
 def test_criterion_05_symmetric_root_properties():

@@ -10,7 +10,7 @@ from wand_gibbs.chain import (
     ComplexSpectrumError,
     TransitionMatrix,
     _deflated_pair,
-    ks_all_theta_nonextremal,
+    _log_window,
     ks_gap,
     ks_threshold_pair,
     spectrum,
@@ -26,6 +26,7 @@ from wand_gibbs.solver import (
 )
 
 from contraction_oracle import kesten_stigum_nonextremal
+from threshold_oracle import bisection_thresholds, ks_sweep
 
 thetas = st.floats(min_value=0.05, max_value=20.0)
 orders = st.integers(min_value=2, max_value=8)
@@ -213,8 +214,24 @@ def test_ks_thresholds_k3():
 
 def test_ks_thresholds_k2_closed_forms():
     lower, upper = ks_threshold_pair(2)
-    assert lower == pytest.approx(0.5 * (4.0 * math.sqrt(2.0) - 4.0) ** (1.0 / 3.0), abs=1e-4)
-    assert upper == pytest.approx(0.5 * (28.0 + 20.0 * math.sqrt(2.0)) ** (1.0 / 3.0), abs=1e-4)
+    assert lower == pytest.approx(0.5 * (4.0 * math.sqrt(2.0) - 4.0) ** (1.0 / 3.0), rel=1e-14)
+    assert upper == pytest.approx(0.5 * (28.0 + 20.0 * math.sqrt(2.0)) ** (1.0 / 3.0), rel=1e-14)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_ks_thresholds_closed_form_matches_bisection(k):
+    closed = ks_threshold_pair(k)
+    searched = bisection_thresholds(k, 1e-3, 1e3, 500, 1e-8)
+    assert closed == pytest.approx(searched, abs=1e-8)
+    assert all(abs(ks_gap(k, theta)) <= 1e-12 for theta in closed)
+
+
+def test_ks_log_window_empty_from_k4():
+    # ln theta_lo - ln theta_hi = (k+2)/(k+1) ln(sqrt k - 1): zero at k = 4
+    assert _log_window(4) == (0.0, 0.0)
+    for k in range(5, 1001):
+        log_lo, log_hi = _log_window(k)
+        assert log_lo > log_hi
 
 
 def test_ks_no_bracket_for_k4():
@@ -244,11 +261,9 @@ def test_ks_gap_single_sign_change_each_side_k3():
 # --- all-activity sweep (k >= 4) ----------------------------------------------
 
 def test_sweep_k5_nonextremal_everywhere():
-    rep = ks_all_theta_nonextremal(5, grid(0.01, 100.0, 200, log_scale=True))
-    assert rep.all_nonextremal
-    assert rep.min_ks > 1.0
-    assert rep.lower_bound == 1.25
-    assert rep.ratio_side_ok
+    values, sides_ok = ks_sweep(5, grid(0.01, 100.0, 200, log_scale=True))
+    assert min(values) >= 5 / 4 > 1.0  # the k/4 floor
+    assert sides_ok
 
 
 def test_sweep_k4_boundary_at_unit_activity():
@@ -262,10 +277,3 @@ def test_sweep_k10_floor():
     law = solve_symmetric(ModelParams(10, 0.3))
     rep = spectrum(transition_matrix(law, 0.3), 10)
     assert rep.ks_value >= 10.0 / 4.0
-
-
-def test_sweep_rejects_small_k():
-    with pytest.raises(ValueError):
-        ks_all_theta_nonextremal(3, [1.0])
-    with pytest.raises(ValueError):
-        ks_all_theta_nonextremal(4, [])

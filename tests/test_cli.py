@@ -62,6 +62,18 @@ def test_solve_invalid_params(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve", "--theta", "1.0"),
+    ("scan", "--theta-min", "0.5", "--theta-max", "1.0", "--steps", "3"),
+    ("thresholds",),
+    ("verify",),
+])
+def test_bad_tree_order_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--k", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: tree order k must be an integer >= 2, got 1\n"
+
+
 def test_unknown_command_usage_error(capsys):
     assert main(["frobnicate"]) == 2
 

@@ -11,7 +11,11 @@ from wand_gibbs.model import (
     ModelParams,
     allows,
     is_admissible,
+    tree_order,
 )
+from wand_gibbs.chain import ks_threshold_pair, spectrum, transition_matrix
+from wand_gibbs.oracle import cayley_tree
+from wand_gibbs.solver import theta_critical
 
 
 def test_wand_adjacency_entries():
@@ -44,6 +48,17 @@ def test_spin_index_order():
 def test_params_reject_bad_k(k):
     with pytest.raises(ValueError):
         ModelParams(k, 1.0)
+
+
+@pytest.mark.parametrize("k", [1, 0, -3, 2.5, True])
+def test_every_entry_point_checks_tree_order(k):
+    matrix = transition_matrix(BoundaryLaw(1.0, 1.0), 1.0)
+    checks = (tree_order, lambda k: ModelParams(k, 1.0), theta_critical,
+              lambda k: spectrum(matrix, k), lambda k: cayley_tree(k, 1), ks_threshold_pair)
+    for check in checks:
+        with pytest.raises(ValueError, match=r"^tree order k must be an integer >= 2, got "):
+            check(k)
+    assert tree_order(3.0) == 3 and type(tree_order(3.0)) is int
 
 
 @pytest.mark.parametrize("theta", [0.0, -1.0, math.inf, math.nan])

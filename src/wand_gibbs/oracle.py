@@ -18,12 +18,17 @@ spins therefore need only the integer counts c of configurations per
 are counted once per (tree, prefix size) and cached for the life of the
 process; the cache stays small because every tree is capped at
 ENUMERATION_CAP vertices (k = 3 at depth 2: 12,288 configurations collapse
-to 564 groups, k = 2 at depth 3: 49,152 to 4,416).  Each marginal is then
-the polynomial sum c theta^e z1^a z2^b per prefix, evaluated in logs,
-ln c + e ln theta + a ln z1 + b ln z2, exponentiated after subtracting the
-maximum and summed with fsum, so the normalization stays bit-stable even
-for activities far from 1.  The grouping is still a brute-force count over
-the enumeration, not the tree recursion whose fixed point is under test.
+to 564 groups over 155 distinct statistics, k = 2 at depth 3: 49,152 to
+4,416 groups over 292).  Each marginal is then the polynomial sum
+c theta^e z1^a z2^b per prefix.  The weight of each distinct statistic is
+formed once, in logs, e ln theta + a ln z1 + b ln z2, and exponentiated
+after subtracting the maximum, so it lies in (0, 1] and the largest is 1;
+each prefix's mass is the fsum of c times the weights of its statistics,
+and the masses are normalized with fsum, so the normalization stays
+bit-stable even for activities far from 1.  The integer counts stay out of
+the shift: each is at most the admissible count, so c w cannot overflow.
+The grouping is still a brute-force count over the enumeration, not the
+tree recursion whose fixed point is under test.
 """
 
 from __future__ import annotations
@@ -212,32 +217,37 @@ def _log_weight_map(theta: float, law: BoundaryLaw):
 
 @functools.cache
 def _grouped_counts(tree: FiniteCayleyTree, prefix_size: int) -> tuple:
-    """((prefix, ((count, statistic), ...)), ...): the admissible
+    """(statistics, ((prefix, ((count, index), ...)), ...)): the admissible
     configurations of ``tree`` counted by their first ``prefix_size`` spins
-    and their statistic.  Independent of theta and of the law."""
+    and their statistic, which is ``statistics[index]``; each distinct
+    statistic appears once in ``statistics``.  Independent of theta and of
+    the law."""
     ring = tree.boundary()
     counts = Counter(
         (config[:prefix_size], _statistic(config, tree.parents, ring))
         for config in enumerate_admissible(tree)
     )
+    indices = {}
     groups = {}
     for (prefix, statistic), count in counts.items():
-        groups.setdefault(prefix, []).append((count, statistic))
-    return tuple((prefix, tuple(terms)) for prefix, terms in groups.items())
+        index = indices.setdefault(statistic, len(indices))
+        groups.setdefault(prefix, []).append((count, index))
+    return tuple(indices), tuple((prefix, tuple(terms)) for prefix, terms in groups.items())
 
 
 def _prefix_marginals(tree: FiniteCayleyTree, prefix_size: int, theta: float,
                       law: BoundaryLaw) -> dict:
     """Probability of each admissible prefix of ``prefix_size`` spins under
-    the finite-volume measure, from the grouped counts."""
+    the finite-volume measure, from the grouped counts: one exponential per
+    distinct statistic."""
     log_weight = _log_weight_map(theta, law)
-    groups = _grouped_counts(tree, prefix_size)
-    logs = [[math.log(count) + log_weight(statistic) for count, statistic in terms]
-            for _, terms in groups]
-    top = max(max(row) for row in logs)
-    weights = [math.fsum(math.exp(lw - top) for lw in row) for row in logs]
-    total = math.fsum(weights)
-    return {prefix: w / total for (prefix, _), w in zip(groups, weights)}
+    statistics, groups = _grouped_counts(tree, prefix_size)
+    logs = [log_weight(statistic) for statistic in statistics]
+    top = max(logs)
+    weights = [math.exp(lw - top) for lw in logs]
+    masses = [math.fsum(count * weights[index] for count, index in terms) for _, terms in groups]
+    total = math.fsum(masses)
+    return {prefix: mass / total for (prefix, _), mass in zip(groups, masses)}
 
 
 @dataclass(frozen=True)

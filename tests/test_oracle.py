@@ -317,6 +317,20 @@ def test_grouped_oracle_matches_per_configuration_oracle(case, log10_theta, log1
                                                  brute_force_root_marginal(small, theta, law)))
 
 
+@pytest.mark.parametrize("theta", [1e-300, 1e300])
+@pytest.mark.parametrize("z1,z2", [(1e-200, 1e200), (1e200, 1e-200), (1e-300, 1e-300)])
+def test_grouped_oracle_at_extreme_weights(theta, z1, z2):
+    # the shift is over the statistics' log weights alone, without ln count;
+    # far outside the property's range it must still normalize and agree
+    small, big = cayley_tree(3, 1), cayley_tree(3, 2)
+    law = BoundaryLaw(z1, z2)
+    marginal = root_marginal(big, theta, law)
+    assert abs(math.fsum(marginal) - 1.0) <= 1e-12
+    assert all(close(g, b) for g, b in zip(marginal, brute_force_root_marginal(big, theta, law)))
+    assert close(check_consistency(small, big, theta, law),
+                 brute_force_defect(small, big, theta, law))
+
+
 def test_grouped_oracle_covers_both_sides_of_theta_critical():
     # the property above draws theta log-uniformly, so most draws sit above
     # theta_cr; pin one asymmetric law per order below it
@@ -336,15 +350,27 @@ def test_grouped_oracle_covers_both_sides_of_theta_critical():
 def test_grouped_counts_sum_to_admissible_count(k, depth, full_root):
     for tree in (cayley_tree(k, depth, full_root), cayley_tree(k, depth + 1, full_root)):
         for prefix_size in (1, cayley_tree(k, depth, full_root).size):
-            groups = oracle._grouped_counts(tree, prefix_size)
+            _, groups = oracle._grouped_counts(tree, prefix_size)
             total = sum(count for _, terms in groups for count, _ in terms)
             assert total == admissible_count_formula(tree)
 
 
 @pytest.mark.parametrize("k,depth,expected", [(3, 2, 564), (2, 3, 4416)])
 def test_grouped_counts_collapse(k, depth, expected):
-    groups = oracle._grouped_counts(cayley_tree(k, depth), cayley_tree(k, depth - 1).size)
+    _, groups = oracle._grouped_counts(cayley_tree(k, depth), cayley_tree(k, depth - 1).size)
     assert sum(len(terms) for _, terms in groups) == expected
+
+
+@pytest.mark.parametrize("k,depth,expected", [(3, 2, 155), (2, 3, 292), (2, 2, 39)])
+def test_grouped_counts_distinct_statistics(k, depth, expected):
+    # one exponential per distinct statistic for each marginal of the tree
+    tree = cayley_tree(k, depth)
+    statistics, groups = oracle._grouped_counts(tree, cayley_tree(k, depth - 1).size)
+    assert len(statistics) == len(set(statistics)) == expected
+    ring = tree.boundary()
+    assert set(statistics) == {oracle._statistic(config, tree.parents, ring)
+                               for config in enumerate_admissible(tree)}
+    assert {index for _, terms in groups for _, index in terms} == set(range(expected))
 
 
 def test_verify_enumerates_each_tree_once(monkeypatch, capsys):

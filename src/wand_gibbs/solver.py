@@ -63,33 +63,12 @@ midpoint whenever a Newton step leaves it.  Every evaluation lies strictly
 inside the bracket and replaces one of its ends, so the bracket loses at
 least one double per evaluation and the iteration terminates; it stops
 earlier when |g| is below the rounding error of its terms, or when a Newton
-step is at most a few ulps.
-
-The start matters near theta_cr, where g' vanishes and Newton from afar
-first halves s step by step.  There the slope formula above is
-(1 - t) R_k(t) / (2k(k-1)) + O((1 - t)^2), so with 1 - t = -s + O(s^2)
-
-    g(s) = g(0) - a s^2 + O(s^3),    a = R_k(1) / (4k(k-1)),
-    g(0) = (k+1) (ln theta_cr - ln theta).
-
-R_k(1) follows from the second-order terms of (k+1) ln theta(s): P/k and
-(P-1)/(k-1) are means of e^(js) over j uniform on 0..k-1 and on 1..k-1,
-whose cumulant expansions (mean s + variance s^2/2) give ln P = ln k + (k-1)s/2 + (k^2-1)s^2/24
-and ln(P-1) = ln(k-1) + ks/2 + k(k-2)s^2/24, and
-ln Q = ln 2 + ks/2 + ln cosh(ks/2) = ln 2 + ks/2 + k^2 s^2/8.  The linear
-terms cancel and the quadratic ones leave
-
-    a = k (2k^2 - k + 3) / 24 = (k^3 + 1 - (k-1)(k-2)/2) / 12,
-    R_k(1) = k^2 (k-1) (2k^2 - k + 3) / 6.
-
-The iteration starts at the near-critical root -sqrt(g(0)/a) of this
-parabola when it lies in (-1, 0), inside the bracket since lo <= -1, and
-above the far-field start min(lo/2, (k+1) ln theta), which holds the root
-of g ~ s - (k+1) ln theta as s -> -inf; otherwise at the far-field start.
-It then takes 4.55 evaluations on average on the k = 3 scan grid (at most
-6), and at most 11 in 20,000 draws with k in [2, 256] and
-1 - theta/theta_cr log-uniform in [1e-15, 1], where the far-field start
-alone took up to 33.  Roots are certified by their residual, never by
+step is at most a few ulps.  From the start min(lo/2, (k+1) ln theta), the
+far-field root, it takes ~4 evaluations on the k = 3 scan grid (at most 8).
+In 20,000 draws with k in [2, 256], 30% of them within 1e-12..1e-1 of
+theta_cr and the rest log-uniform on [1e-300, theta_cr), it took ~1 far
+from theta_cr (at most 12) and at most 32 near it, where g' vanishes and
+Newton first halves s.  Roots are certified by their residual, never by
 iteration count alone.
 """
 
@@ -254,20 +233,13 @@ def find_asymmetric(params: ModelParams, tol: float = DEFAULT_RESIDUAL_TOL) -> l
     """
     k, theta = params.k, params.theta
     log_theta = math.log(theta)
-    log_theta_cr = _log_theta_critical(k)
-    if log_theta >= log_theta_cr:
+    if log_theta >= _log_theta_critical(k):
         return []
     target = (k + 1) * log_theta
     # ln theta(s) <= s/(k+1) - ln(1 - e^s) < s/(k+1) + 0.5 for s <= -1,
     # so g(lo) < 0; ln theta(s) -> ln theta_cr > ln theta as s -> 0-
     lo, hi = min(-1.0, (k + 1) * (log_theta - 0.5)), 0.0
     s = min(0.5 * lo, target)
-    # the near-critical root -sqrt(g(0)/a) of g ~ g(0) - a s^2, when it lies
-    # in (-1, 0), which is inside the bracket, and above the far-field start;
-    # (k+1)/a is divided as integers, so that no order overflows a float
-    near = -math.sqrt(24 * (k + 1) / (k * (2 * k * k - k + 3)) * (log_theta_cr - log_theta))
-    if s < near and -1.0 < near < 0.0:
-        s = near
     # one rounding unit of the terms summed in g: below it the sign of g is noise
     noise = sys.float_info.epsilon * ((k + 1) * math.log(2 * k) + abs(target))
     while True:

@@ -364,55 +364,6 @@ def test_branch_slope_matches_closed_form(k, s):
     assert _branch(k, s)[1] == pytest.approx(expected, rel=1e-9)
 
 
-def branch_numerator(k):
-    """Integer coefficients of N_k(t), lowest degree first."""
-    def mul(p, q):
-        out = [0] * (len(p) + len(q) - 1)
-        for i, a in enumerate(p):
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-        return out
-
-    def power(m):  # t^m
-        return [0] * m + [1]
-
-    def one_minus(m):  # 1 - t^m
-        return [1] + [0] * (m - 1) + [-1]
-
-    terms = (
-        ([1], [1, k], one_minus(k - 1), one_minus(2 * k)),
-        ([-(k - 1)], power(k - 1), one_minus(1), one_minus(2 * k)),
-        ([-2 * k * k], power(k), one_minus(1), one_minus(k - 1)),
-    )
-    total = [0] * (3 * k + 1)
-    for poly, *factors in terms:
-        for factor in factors:
-            poly = mul(poly, factor)
-        for i, c in enumerate(poly):
-            total[i] += c
-    return total
-
-
-@pytest.mark.parametrize("k", [2, 3, 4, 5, 10, 17, 50])
-def test_near_critical_curvature(k):
-    # R_k(1) = k^2 (k-1) (2k^2 - k + 3) / 6, so a = R_k(1) / (4k(k-1))
-    # = k (2k^2 - k + 3) / 24: the curvature behind the near-critical start
-    remainder = branch_numerator(k)
-    for _ in range(4):  # synthetic division by (t - 1), four times
-        quotient = [0] * (len(remainder) - 1)
-        carry = 0
-        for i in range(len(remainder) - 1, 0, -1):
-            carry += remainder[i]
-            quotient[i - 1] = carry
-        assert carry + remainder[0] == 0
-        remainder = quotient
-    assert sum(remainder) == k * k * (k - 1) * (2 * k * k - k + 3) // 6
-    a = k * (2 * k * k - k + 3) / 24
-    value_cr = (k + 1) * math.log(theta_critical(k))
-    for s in (-1e-3, -1e-4):
-        assert value_cr - _branch(k, s)[0] == pytest.approx(a * s * s, rel=50 * abs(s))
-
-
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(st.randoms(use_true_random=False))
 def test_newton_branch_matches_bisection_oracle(rng):
@@ -436,8 +387,8 @@ def test_newton_branch_matches_bisection_oracle(rng):
             laws = find_asymmetric(params)
         except IterationFailureError:
             laws = None
-    # the near-critical start keeps the count small where g' -> 0
-    assert len(calls) <= 16
+    # never worse than about bisection to adjacent doubles
+    assert len(calls) <= 70
     if max(abs(log_z1), abs(log_z2)) > 690.0:
         return
     assert laws is not None and len(laws) == 2
@@ -445,15 +396,6 @@ def test_newton_branch_matches_bisection_oracle(rng):
     assert laws[0].z1 == pytest.approx(math.exp(log_z1), rel=rel)
     assert laws[0].z2 == pytest.approx(math.exp(log_z2), rel=rel)
     assert all(law.residual <= 1e-12 for law in laws)
-
-
-@pytest.mark.parametrize("k", [10 ** 20, 10 ** 103, 10 ** 150])
-@pytest.mark.parametrize("frac", [1e-100, 1.0 - 1e-9])
-def test_near_critical_start_at_huge_orders(k, frac):
-    # the start's curvature grows like k^3: formed from integers, it must
-    # leave a typed error, not an OverflowError, where the root is unusable
-    with pytest.raises(IterationFailureError):
-        find_asymmetric(ModelParams(k, frac * theta_critical(k)))
 
 
 def test_newton_evaluations_on_scan_grid(monkeypatch):

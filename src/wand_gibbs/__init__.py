@@ -30,7 +30,6 @@ from .solver import (
     tisgm_set,
 )
 from .chain import (
-    ComplexSpectrumError,
     SpectralReport,
     TransitionMatrix,
     ks_gap,
@@ -55,12 +54,14 @@ from .oracle import (
 from .rootfind import NoBracketError
 from .scan import (
     CLASS_EXTREMAL_MSW,
+    CLASS_NO_CLAIM,
     CLASS_NONEXTREMAL_KS,
     CLASS_SOLVER_ERROR,
     CLASS_UNDETERMINED,
     CSV_COLUMNS,
     ScanRow,
     classify,
+    law_cells,
     scan_row,
     scan_rows,
     theta_grid,

@@ -9,12 +9,12 @@ graph's zero pattern (no -1 <-> +1 or 0 -> 0 moves):
     row  0:  ( z2/(z1+z2), 0,          z1/(z1+z2) )
     row +1:  ( 0,          t/(z1+t),   z1/(z1+t)  )       t = theta.
 
-One eigenvalue is always 1.  The chain is reversible (detailed balance holds
-for pi_i proportional to z_i * w_i), so the other two eigenvalues are real;
-they are the roots of the deflated quadratic s^2 - (trace - 1) s + det and
-have opposite signs since det < 0.  Their sum is formed without subtracting
-1, as p00 p22 - p01 p21 = (z1 z2 - t^2) / ((z1 + t)(z2 + t)), and their
-product det = -(p00 p12 p21 + p01 p10 p22) has no cancellation either, so
+One eigenvalue is always 1; the other two are the roots of the deflated
+quadratic s^2 - (trace - 1) s + det.  The zero pattern leaves
+det = -(p00 p12 p21 + p01 p10 p22) <= 0, so the discriminant is a sum of
+nonnegative terms, in floating point too: both roots are real, of opposite
+signs.  Their sum is formed without subtracting 1, as p00 p22 - p01 p21 =
+(z1 z2 - t^2) / ((z1 + t)(z2 + t)), and det has no cancellation either, so
 an eigenvalue near 0, as on the asymmetric branch, keeps its relative
 accuracy.  For the symmetric law z1 = z2 = z they collapse to the closed
 forms s1 = z/(z+t) and s2 = -t/(z+t), which are literally matrix entries.
@@ -56,10 +56,9 @@ from dataclasses import dataclass
 
 from .model import BoundaryLaw, ModelParams, tree_order
 from .rootfind import NoBracketError
-from .solver import SolverError, solve_symmetric
+from .solver import solve_symmetric
 
 __all__ = [
-    "ComplexSpectrumError",
     "TransitionMatrix",
     "SpectralReport",
     "transition_matrix",
@@ -67,10 +66,6 @@ __all__ = [
     "ks_gap",
     "ks_threshold_pair",
 ]
-
-
-class ComplexSpectrumError(SolverError):
-    """The deflated quadratic produced a significant imaginary part."""
 
 
 @dataclass(frozen=True)
@@ -95,11 +90,6 @@ class TransitionMatrix:
         if rows[0][2] != 0.0 or rows[2][0] != 0.0 or rows[1][1] != 0.0:
             raise ValueError("zero pattern violated: P(-1,+1), P(+1,-1), P(0,0) must vanish")
         object.__setattr__(self, "entries", rows)
-
-    def row(self, spin: int) -> tuple:
-        from .model import SPIN_INDEX
-
-        return self.entries[SPIN_INDEX[spin]]
 
 
 @dataclass(frozen=True)
@@ -135,20 +125,12 @@ def _deflated_pair(trace: float, det: float) -> tuple:
     """Non-unit eigenvalues: roots of s^2 - trace s + det, where ``trace``
     and ``det`` belong to the chain with its unit eigenvalue deflated.
 
-    The chain is reversible so both roots are real; a discriminant dipping
-    below zero by more than rounding noise (imaginary part > 1e-10) is
-    reported as an error rather than silently truncated.  The larger root
-    in modulus is formed without cancellation and the other as det / root,
-    so a tiny eigenvalue keeps its relative accuracy."""
-    disc = trace * trace - 4.0 * det
-    if disc < 0.0:
-        imag = 0.5 * math.sqrt(-disc)
-        if imag > 1e-10:
-            raise ComplexSpectrumError(
-                f"complex eigenvalue pair {0.5 * trace} +/- {imag}i from the deflated quadratic"
-            )
-        disc = 0.0
-    root = math.sqrt(disc)
+    The wand zero pattern and nonnegative entries give det <= 0, so the
+    discriminant trace^2 - 4 det is a sum of nonnegative terms and both
+    roots are real.  The larger root in modulus is formed without
+    cancellation and the other as det / root, so a tiny eigenvalue keeps
+    its relative accuracy."""
+    root = math.sqrt(trace * trace - 4.0 * det)
     if trace < 0.0:
         big = 0.5 * (trace - root)
         return det / big, big
@@ -156,33 +138,22 @@ def _deflated_pair(trace: float, det: float) -> tuple:
     return big, (det / big if big else 0.0)
 
 
-def _det3(p) -> float:
-    return (
-        p[0][0] * (p[1][1] * p[2][2] - p[1][2] * p[2][1])
-        - p[0][1] * (p[1][0] * p[2][2] - p[1][2] * p[2][0])
-        + p[0][2] * (p[1][0] * p[2][1] - p[1][1] * p[2][0])
-    )
-
-
 def spectrum(matrix: TransitionMatrix, k: int) -> SpectralReport:
     """Eigenvalues of ``matrix`` by deflating the known root 1.
 
-    For a matrix with the symmetric-law pattern the closed forms
-    s1 = P(+1,+1) and s2 = -P(+1,0) are verified against the deflated
-    quadratic's roots to 1e-12 and then returned exactly.
+    A matrix with the symmetric-law pattern has the closed forms
+    s1 = P(+1,+1) and s2 = -P(+1,0), returned as they are.
     """
     tree_order(k)
     p = matrix.entries
-    # trace - 1 = p00 + p22 - 1 = p00 p22 - p01 p21, since p11 = 0 and the
-    # rows sum to 1: the product form needs no subtraction of 1
-    s_pos, s_neg = _deflated_pair(p[0][0] * p[2][2] - p[0][1] * p[2][1], _det3(p))
     if p[0][0] == p[2][2] and p[0][1] == p[2][1]:
-        s1_closed, s2_closed = p[2][2], -p[2][1]
-        if abs(s_pos - s1_closed) > 1e-12 or abs(s_neg - s2_closed) > 1e-12:
-            raise SolverError(
-                "closed-form eigenvalues disagree with the deflated characteristic roots"
-            )
-        s_pos, s_neg = s1_closed, s2_closed
+        s_pos, s_neg = p[2][2], -p[2][1]
+    else:
+        # the pair's sum and product without cancellation (module docstring)
+        s_pos, s_neg = _deflated_pair(
+            p[0][0] * p[2][2] - p[0][1] * p[2][1],
+            -(p[0][0] * (p[1][2] * p[2][1]) + p[0][1] * (p[1][0] * p[2][2])),
+        )
     lam = max(abs(s_pos), abs(s_neg))
     return SpectralReport(s1=s_pos, s2=s_neg, s3=1.0, lambda2=lam, ks_value=k * lam * lam)
 

@@ -19,23 +19,13 @@ import os
 import sys
 
 from .model import DEFAULT_RESIDUAL_TOL, ModelParams, tree_order
-from .solver import (
-    SolverError,
-    boundary_law,
-    tisgm_set,
-    solve_symmetric,
-)
-from .chain import transition_matrix, spectrum, ks_threshold_pair
-from .extremality import certificate_cells
+from .solver import SolverError, boundary_law, solve_symmetric, tisgm_set
+from .chain import ks_threshold_pair
 from .oracle import cayley_tree, check_consistency
 from .rootfind import NoBracketError
 from .scan import (
-    CLASS_SOLVER_ERROR,
-    CSV_COLUMNS,
-    classify,
-    format_value,
-    scan_rows,
-    theta_grid,
+    CLASS_EXTREMAL_MSW, CLASS_NO_CLAIM, CLASS_NONEXTREMAL_KS, CLASS_SOLVER_ERROR,
+    CLASS_UNDETERMINED, CSV_COLUMNS, format_value, law_cells, scan_rows, theta_grid,
 )
 from .svgplot import regime_svg
 
@@ -78,7 +68,8 @@ JSON_SCHEMAS = {
                         "kappa": {"type": ["number", "null"]},
                         "gamma": {"type": ["number", "null"]},
                         "product": {"type": ["number", "null"]},
-                        "classification": {"type": "string"},
+                        "classification": {"enum": [CLASS_NONEXTREMAL_KS, CLASS_EXTREMAL_MSW,
+                                                    CLASS_UNDETERMINED, CLASS_NO_CLAIM]},
                     },
                 },
             },
@@ -108,10 +99,8 @@ JSON_SCHEMAS = {
                         "kappa": {"type": ["number", "null"]},
                         "gamma": {"type": ["number", "null"]},
                         "product": {"type": ["number", "null"]},
-                        "classification": {
-                            "enum": ["nonextremal-KS", "extremal-MSW", "undetermined",
-                                     "solver-error"]
-                        },
+                        "classification": {"enum": [CLASS_NONEXTREMAL_KS, CLASS_EXTREMAL_MSW,
+                                                    CLASS_UNDETERMINED, CLASS_SOLVER_ERROR]},
                     },
                 },
             },
@@ -186,37 +175,22 @@ def _write_csv(path: str | None, columns, records):
     _write_text(path, buffer.getvalue())
 
 
-def _law_report(law, params, tol, symmetric: bool) -> dict:
-    rep = spectrum(transition_matrix(law, params.theta), params.k)
-    doc = {
-        "kind": "symmetric" if symmetric else "asymmetric",
+def _law_report(law, params, tol) -> dict:
+    return {
+        "kind": "symmetric" if law.symmetric else "asymmetric",
         "z1": law.z1,
         "z2": law.z2,
         "residual": law.residual,
         "certified": law.certified(tol),
-        "s1": rep.s1,
-        "s2": rep.s2,
-        "lambda2": rep.lambda2,
-        "ks_value": rep.ks_value,
-        "kappa": None,
-        "gamma": None,
-        "product": None,
+        **law_cells(law, params),
     }
-    if symmetric:
-        doc["kappa"], doc["gamma"], doc["product"] = certificate_cells(rep)
-        doc["classification"] = classify(rep.ks_value)
-    else:
-        # no extremality statement exists for the asymmetric pair at k >= 3
-        doc["classification"] = "no-claim"
-    return doc
 
 
 def cmd_solve(args) -> int:
     params = _params(args.k, args.theta)
     tol = _residual_tol()
     solutions = tisgm_set(params, tol)
-    laws = [_law_report(solutions.symmetric, params, tol, symmetric=True)]
-    laws.extend(_law_report(law, params, tol, symmetric=False) for law in solutions.asymmetric)
+    laws = [_law_report(law, params, tol) for law in solutions.laws]
     doc = {
         "command": "solve",
         "k": params.k,

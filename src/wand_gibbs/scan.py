@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import DEFAULT_RESIDUAL_TOL, ModelParams
+from .model import DEFAULT_RESIDUAL_TOL, BoundaryLaw, ModelParams
 from .solver import SolverError, solve_symmetric, find_asymmetric
 from .chain import transition_matrix, spectrum
 from .extremality import certificate_cells
@@ -15,9 +15,11 @@ __all__ = [
     "CLASS_EXTREMAL_MSW",
     "CLASS_UNDETERMINED",
     "CLASS_SOLVER_ERROR",
+    "CLASS_NO_CLAIM",
     "CSV_COLUMNS",
     "ScanRow",
     "classify",
+    "law_cells",
     "theta_grid",
     "scan_row",
     "scan_rows",
@@ -29,6 +31,8 @@ CLASS_EXTREMAL_MSW = "extremal-MSW"
 CLASS_UNDETERMINED = "undetermined"
 #: label of a row whose point could not be solved; its other cells are empty
 CLASS_SOLVER_ERROR = "solver-error"
+#: label of an asymmetric law: no extremality statement is made for the pair
+CLASS_NO_CLAIM = "no-claim"
 
 #: flat-table column order, stable across releases
 CSV_COLUMNS = (
@@ -92,12 +96,26 @@ def theta_grid(theta_min: float, theta_max: float, steps: int, scale: str = "lin
     return grid(theta_min, theta_max, steps, log_scale=scale == "log")
 
 
+def law_cells(law: BoundaryLaw, params: ModelParams) -> dict:
+    """s1, s2, lambda2, ks_value, kappa, gamma, product and classification
+    of a solved law.  Only the symmetric law (z1 == z2) is classified; no
+    extremality statement is made for the asymmetric pair (CLASS_NO_CLAIM)."""
+    report = spectrum(transition_matrix(law, params.theta), params.k)
+    if law.symmetric:
+        kappa, gamma, product = certificate_cells(report)
+        label = classify(report.ks_value)
+    else:
+        kappa = gamma = product = None
+        label = CLASS_NO_CLAIM
+    return {"s1": report.s1, "s2": report.s2, "lambda2": report.lambda2,
+            "ks_value": report.ks_value, "kappa": kappa, "gamma": gamma,
+            "product": product, "classification": label}
+
+
 def scan_row(params: ModelParams, tol: float = DEFAULT_RESIDUAL_TOL) -> ScanRow:
     """Solve everything at one (k, theta) and classify the regime."""
     sym = solve_symmetric(params, tol)
     asym = find_asymmetric(params, tol=tol)
-    report = spectrum(transition_matrix(sym, params.theta), params.k)
-    kap, gam, product = certificate_cells(report)
     z_asym_1 = z_asym_2 = None
     if asym:
         z_asym_1, z_asym_2 = asym[0].z1, asym[0].z2
@@ -107,14 +125,7 @@ def scan_row(params: ModelParams, tol: float = DEFAULT_RESIDUAL_TOL) -> ScanRow:
         z_asym_1=z_asym_1,
         z_asym_2=z_asym_2,
         tisgm_count=1 + len(asym),
-        s1=report.s1,
-        s2=report.s2,
-        lambda2=report.lambda2,
-        ks_value=report.ks_value,
-        kappa=kap,
-        gamma=gam,
-        product=product,
-        classification=classify(report.ks_value),
+        **law_cells(sym, params),
     )
 
 

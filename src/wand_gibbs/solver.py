@@ -74,6 +74,7 @@ iteration count alone.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -102,6 +103,17 @@ class IterationFailureError(SolverError):
 
 #: largest |ln z| for which z is a normal double
 _LOG_RANGE = 708.0
+
+
+def _typed_overflow(entry):
+    """Entry-point guard: k beyond float range fails as IterationFailureError."""
+    @functools.wraps(entry)
+    def guarded(*args, **kwargs):
+        try:
+            return entry(*args, **kwargs)
+        except OverflowError as exc:
+            raise IterationFailureError(f"tree order too large for doubles: {exc}") from exc
+    return guarded
 
 
 def _log_rhs(z1: float, z2: float, k: int, theta: float) -> list:
@@ -140,6 +152,7 @@ def boundary_law(z1: float, z2: float, params: ModelParams) -> BoundaryLaw:
     return BoundaryLaw(z1, z2, _residual(float(z1), float(z2), params.k, params.theta))
 
 
+@_typed_overflow
 def solve_symmetric(params: ModelParams, tol: float = DEFAULT_RESIDUAL_TOL) -> BoundaryLaw:
     """The unique symmetric root z1 = z2 = z* of the fixed-point system.
 
@@ -183,10 +196,11 @@ def _log_theta_critical(k: int) -> float:
     return (k * math.log(k) + math.log(k - 1) - k * math.log(2.0)) / (k + 1)
 
 
+@_typed_overflow
 def theta_critical(k: int) -> float:
     """Critical activity (k^k (k-1) / 2^k)^(1/(k+1)), computed in logs so
-    that it stays finite for every k; below it three translation-invariant
-    measures exist, at or above it exactly one."""
+    that it stays finite for every k up to the float range; below it three
+    translation-invariant measures exist, at or above it exactly one."""
     return math.exp(_log_theta_critical(tree_order(k)))
 
 
@@ -209,7 +223,7 @@ def _branch(k: int, s: float) -> tuple:
     value = k * (math.log(ak) - log_a1) + log_p_minus_1 - k * math.log1p(tk)
     d1 = (a1 - 1.0) / a1
     slope = (k * (-k * tk / ak - d1) + 1.0 - (k - 1) * (1.0 - ak1) / ak1 - d1
-             - k * k * tk / (1.0 + tk))
+             - float(k) * k * tk / (1.0 + tk))
     return value, slope
 
 
@@ -219,6 +233,7 @@ def _branch_log_theta(k: int, s: float) -> float:
     return _branch(k, s)[0] / (k + 1)
 
 
+@_typed_overflow
 def find_asymmetric(params: ModelParams, tol: float = DEFAULT_RESIDUAL_TOL) -> list:
     """The asymmetric pair as a swap-closed list, ordered by decreasing z1.
 

@@ -4,12 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wand_gibbs.chain import (
-    ComplexSpectrumError,
     TransitionMatrix,
-    _deflated_pair,
     _log_window,
     ks_gap,
     ks_threshold_pair,
@@ -70,12 +68,6 @@ def test_matrix_validation_rejects_bad_rows():
         TransitionMatrix(((0.6, 0.5, 0.0), (0.5, 0.0, 0.5), (0.0, 0.5, 0.5)))
     with pytest.raises(ValueError, match="zero pattern"):
         TransitionMatrix(((0.5, 0.25, 0.25), (0.5, 0.0, 0.5), (0.0, 0.5, 0.5)))
-
-
-def test_row_accessor_by_spin():
-    m = transition_matrix(BoundaryLaw(2.0, 1.0), 1.0)
-    assert m.row(0) == m.entries[1]
-    assert m.row(-1) == m.entries[0]
 
 
 # --- spectrum ----------------------------------------------------------------
@@ -179,11 +171,25 @@ def test_swap_conjugacy(k, frac):
     assert a == pytest.approx(b, abs=1e-10)
 
 
-def test_complex_spectrum_signalled():
-    # 3-cycle rotation: its non-unit eigenvalues, the complex cube roots of
-    # unity, have sum -1 and product 1
-    with pytest.raises(ComplexSpectrumError):
-        _deflated_pair(trace=-1.0, det=1.0)
+# a probability and its complement, so every drawn row sums to 1; the
+# endpoints 0 and 1 and the tiny values that underflow products are included
+probabilities = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.sampled_from([0.0, 1.0, 5e-324, 1e-300, 1e-160]),
+)
+
+
+@settings(derandomize=True, max_examples=500)
+@given(probabilities, probabilities, probabilities, orders)
+def test_spectrum_real_on_every_wand_pattern_matrix(a, b, c, k):
+    # any rows with the wand zero pattern, not only those of solved or
+    # reversible laws: det <= 0 keeps both non-unit eigenvalues real
+    m = TransitionMatrix(((a, 1.0 - a, 0.0), (b, 0.0, 1.0 - b), (0.0, 1.0 - c, c)))
+    rep = spectrum(m, k)
+    assert rep.s1 >= 0.0 >= rep.s2
+    eigs = np.linalg.eigvals(np.array(m.entries))
+    assert max(abs(eigs.imag)) <= 1e-12
+    assert sorted(eigs.real) == pytest.approx(sorted([rep.s1, rep.s2, 1.0]), abs=1e-12)
 
 
 # --- Kesten-Stigum criterion --------------------------------------------------

@@ -32,6 +32,39 @@ def test_solve_k3_unit_activity(capsys):
     assert all(law["classification"] == "no-claim" for law in doc["laws"][1:])
 
 
+@pytest.mark.parametrize("k, theta", [(7, "1e-06"), (6, "1.7601021736868908e-08")])
+def test_solve_asymmetric_s1_is_positive_zero(capsys, k, theta):
+    # the asymmetric det underflows to zero here; the deflated pair must not
+    # turn that into s1 = -0.0
+    code, out, _ = run(capsys, "solve", "--k", str(k), "--theta", theta)
+    assert code == 0
+    doc = json.loads(out)
+    jsonschema.validate(doc, JSON_SCHEMAS["solve"])
+    assert doc["tisgm_count"] == 3
+    for law in doc["laws"][1:]:
+        assert math.copysign(1.0, law["s1"]) == 1.0
+        assert law["s2"] <= 0.0
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 10])
+def test_solve_symmetric_cells_match_scan_rows(capsys, k):
+    # one path from a solved law to its cells: the symmetric law in `solve`
+    # and the `scan` row at the same activity carry the same values
+    code, out, _ = run(capsys, "scan", "--k", str(k), "--theta-min", "0.01",
+                       "--theta-max", "100", "--steps", "9", "--scale", "log",
+                       "--format", "json")
+    assert code == 0
+    cells = ("s1", "s2", "lambda2", "ks_value", "kappa", "gamma", "product", "classification")
+    for row in json.loads(out)["rows"]:
+        code, out, _ = run(capsys, "solve", "--k", str(k), "--theta", repr(row["theta"]))
+        assert code == 0
+        doc = json.loads(out)
+        sym = doc["laws"][0]
+        assert (sym["kind"], sym["z1"], doc["tisgm_count"]) == (
+            "symmetric", row["z_sym"], row["tisgm_count"])
+        assert {c: sym[c] for c in cells} == {c: row[c] for c in cells}
+
+
 def test_solve_k2_below_critical(capsys):
     code, out, _ = run(capsys, "solve", "--k", "2", "--theta", "0.5")
     assert code == 0

@@ -14,7 +14,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wand_gibbs.model import ModelParams
-from wand_gibbs.solver import SolverError, tisgm_set
+from wand_gibbs.solver import (
+    IterationFailureError,
+    SolverError,
+    find_asymmetric,
+    solve_symmetric,
+    theta_critical,
+    tisgm_set,
+)
 
 from newton_oracle import asymmetric_log_roots, bisect_increasing
 
@@ -80,6 +87,32 @@ def test_high_order_never_miscounts(k, log10_theta):
     if solutions is not None:
         assert solutions.count == oracle(k, theta)[0]
         assert all(law.residual <= 1e-12 for law in solutions.laws)
+
+
+#: each solver entry point as a function of params returning its laws
+#: (theta_critical returns the activity itself)
+ENTRY_POINTS = {
+    "solve_symmetric": lambda params: [solve_symmetric(params)],
+    "find_asymmetric": find_asymmetric,
+    "tisgm_set": lambda params: list(tisgm_set(params).laws),
+    "theta_critical": lambda params: theta_critical(params.k),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("theta", [1e-300, 1.0, 1e300])
+@pytest.mark.parametrize("k", [10 ** 160, 10 ** 400], ids=["1e160", "1e400"])
+def test_huge_order_answers_or_fails_typed(k, theta, entry):
+    # k * k leaves the float range from k ~ 1.3e154 on and k itself from
+    # ~1.8e308: each result is a certified answer or IterationFailureError
+    try:
+        result = ENTRY_POINTS[entry](ModelParams(k, theta))
+    except IterationFailureError:
+        return
+    if entry == "theta_critical":
+        assert math.isfinite(result) and result > 0.0
+    else:
+        assert all(law.certified() for law in result)
 
 
 def test_oracle_agrees_on_known_points():

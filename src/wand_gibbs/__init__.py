@@ -16,7 +16,6 @@ from .model import (
     BoundaryLaw,
     ModelParams,
     allows,
-    is_admissible,
     tree_order,
 )
 from .solver import (
@@ -37,7 +36,7 @@ from .chain import (
     spectrum,
     transition_matrix,
 )
-from .extremality import certificate_cells, msw_gap, msw_threshold_pair
+from .extremality import msw_gap, msw_threshold_pair
 from .oracle import (
     ENUMERATION_CAP,
     FiniteCayleyTree,
@@ -59,7 +58,6 @@ from .scan import (
     CLASS_SOLVER_ERROR,
     CLASS_UNDETERMINED,
     CSV_COLUMNS,
-    ScanRow,
     classify,
     law_cells,
     scan_row,

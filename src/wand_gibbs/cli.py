@@ -122,18 +122,6 @@ JSON_SCHEMAS = {
 }
 
 
-class UsageError(ValueError):
-    """Invalid flag combination or parameter domain."""
-
-
-class CliIOError(OSError):
-    """Unreadable input or unwritable output."""
-
-
-class VerificationError(RuntimeError):
-    """An oracle consistency check violated its expected bound."""
-
-
 def _residual_tol() -> float:
     raw = os.environ.get("WAND_GIBBS_TOL")
     if raw is None:
@@ -141,17 +129,10 @@ def _residual_tol() -> float:
     try:
         tol = float(raw)
     except ValueError as exc:
-        raise UsageError(f"WAND_GIBBS_TOL must be a number, got {raw!r}") from exc
+        raise ValueError(f"WAND_GIBBS_TOL must be a number, got {raw!r}") from exc
     if not (math.isfinite(tol) and tol > 0.0):
-        raise UsageError(f"WAND_GIBBS_TOL must be positive and finite, got {raw!r}")
+        raise ValueError(f"WAND_GIBBS_TOL must be positive and finite, got {raw!r}")
     return tol
-
-
-def _params(k: int, theta: float) -> ModelParams:
-    try:
-        return ModelParams(k, theta)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
 
 
 def _write_text(path: str | None, text: str):
@@ -162,7 +143,7 @@ def _write_text(path: str | None, text: str):
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
     except OSError as exc:
-        raise CliIOError(f"cannot write {path}: {exc}") from exc
+        raise OSError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_csv(path: str | None, columns, records):
@@ -187,7 +168,7 @@ def _law_report(law, params, tol) -> dict:
 
 
 def cmd_solve(args) -> int:
-    params = _params(args.k, args.theta)
+    params = ModelParams(args.k, args.theta)
     tol = _residual_tol()
     solutions = tisgm_set(params, tol)
     laws = [_law_report(law, params, tol) for law in solutions.laws]
@@ -211,17 +192,14 @@ def cmd_solve(args) -> int:
 
 def cmd_scan(args) -> int:
     tree_order(args.k)
-    try:
-        thetas = theta_grid(args.theta_min, args.theta_max, args.steps, args.scale)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    thetas = theta_grid(args.theta_min, args.theta_max, args.steps, args.scale)
     rows = scan_rows(args.k, thetas, tol=_residual_tol())
     if args.format == "json":
-        doc = {"command": "scan", "k": args.k, "rows": [row.as_dict() for row in rows]}
+        doc = {"command": "scan", "k": args.k, "rows": rows}
         _write_text(args.out, json.dumps(doc, indent=2) + "\n")
     else:
-        _write_csv(args.out, CSV_COLUMNS, (row.as_dict() for row in rows))
-    failed = sum(row.classification == CLASS_SOLVER_ERROR for row in rows)
+        _write_csv(args.out, CSV_COLUMNS, rows)
+    failed = sum(row["classification"] == CLASS_SOLVER_ERROR for row in rows)
     if failed:
         print(f"solver error: {failed} of {len(rows)} rows could not be solved "
               f"(labelled {CLASS_SOLVER_ERROR})", file=sys.stderr)
@@ -231,17 +209,17 @@ def cmd_scan(args) -> int:
 
 def cmd_thresholds(args) -> int:
     k = tree_order(args.k)
+    # one window for both criteria (see ``extremality``); NoBracketError from k = 4 on
+    lower, upper = ks_threshold_pair(k)
     doc = {
         "command": "thresholds",
         "k": k,
         "criterion": args.criterion,
-        "certified": k in (2, 3),
+        "certified": True,
         "ks": None,
         "msw": None,
         "agreement": None,
     }
-    # both criteria have one window (see ``extremality``): compute it once
-    lower, upper = ks_threshold_pair(k)
     for name in ("ks", "msw"):
         if args.criterion in (name, "both"):
             doc[name] = {"lower": lower, "upper": upper}
@@ -258,25 +236,23 @@ def cmd_thresholds(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    params0 = _params(args.k, 1.0)  # validates k
-    if args.depth < 1 or args.depth > 2:
-        raise UsageError(
-            f"verify requires 1 <= depth <= 2 (exact-enumeration cap), got {args.depth}"
-        )
+    k = tree_order(args.k)
+    if args.depth < 1:
+        raise ValueError(f"verify requires depth >= 1, got {args.depth}")
     try:
         thetas = [float(t) for t in args.thetas.split(",") if t.strip()]
     except ValueError as exc:
-        raise UsageError(f"cannot parse --thetas {args.thetas!r}") from exc
+        raise ValueError(f"cannot parse --thetas {args.thetas!r}") from exc
     if not thetas or any(not (math.isfinite(t) and t > 0.0) for t in thetas):
-        raise UsageError(f"--thetas must be positive reals, got {args.thetas!r}")
+        raise ValueError(f"--thetas must be positive reals, got {args.thetas!r}")
 
-    small = cayley_tree(params0.k, args.depth - 1)
-    big = cayley_tree(params0.k, args.depth)
+    small = cayley_tree(k, args.depth - 1)
+    big = cayley_tree(k, args.depth)
     tol = _residual_tol()
     failures = 0
     lines = []
     for theta in thetas:
-        params = ModelParams(params0.k, theta)
+        params = ModelParams(k, theta)
         law = solve_symmetric(params, tol)
         defect = check_consistency(small, big, theta, law)
         ok_cert = defect <= VERIFY_PASS_DEFECT
@@ -292,7 +268,8 @@ def cmd_verify(args) -> int:
     summary = "all consistency checks passed" if failures == 0 else f"{failures} check(s) failed"
     _write_text(args.out, "\n".join(lines + [summary]) + "\n")
     if failures:
-        raise VerificationError(summary)
+        print(f"verification failure: {summary}", file=sys.stderr)
+        return EXIT_VERIFY
     return EXIT_OK
 
 
@@ -300,15 +277,15 @@ def _read_scan_csv(path: str):
     try:
         handle = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
-        raise CliIOError(f"cannot read {path}: {exc}") from exc
+        raise OSError(f"cannot read {path}: {exc}") from exc
     with handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None:
-            raise CliIOError(f"{path}: empty scan file")
+            raise OSError(f"{path}: empty scan file")
         missing = [c for c in ("theta", "s1", "s2", "lambda2", "ks_value")
                    if c not in reader.fieldnames]
         if missing:
-            raise CliIOError(f"{path}: line 1: missing columns {missing}")
+            raise OSError(f"{path}: line 1: missing columns {missing}")
         rows = []
         for lineno, record in enumerate(reader, start=2):
             if record.get("classification") == CLASS_SOLVER_ERROR:
@@ -322,9 +299,9 @@ def _read_scan_csv(path: str):
                     "ks_value": float(record["ks_value"]),
                 })
             except (TypeError, ValueError, KeyError) as exc:
-                raise CliIOError(f"{path}: line {lineno}: {exc}") from exc
+                raise OSError(f"{path}: line {lineno}: {exc}") from exc
     if not rows:
-        raise CliIOError(f"{path}: no data rows")
+        raise OSError(f"{path}: no data rows")
     return rows
 
 
@@ -346,7 +323,7 @@ def cmd_plot(args) -> int:
     rows = _read_scan_csv(args.scan)
     first = rows[0]
     if first["lambda2"] <= 0.0:
-        raise CliIOError(f"{args.scan}: cannot recover k from a zero spectral gap")
+        raise OSError(f"{args.scan}: cannot recover k from a zero spectral gap")
     k = round(first["ks_value"] / first["lambda2"] ** 2)
     thetas = [row["theta"] for row in rows]
     curve1 = [k * row["s1"] ** 2 - 1.0 for row in rows]
@@ -434,7 +411,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ValueError as exc:
-        # UsageError and domain violations from the library (bad parameters,
+        # bad flags and domain violations from the library (bad parameters,
         # enumeration cap) are all usage-level failures
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -442,12 +419,9 @@ def main(argv=None) -> int:
         # a leftover overflow or division by zero is a solver failure too
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (CliIOError, OSError) as exc:
+    except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except VerificationError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
 
 
 if __name__ == "__main__":

@@ -33,25 +33,18 @@ activities the certificate proves extremal are exactly those where the
 Kesten-Stigum statistic is below 1, and the certificate window and the
 Kesten-Stigum window are the same window.  Only the boundary
 k * lambda2^2 = 1 is decided by neither.  The library therefore reads the
-certificate off the spectrum; the general-p0 bound and the row-wise kappa
-are kept in the tests as independent oracles.
+certificate off the spectrum, in ``scan.law_cells``; the general-p0 bound
+and the row-wise kappa are kept in the tests as independent oracles.
 """
 
 from __future__ import annotations
 
-from .chain import SpectralReport, ks_gap, ks_threshold_pair
+from .chain import ks_gap, ks_threshold_pair
 
 __all__ = [
-    "certificate_cells",
     "msw_gap",
     "msw_threshold_pair",
 ]
-
-
-def certificate_cells(report: SpectralReport) -> tuple:
-    """(kappa, gamma, product) of the symmetric law whose spectrum is
-    ``report``: (lambda2, lambda2, ks_value), with gamma at p0 = 1/2."""
-    return report.lambda2, report.lambda2, report.ks_value
 
 
 def msw_gap(k: int, theta: float) -> float:

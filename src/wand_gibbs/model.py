@@ -15,7 +15,6 @@ between threads or processes without synchronization.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 #: the spin alphabet in its canonical (total) order
@@ -105,37 +104,3 @@ class BoundaryLaw:
         """The coordinate swap (z2, z1); its residual equals this law's."""
         return BoundaryLaw(self.z2, self.z1, self.residual)
 
-
-def is_admissible(config: Mapping, edges: Iterable) -> bool:
-    """Check a spin configuration on a finite tree against the wand graph.
-
-    ``config`` maps vertices to spins and ``edges`` lists the tree's
-    nearest-neighbour pairs.  Returns True iff every edge carries a spin
-    pair that is an edge of the wand graph.  The edges must connect all of
-    ``config``'s vertices; configurations over disconnected vertex sets
-    are rejected with ValueError.
-    """
-    vertices = set(config)
-    if not vertices:
-        raise ValueError("empty configuration")
-    for spin in config.values():
-        if spin not in SPIN_INDEX:
-            raise ValueError(f"invalid spin {spin!r}")
-    edge_list = [tuple(edge) for edge in edges]
-    neighbours = {v: [] for v in vertices}
-    for u, v in edge_list:
-        if u not in vertices or v not in vertices:
-            raise ValueError(f"edge ({u!r}, {v!r}) leaves the configured vertex set")
-        neighbours[u].append(v)
-        neighbours[v].append(u)
-    seen = set()
-    stack = [next(iter(vertices))]
-    while stack:
-        v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        stack.extend(neighbours[v])
-    if seen != vertices:
-        raise ValueError("configuration vertices are not connected by the given edges")
-    return all(allows(config[u], config[v]) for u, v in edge_list)

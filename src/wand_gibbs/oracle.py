@@ -103,7 +103,10 @@ class FiniteCayleyTree:
 
 
 def cayley_tree(k: int, depth: int, full_root: bool = False) -> FiniteCayleyTree:
-    """Build the radius-``depth`` ball of the order-``k`` Cayley tree."""
+    """Build the radius-``depth`` ball of the order-``k`` Cayley tree.
+
+    Raises SizeCapError before allocating the first generation that would
+    take the ball past ENUMERATION_CAP vertices."""
     k = tree_order(k)
     if int(depth) != depth or depth < 0:
         raise ValueError(f"depth must be a nonnegative integer, got {depth!r}")
@@ -112,6 +115,10 @@ def cayley_tree(k: int, depth: int, full_root: bool = False) -> FiniteCayleyTree
     generation = [0]
     frontier = [0]
     for g in range(1, depth + 1):
+        size = len(parents) + len(frontier) * k + (full_root and g == 1)
+        if size > ENUMERATION_CAP:
+            # the ball through generation g: the whole tree only when g == depth
+            raise _over_cap(size if g == depth else f"at least {size}")
         next_frontier = []
         for v in frontier:
             fanout = k + 1 if (v == 0 and full_root) else k
@@ -150,11 +157,10 @@ def hamiltonian(config, tree: FiniteCayleyTree) -> int:
     return total
 
 
-def _check_cap(tree: FiniteCayleyTree):
-    if tree.size > ENUMERATION_CAP:
-        raise SizeCapError(
-            f"tree has {tree.size} vertices, above the exact-enumeration cap {ENUMERATION_CAP}"
-        )
+def _over_cap(vertices) -> SizeCapError:
+    return SizeCapError(
+        f"tree has {vertices} vertices, above the exact-enumeration cap {ENUMERATION_CAP}"
+    )
 
 
 def enumerate_admissible(tree: FiniteCayleyTree) -> list:
@@ -165,7 +171,8 @@ def enumerate_admissible(tree: FiniteCayleyTree) -> list:
     the cost is proportional to the admissible count, not to 3^(vertices).
     Configurations come out in lexicographic order.
     """
-    _check_cap(tree)
+    if tree.size > ENUMERATION_CAP:
+        raise _over_cap(tree.size)
     configs = [(s,) for s in SPINS]
     for v in range(1, tree.size):
         parent = tree.parents[v]

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .model import DEFAULT_RESIDUAL_TOL, BoundaryLaw, ModelParams
 from .solver import SolverError, solve_symmetric, find_asymmetric
 from .chain import transition_matrix, spectrum
-from .extremality import certificate_cells
 from .rootfind import grid
 
 __all__ = [
@@ -17,7 +14,6 @@ __all__ = [
     "CLASS_SOLVER_ERROR",
     "CLASS_NO_CLAIM",
     "CSV_COLUMNS",
-    "ScanRow",
     "classify",
     "law_cells",
     "theta_grid",
@@ -40,35 +36,6 @@ CSV_COLUMNS = (
     "s1", "s2", "lambda2", "ks_value", "kappa", "gamma", "product",
     "classification",
 )
-
-
-@dataclass(frozen=True)
-class ScanRow:
-    """One activity grid point: solutions, spectra, and regime label.
-
-    All spectral and certificate quantities refer to the symmetric law.
-    The asymmetric columns hold the representative root with z1 > z2 and
-    are None above the critical activity.  A point the solver could not
-    answer keeps only ``theta``: every other cell is None and the label is
-    CLASS_SOLVER_ERROR.
-    """
-
-    theta: float
-    z_sym: float | None
-    z_asym_1: float | None
-    z_asym_2: float | None
-    tisgm_count: int | None
-    s1: float | None
-    s2: float | None
-    lambda2: float | None
-    ks_value: float | None
-    kappa: float | None
-    gamma: float | None
-    product: float | None
-    classification: str
-
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in CSV_COLUMNS}
 
 
 def classify(ks_value: float) -> str:
@@ -102,7 +69,10 @@ def law_cells(law: BoundaryLaw, params: ModelParams) -> dict:
     extremality statement is made for the asymmetric pair (CLASS_NO_CLAIM)."""
     report = spectrum(transition_matrix(law, params.theta), params.k)
     if law.symmetric:
-        kappa, gamma, product = certificate_cells(report)
+        # kappa = gamma(p0 = 1/2) = lambda2 for the symmetric law, derived in
+        # the ``extremality`` docstring, so the product is k lambda2^2
+        kappa = gamma = report.lambda2
+        product = report.ks_value
         label = classify(report.ks_value)
     else:
         kappa = gamma = product = None
@@ -112,35 +82,41 @@ def law_cells(law: BoundaryLaw, params: ModelParams) -> dict:
             "product": product, "classification": label}
 
 
-def scan_row(params: ModelParams, tol: float = DEFAULT_RESIDUAL_TOL) -> ScanRow:
-    """Solve everything at one (k, theta) and classify the regime."""
+def scan_row(params: ModelParams, tol: float = DEFAULT_RESIDUAL_TOL) -> dict:
+    """Solve everything at one (k, theta) and classify the regime: one row,
+    keyed by CSV_COLUMNS in order.
+
+    All spectral and certificate cells refer to the symmetric law.  The
+    asymmetric cells hold the representative root with z1 > z2 and are None
+    above the critical activity."""
     sym = solve_symmetric(params, tol)
     asym = find_asymmetric(params, tol=tol)
     z_asym_1 = z_asym_2 = None
     if asym:
         z_asym_1, z_asym_2 = asym[0].z1, asym[0].z2
-    return ScanRow(
-        theta=params.theta,
-        z_sym=sym.z1,
-        z_asym_1=z_asym_1,
-        z_asym_2=z_asym_2,
-        tisgm_count=1 + len(asym),
+    return {
+        "theta": params.theta,
+        "z_sym": sym.z1,
+        "z_asym_1": z_asym_1,
+        "z_asym_2": z_asym_2,
+        "tisgm_count": 1 + len(asym),
         **law_cells(sym, params),
-    )
+    }
 
 
 def scan_rows(k: int, thetas, tol: float = DEFAULT_RESIDUAL_TOL) -> list:
-    """ScanRow per grid point, in grid order.
+    """One ``scan_row`` per grid point, in grid order.
 
     A point whose solve raises SolverError or ArithmeticError yields a
-    CLASS_SOLVER_ERROR row instead of ending the scan."""
+    CLASS_SOLVER_ERROR row instead of ending the scan: it keeps only
+    ``theta``, and every other cell is None."""
     rows = []
     for theta in thetas:
         try:
             rows.append(scan_row(ModelParams(k, theta), tol))
         except (SolverError, ArithmeticError):
-            cells = dict.fromkeys(CSV_COLUMNS)
-            rows.append(ScanRow(**dict(cells, theta=theta, classification=CLASS_SOLVER_ERROR)))
+            rows.append(dict(dict.fromkeys(CSV_COLUMNS), theta=theta,
+                             classification=CLASS_SOLVER_ERROR))
     return rows
 
 

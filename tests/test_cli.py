@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import jsonschema
 import pytest
@@ -306,8 +307,32 @@ def test_verify_k3_unit_activity(capsys):
 
 
 def test_verify_depth_cap(capsys):
-    code, _, err = run(capsys, "verify", "--k", "2", "--depth", "3")
-    assert code == 2
+    # k = 2 at depth 3 has 15 vertices, within the enumeration cap; depth 4 has 31
+    code, out, _ = run(capsys, "verify", "--k", "2", "--depth", "3",
+                       "--thetas", "0.3,0.5,0.7,1.0,2.0,10.0,1e80")
+    assert code == 0
+    assert out.count("PASS") == 14
+    assert out.endswith("all consistency checks passed\n")
+    code, out, err = run(capsys, "verify", "--k", "2", "--depth", "4")
+    assert (code, out) == (2, "")
+    assert err == "error: tree has 31 vertices, above the exact-enumeration cap 16\n"
+
+
+@pytest.mark.parametrize("k, depth, vertices", [
+    ("1000000", "1", "1000001"),
+    ("2", "1000000000", "at least 31"),
+])
+def test_verify_cap_checked_before_building(capsys, k, depth, vertices):
+    cli._parser()  # built once per process; not part of the measured call
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "verify", "--k", k, "--depth", depth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == f"error: tree has {vertices} vertices, above the exact-enumeration cap 16\n"
+    assert peak < 1 << 20
 
 
 def test_verify_vertex_cap_high_order(capsys):
@@ -320,6 +345,28 @@ def test_verify_vertex_cap_high_order(capsys):
 def test_verify_bad_thetas(capsys):
     code, _, _ = run(capsys, "verify", "--k", "2", "--thetas", "0.5,zebra")
     assert code == 2
+
+
+def test_verify_failure_writes_report_and_exits_5(monkeypatch, capsys):
+    # no perturbed law reaches an infinite defect, so every perturbed check fails
+    monkeypatch.setattr(cli, "VERIFY_PERTURBED_DEFECT", math.inf)
+    code, out, err = run(capsys, "verify", "--k", "2", "--depth", "1", "--thetas", "0.5,2.0")
+    assert code == 5
+    lines = out.splitlines()
+    assert len(lines) == 3
+    for line, theta in zip(lines, ("0.5", "2")):
+        assert line.startswith(f"theta={theta} certified defect=")
+        assert line.count("[PASS]") == 1 and line.endswith("[FAIL]")
+    assert lines[2] == "2 check(s) failed"
+    assert err == "verification failure: 2 check(s) failed\n"
+
+
+def test_unwritable_out_exact_message(tmp_path, capsys):
+    path = tmp_path / "missing" / "solve.json"
+    code, out, err = run(capsys, "solve", "--k", "2", "--theta", "0.5", "--out", str(path))
+    assert (code, out) == (4, "")
+    assert err == (f"i/o error: cannot write {path}: "
+                   f"[Errno 2] No such file or directory: '{path}'\n")
 
 
 # --- plot --------------------------------------------------------------------------

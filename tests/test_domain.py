@@ -17,6 +17,7 @@ from wand_gibbs.model import ModelParams
 from wand_gibbs.solver import (
     IterationFailureError,
     SolverError,
+    boundary_law,
     find_asymmetric,
     solve_symmetric,
     theta_critical,
@@ -96,6 +97,8 @@ ENTRY_POINTS = {
     "find_asymmetric": find_asymmetric,
     "tisgm_set": lambda params: list(tisgm_set(params).laws),
     "theta_critical": lambda params: theta_critical(params.k),
+    # (1, 1) is the symmetric root at theta = 1 for every k
+    "boundary_law": lambda params: [boundary_law(1.0, 1.0, ModelParams(params.k, 1.0))],
 }
 
 

@@ -3,10 +3,10 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wand_gibbs.chain import ks_threshold_pair, spectrum, transition_matrix
-from wand_gibbs.extremality import certificate_cells, msw_threshold_pair
+from wand_gibbs.chain import ks_threshold_pair, transition_matrix
+from wand_gibbs.extremality import msw_threshold_pair
 from wand_gibbs.model import BoundaryLaw, ModelParams
-from wand_gibbs.scan import CLASS_EXTREMAL_MSW, scan_row
+from wand_gibbs.scan import CLASS_EXTREMAL_MSW, law_cells, scan_row
 from wand_gibbs.solver import SolverError, solve_symmetric
 
 from contraction_oracle import (
@@ -160,21 +160,21 @@ def test_gamma_equals_worst_discrepancy(p0, k, theta):
 
 def test_certificate_unit_point():
     row = scan_row(ModelParams(3, 1.0))
-    assert row.kappa == 0.5 and row.gamma == 0.5
-    assert row.product == 0.75
-    assert row.classification == CLASS_EXTREMAL_MSW
+    assert row["kappa"] == 0.5 and row["gamma"] == 0.5
+    assert row["product"] == 0.75
+    assert row["classification"] == CLASS_EXTREMAL_MSW
 
 
 def test_certificate_does_not_fire_low_activity():
     row = scan_row(ModelParams(3, 0.5))
-    assert row.product >= 1.0
-    assert row.classification != CLASS_EXTREMAL_MSW
+    assert row["product"] >= 1.0
+    assert row["classification"] != CLASS_EXTREMAL_MSW
 
 
 def test_certificate_fires_at_1p2():
     row = scan_row(ModelParams(3, 1.2))
-    assert row.product == pytest.approx(0.9731430644456538, rel=1e-12)
-    assert row.classification == CLASS_EXTREMAL_MSW
+    assert row["product"] == pytest.approx(0.9731430644456538, rel=1e-12)
+    assert row["classification"] == CLASS_EXTREMAL_MSW
 
 
 @settings(derandomize=True, max_examples=300)
@@ -185,15 +185,16 @@ def test_certificate_cells_match_contraction_oracles(k, log_theta):
     library reads off the spectrum agree with the row-wise kappa, the
     closed-form gamma bound and their product."""
     theta = math.exp(log_theta)
+    params = ModelParams(k, theta)
     try:
-        law = solve_symmetric(ModelParams(k, theta))
+        law = solve_symmetric(params)
     except SolverError:
         return  # symmetric root outside the range of doubles
-    matrix = transition_matrix(law, theta)
-    cells = certificate_cells(spectrum(matrix, k))
-    kap = kappa_from_rows(matrix)
+    cells = law_cells(law, params)
+    kap = kappa_from_rows(transition_matrix(law, theta))
     gam = gamma_bound(0.5, law, theta)
-    for cell, oracle in zip(cells, (kap, gam, k * kap * gam)):
+    for cell, oracle in zip((cells["kappa"], cells["gamma"], cells["product"]),
+                            (kap, gam, k * kap * gam)):
         assert abs(cell - oracle) <= 1e-15 * oracle
 
 

@@ -1,7 +1,6 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
 
 from wand_gibbs.model import (
     SPINS,
@@ -10,7 +9,6 @@ from wand_gibbs.model import (
     BoundaryLaw,
     ModelParams,
     allows,
-    is_admissible,
     tree_order,
 )
 from wand_gibbs.chain import ks_threshold_pair, spectrum, transition_matrix
@@ -86,43 +84,8 @@ def test_law_defaults_and_swap():
     assert BoundaryLaw(1.0, 1.0, 0.0).certified()
 
 
-def test_admissible_two_vertex_examples():
-    edges = [(0, 1)]
-    assert not is_admissible({0: 0, 1: 0}, edges)
-    assert is_admissible({0: 0, 1: 1}, edges)
-    assert not is_admissible({0: -1, 1: 1}, edges)
-
-
 def test_admissible_pair_count():
     # of the 9 ordered spin pairs on a single edge, exactly 6 are admissible:
     # (0,0), (-1,1) and (1,-1) are excluded
-    count = sum(is_admissible({0: a, 1: b}, [(0, 1)]) for a in SPINS for b in SPINS)
+    count = sum(allows(a, b) for a in SPINS for b in SPINS)
     assert count == 6
-
-
-def test_admissible_rejects_disconnected():
-    with pytest.raises(ValueError, match="not connected"):
-        is_admissible({0: 1, 1: 1, 2: 1}, [(0, 1)])
-
-
-def test_admissible_rejects_stray_edge():
-    with pytest.raises(ValueError, match="leaves"):
-        is_admissible({0: 1, 1: 1}, [(0, 7)])
-
-
-def _random_tree_config(draw_edges, spins):
-    # path tree 0-1-2-...-n
-    n = len(spins)
-    return {i: spins[i] for i in range(n)}, [(i, i + 1) for i in range(n - 1)]
-
-
-@given(st.lists(st.sampled_from(SPINS), min_size=2, max_size=8),
-       st.integers(min_value=1, max_value=7))
-def test_admissible_monotone_under_restriction(spins, cut):
-    """A path configuration admissible on the whole stays admissible on a prefix."""
-    config, edges = _random_tree_config(None, spins)
-    cut = min(cut, len(spins) - 1)
-    if is_admissible(config, edges):
-        sub_config = {i: spins[i] for i in range(cut + 1)}
-        sub_edges = [(i, i + 1) for i in range(cut)]
-        assert is_admissible(sub_config, sub_edges)

@@ -127,9 +127,21 @@ def test_every_enumerated_config_is_admissible():
 
 
 def test_size_cap():
-    with pytest.raises(SizeCapError):
-        enumerate_admissible(cayley_tree(3, 3))  # 40 vertices
+    with pytest.raises(SizeCapError, match="^tree has 40 vertices, above"):
+        enumerate_admissible(cayley_tree(3, 3))  # refused before it is built
     assert cayley_tree(2, 3).size <= ENUMERATION_CAP  # 15 vertices: allowed
+    with pytest.raises(SizeCapError, match="^tree has 17 vertices, above"):
+        cayley_tree(3, 2, full_root=True)  # the root's k + 1 children count
+    with pytest.raises(SizeCapError, match="^tree has at least 31 vertices, above"):
+        cayley_tree(2, 10 ** 9)
+    # a tree built by hand meets the cap in the enumeration itself
+    n = ENUMERATION_CAP + 1
+    path = FiniteCayleyTree(k=2, depth=n - 1, full_root=False,
+                            parents=tuple(range(-1, n - 1)),
+                            children=tuple((v + 1,) for v in range(n - 1)) + ((),),
+                            generation=tuple(range(n)))
+    with pytest.raises(SizeCapError, match=f"^tree has {n} vertices, above"):
+        enumerate_admissible(path)
 
 
 # --- finite-volume measure -----------------------------------------------------------

@@ -42,31 +42,31 @@ def test_grid_rejects_bad_ranges(args):
 
 def test_scan_row_below_critical():
     row = scan_row(ModelParams(3, 0.5))
-    assert row.tisgm_count == 3
-    assert row.z_asym_1 is not None and row.z_asym_1 > row.z_asym_2
-    assert row.classification == CLASS_NONEXTREMAL_KS
-    assert row.ks_value > 1.0
+    assert row["tisgm_count"] == 3
+    assert row["z_asym_1"] is not None and row["z_asym_1"] > row["z_asym_2"]
+    assert row["classification"] == CLASS_NONEXTREMAL_KS
+    assert row["ks_value"] > 1.0
 
 
 def test_scan_row_above_critical():
     row = scan_row(ModelParams(3, 2.0))
-    assert row.tisgm_count == 1
-    assert row.z_asym_1 is None and row.z_asym_2 is None
-    assert row.classification == CLASS_NONEXTREMAL_KS
+    assert row["tisgm_count"] == 1
+    assert row["z_asym_1"] is None and row["z_asym_2"] is None
+    assert row["classification"] == CLASS_NONEXTREMAL_KS
 
 
 def test_scan_row_extremal_window():
     row = scan_row(ModelParams(3, 1.0))
-    assert row.classification == CLASS_EXTREMAL_MSW
-    assert row.product == 0.75
-    assert row.as_dict()["theta"] == 1.0
-    assert tuple(row.as_dict()) == CSV_COLUMNS
+    assert row["classification"] == CLASS_EXTREMAL_MSW
+    assert row["product"] == 0.75
+    assert row["theta"] == 1.0
+    assert tuple(row) == CSV_COLUMNS
 
 
 def test_scan_row_k4_unit_activity_undetermined():
     row = scan_row(ModelParams(4, 1.0))
-    assert row.ks_value == 1.0
-    assert row.classification == CLASS_UNDETERMINED
+    assert row["ks_value"] == 1.0
+    assert row["classification"] == CLASS_UNDETERMINED
 
 
 def test_format_value():

@@ -9,8 +9,12 @@ and fails first.
 """
 
 import importlib
+import importlib.util
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,6 +46,23 @@ def traced_names() -> list:
         if len(parts) == 3 and parts[0] in TRACED_MODULES:
             names.add(f"{parts[0]}.{parts[1]}")
     return sorted(names)
+
+
+def test_traced_modules_match_benchmark_tracer():
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "benchmark" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert TRACED_MODULES == spans.TRACED_MODULES
+
+
+def test_cli_import_loads_every_traced_module():
+    # the tracer looks each module up in sys.modules after importing the CLI;
+    # a fresh interpreter, because this test process has imported them all
+    code = ("import sys, wand_gibbs.cli; "
+            f"print([m for m in {TRACED_MODULES!r} if f'wand_gibbs.{{m}}' not in sys.modules])")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert result.stdout == "[]\n"
 
 
 def test_benchmark_reads_traced_functions():

@@ -52,9 +52,8 @@ themselves say the window is empty from k = 4 on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .model import BoundaryLaw, ModelParams, tree_order
+from .model import BoundaryLaw, ModelParams, _value_type, tree_order
 from .rootfind import NoBracketError
 from .solver import solve_symmetric
 
@@ -68,18 +67,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
+class TransitionMatrix(_value_type("TransitionMatrix", "entries")):
     """Row-stochastic 3x3 matrix, rows = source spin, columns = target spin.
 
     Rows must sum to 1 within 1e-14 and the wand zero pattern is enforced:
     the (-1,+1), (+1,-1) and (0,0) entries are exactly zero.
     """
 
-    entries: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        rows = tuple(tuple(float(v) for v in row) for row in self.entries)
+    def __new__(cls, entries):
+        rows = tuple(tuple(float(v) for v in row) for row in entries)
         if len(rows) != 3 or any(len(row) != 3 for row in rows):
             raise ValueError("transition matrix must be 3x3")
         if any(v < 0.0 for row in rows for v in row):
@@ -89,11 +87,10 @@ class TransitionMatrix:
                 raise ValueError(f"row {row!r} does not sum to 1 within 1e-14")
         if rows[0][2] != 0.0 or rows[2][0] != 0.0 or rows[1][1] != 0.0:
             raise ValueError("zero pattern violated: P(-1,+1), P(+1,-1), P(0,0) must vanish")
-        object.__setattr__(self, "entries", rows)
+        return tuple.__new__(cls, (rows,))
 
 
-@dataclass(frozen=True)
-class SpectralReport:
+class SpectralReport(_value_type("SpectralReport", "s1 s2 s3 lambda2 ks_value")):
     """Eigenvalues of a transition matrix and the Kesten-Stigum statistic.
 
     ``s1`` is the nonnegative non-unit eigenvalue, ``s2`` the nonpositive
@@ -101,11 +98,7 @@ class SpectralReport:
     modulus and ``ks_value`` = k * lambda2^2.
     """
 
-    s1: float
-    s2: float
-    s3: float
-    lambda2: float
-    ks_value: float
+    __slots__ = ()
 
 
 def transition_matrix(law: BoundaryLaw, theta: float) -> TransitionMatrix:

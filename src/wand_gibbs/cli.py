@@ -275,31 +275,32 @@ def cmd_verify(args) -> int:
 
 def _read_scan_csv(path: str):
     try:
-        handle = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
+        # decoding happens while reading, so a non-UTF-8 byte is an i/o error too
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise OSError(f"cannot read {path}: {exc}") from exc
-    with handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise OSError(f"{path}: empty scan file")
-        missing = [c for c in ("theta", "s1", "s2", "lambda2", "ks_value")
-                   if c not in reader.fieldnames]
-        if missing:
-            raise OSError(f"{path}: line 1: missing columns {missing}")
-        rows = []
-        for lineno, record in enumerate(reader, start=2):
-            if record.get("classification") == CLASS_SOLVER_ERROR:
-                continue  # a point the scan could not solve has no spectrum
-            try:
-                rows.append({
-                    "theta": float(record["theta"]),
-                    "s1": float(record["s1"]),
-                    "s2": float(record["s2"]),
-                    "lambda2": float(record["lambda2"]),
-                    "ks_value": float(record["ks_value"]),
-                })
-            except (TypeError, ValueError, KeyError) as exc:
-                raise OSError(f"{path}: line {lineno}: {exc}") from exc
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    if reader.fieldnames is None:
+        raise OSError(f"{path}: empty scan file")
+    missing = [c for c in ("theta", "s1", "s2", "lambda2", "ks_value")
+               if c not in reader.fieldnames]
+    if missing:
+        raise OSError(f"{path}: line 1: missing columns {missing}")
+    rows = []
+    for lineno, record in enumerate(reader, start=2):
+        if record.get("classification") == CLASS_SOLVER_ERROR:
+            continue  # a point the scan could not solve has no spectrum
+        try:
+            rows.append({
+                "theta": float(record["theta"]),
+                "s1": float(record["s1"]),
+                "s2": float(record["s2"]),
+                "lambda2": float(record["lambda2"]),
+                "ks_value": float(record["ks_value"]),
+            })
+        except (TypeError, ValueError, KeyError) as exc:
+            raise OSError(f"{path}: line {lineno}: {exc}") from exc
     if not rows:
         raise OSError(f"{path}: no data rows")
     return rows

@@ -8,14 +8,16 @@ activity theta = exp(-J*beta), and a candidate translation-invariant state
 is described by a pair of positive boundary-law ratios (z1, z2), where z1
 weights the +1 spin and z2 the -1 spin relative to the 0 spin.
 
-Every type here is an immutable value object; instances are safe to share
-between threads or processes without synchronization.
+Every type here is a validated named tuple: immutable, hashable and
+picklable, equal to a plain tuple with the same fields, and ``_replace``
+re-validates; instances are safe to share between threads or processes
+without synchronization.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 #: the spin alphabet in its canonical (total) order
 SPINS = (-1, 0, 1)
@@ -49,26 +51,35 @@ def tree_order(k) -> int:
     return int(k)
 
 
-@dataclass(frozen=True)
-class ModelParams:
+def _value_type(name: str, fields: str) -> type:
+    """The named-tuple base of a value type.
+
+    ``namedtuple._make`` (and so ``_replace``) builds the tuple directly;
+    here it calls the subclass, so a copy passes the checks in its
+    ``__new__`` like any new instance.  Subclasses declare ``__slots__ = ()``.
+    """
+    base = namedtuple(name, fields)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
+
+
+class ModelParams(_value_type("ModelParams", "k theta")):
     """Tree order ``k`` (direct successors per vertex) and activity ``theta``.
 
     The analysis assumes k >= 2; theta must be positive and finite.
     """
 
-    k: int
-    theta: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "k", tree_order(self.k))
-        theta = float(self.theta)
-        if not math.isfinite(theta) or theta <= 0.0:
-            raise ValueError(f"activity theta must be positive and finite, got {self.theta!r}")
-        object.__setattr__(self, "theta", theta)
+    def __new__(cls, k, theta):
+        k = tree_order(k)
+        value = float(theta)
+        if not math.isfinite(value) or value <= 0.0:
+            raise ValueError(f"activity theta must be positive and finite, got {theta!r}")
+        return tuple.__new__(cls, (k, value))
 
 
-@dataclass(frozen=True)
-class BoundaryLaw:
+class BoundaryLaw(_value_type("BoundaryLaw", "z1 z2 residual")):
     """Positive boundary-law pair (z1, z2).
 
     ``residual`` is the scale-free defect of the fixed-point system at
@@ -77,20 +88,16 @@ class BoundaryLaw:
     routines fill it in.
     """
 
-    z1: float
-    z2: float
-    residual: float = math.inf
+    __slots__ = ()
 
-    def __post_init__(self):
-        z1, z2 = float(self.z1), float(self.z2)
-        if not (math.isfinite(z1) and z1 > 0.0 and math.isfinite(z2) and z2 > 0.0):
-            raise ValueError(f"boundary law components must be positive and finite, got ({self.z1!r}, {self.z2!r})")
-        residual = float(self.residual)
-        if math.isnan(residual) or residual < 0.0:
+    def __new__(cls, z1, z2, residual=math.inf):
+        x1, x2 = float(z1), float(z2)
+        if not (math.isfinite(x1) and x1 > 0.0 and math.isfinite(x2) and x2 > 0.0):
+            raise ValueError(f"boundary law components must be positive and finite, got ({z1!r}, {z2!r})")
+        defect = float(residual)
+        if math.isnan(defect) or defect < 0.0:
             raise ValueError("residual must be nonnegative")
-        object.__setattr__(self, "z1", z1)
-        object.__setattr__(self, "z2", z2)
-        object.__setattr__(self, "residual", residual)
+        return tuple.__new__(cls, (x1, x2, defect))
 
     @property
     def symmetric(self) -> bool:

@@ -36,9 +36,8 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from dataclasses import dataclass
 
-from .model import SPINS, WAND_ADJACENCY, BoundaryLaw, allows, tree_order
+from .model import SPINS, WAND_ADJACENCY, BoundaryLaw, _value_type, allows, tree_order
 
 __all__ = [
     "ENUMERATION_CAP",
@@ -65,8 +64,7 @@ class SizeCapError(ValueError):
     """The tree exceeds the exact-enumeration cap."""
 
 
-@dataclass(frozen=True)
-class FiniteCayleyTree:
+class FiniteCayleyTree(_value_type("FiniteCayleyTree", "k depth full_root parents children generation")):
     """A rooted ball of radius ``depth`` in the Cayley tree of order ``k``.
 
     Vertices are integers in breadth-first order with root 0, so every
@@ -76,12 +74,7 @@ class FiniteCayleyTree:
     only.  Every non-root internal vertex has exactly k children.
     """
 
-    k: int
-    depth: int
-    full_root: bool
-    parents: tuple
-    children: tuple
-    generation: tuple
+    __slots__ = ()
 
     @property
     def size(self) -> int:
@@ -257,8 +250,8 @@ def _prefix_marginals(tree: FiniteCayleyTree, prefix_size: int, theta: float,
     return {prefix: mass / total for (prefix, _), mass in zip(groups, masses)}
 
 
-@dataclass(frozen=True)
-class FiniteVolumeMeasure:
+class FiniteVolumeMeasure(_value_type("FiniteVolumeMeasure",
+                                      "tree theta boundary_law probabilities log_partition")):
     """Normalized Gibbs measure over the admissible configurations of a tree.
 
     ``probabilities`` maps each admissible configuration tuple to its
@@ -266,11 +259,7 @@ class FiniteVolumeMeasure:
     available in log form to survive extreme activities).
     """
 
-    tree: FiniteCayleyTree
-    theta: float
-    boundary_law: BoundaryLaw
-    probabilities: dict
-    log_partition: float
+    __slots__ = ()
 
     @property
     def partition(self) -> float:

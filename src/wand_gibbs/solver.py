@@ -77,9 +77,8 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
 
-from .model import DEFAULT_RESIDUAL_TOL, BoundaryLaw, ModelParams, tree_order
+from .model import DEFAULT_RESIDUAL_TOL, BoundaryLaw, ModelParams, _value_type, tree_order
 
 __all__ = [
     "SolverError",
@@ -296,18 +295,15 @@ def find_asymmetric(params: ModelParams, tol: float = DEFAULT_RESIDUAL_TOL) -> l
     return [law, law.swapped()]
 
 
-@dataclass(frozen=True)
-class TisgmSet:
+class TisgmSet(_value_type("TisgmSet", "params symmetric asymmetric theta_cr")):
     """The complete translation-invariant solution set at one (k, theta).
 
     ``symmetric`` is always present; ``asymmetric`` holds the swap pair when
-    theta < theta_cr and is empty otherwise, so ``count`` is 1 or 3.
+    theta < theta_cr and is empty otherwise, so ``count`` (which shadows
+    ``tuple.count``) is 1 or 3.
     """
 
-    params: ModelParams
-    symmetric: BoundaryLaw
-    asymmetric: tuple
-    theta_cr: float
+    __slots__ = ()
 
     @property
     def count(self) -> int:

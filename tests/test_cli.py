@@ -428,6 +428,24 @@ def test_plot_single_row(tmp_path, capsys):
     assert "<path" not in svg
 
 
+def test_plot_non_utf8_header_is_io_error(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\xff\xfe\n1.0,0.5,-0.5,0.5,0.75\n")
+    code, _, err = run(capsys, "plot", str(bad), "--out", str(tmp_path / "x.svg"))
+    assert code == 4
+    assert err.startswith("i/o error: cannot read")
+
+
+def test_plot_non_utf8_data_line_is_io_error(tmp_path, capsys):
+    # many good rows first, so the bad byte lies beyond the first decoded block
+    bad = tmp_path / "bad.csv"
+    good = b"theta,s1,s2,lambda2,ks_value\n" + b"1.0,0.5,-0.5,0.5,0.75\n" * 2000
+    bad.write_bytes(good + b"2.0,\xff,-0.5,0.5,0.75\n")
+    code, _, err = run(capsys, "plot", str(bad), "--out", str(tmp_path / "x.svg"))
+    assert code == 4
+    assert err.startswith("i/o error: cannot read")
+
+
 def test_plot_missing_file(capsys):
     code, _, _ = run(capsys, "plot", "/nonexistent/scan.csv")
     assert code == 4

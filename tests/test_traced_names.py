@@ -65,6 +65,15 @@ def test_cli_import_loads_every_traced_module():
     assert result.stdout == "[]\n"
 
 
+def test_cli_import_skips_dataclasses():
+    # the value types are named tuples; ``dataclasses`` would pull in
+    # ``inspect`` and its dependencies at every CLI start-up
+    code = "import sys, wand_gibbs.cli; print('dataclasses' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert result.stdout == "False\n"
+
+
 def test_benchmark_reads_traced_functions():
     assert len(traced_names()) >= 10
 

@@ -2,7 +2,7 @@
 """Time ``import wand_gibbs.cli`` in fresh interpreters and write a report.
 
 Each ``LABEL=SRC`` argument names a source tree (the directory that holds
-the ``wand_gibbs`` package).  The script starts ``--runs`` fresh
+the ``wand_gibbs`` package).  The script starts ``RUNS`` fresh
 interpreters per tree, alternating between the trees so that drifts in
 machine load hit all of them alike, and times the import inside each
 child.  The report (median and quartiles in ms, the Python version, the
@@ -25,6 +25,8 @@ import sys
 #: run in each child; prints the import time in ms
 CHILD = ("import time; start = time.perf_counter(); import wand_gibbs.cli; "
          "print((time.perf_counter() - start) * 1e3)")
+#: fresh interpreters per tree
+RUNS = 30
 
 
 def time_import(src: str) -> float:
@@ -63,7 +65,6 @@ def cpu_model() -> str | None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("trees", nargs="+", metavar="LABEL=SRC")
-    parser.add_argument("--runs", type=int, default=30, help="interpreters per tree")
     parser.add_argument("--out", default="BENCH_startup.json")
     args = parser.parse_args(argv)
     trees = [tree.split("=", 1) for tree in args.trees]
@@ -72,13 +73,13 @@ def main(argv=None) -> int:
     for _, src in trees:
         time_import(src)  # compile the tree's bytecode cache outside the timed runs
     samples = {label: [] for label, _ in trees}
-    for _ in range(args.runs):
+    for _ in range(RUNS):
         for label, src in trees:
             samples[label].append(time_import(src))
     report = {
         "measure": "import wand_gibbs.cli in a fresh interpreter, timed inside the child",
         "unit": "ms",
-        "runs": args.runs,
+        "runs": RUNS,
         "python": platform.python_version(),
         "machine": {"arch": platform.machine(), "cpus": os.cpu_count(), "cpu": cpu_model()},
         "trees": [{"label": label, **commit(src), **summary(samples[label])}

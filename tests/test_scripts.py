@@ -32,3 +32,28 @@ def test_reproduce_fig2(tmp_path):
     out = run_script("scripts/reproduce_fig2.py", "--out-dir", str(tmp_path), "--steps", "20")
     assert "k=3 certificate thresholds" in out
     assert (tmp_path / "regime_k3.csv").is_file() and (tmp_path / "regime_k3.svg").is_file()
+
+
+def test_pairs_report_summary(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    from pairs_report import summarize
+
+    def pair(parent, change):
+        return {"parent": {"metrics": {"goodput_per_s": parent[0], "op_p50_ms": parent[1]}},
+                "change": {"metrics": {"goodput_per_s": change[0], "op_p50_ms": change[1]}}}
+
+    pairs = [pair((100, 2.0), (110, 1.5)), pair((104, 2.0), (103, 2.5)),
+             pair((102, 3.0), (120, 1.0))]
+    summary = summarize(pairs, {"goodput_per_s": "higher", "op_p50_ms": "lower"})
+    assert summary["goodput_per_s"]["parent"] == {"median": 102, "q1": 101, "q3": 103}
+    assert summary["goodput_per_s"]["change"]["median"] == 110
+    assert summary["goodput_per_s"]["change_better_pairs"] == 2
+    assert summary["op_p50_ms"]["change_better_pairs"] == 2
+    assert summary["op_p50_ms"]["pairs"] == 3
+
+
+def test_pairs_report_needs_two_pairs():
+    for seeds in ("7-7", "9-3", "7"):
+        proc = subprocess.run([sys.executable, "scripts/pairs_report.py", "verify", seeds,
+                               ".", "."], cwd=ROOT, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2 and "FIRST" in proc.stderr, proc.stderr

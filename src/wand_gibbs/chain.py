@@ -70,20 +70,21 @@ __all__ = [
 class TransitionMatrix(_value_type("TransitionMatrix", "entries")):
     """Row-stochastic 3x3 matrix, rows = source spin, columns = target spin.
 
-    Rows must sum to 1 within 1e-14 and the wand zero pattern is enforced:
-    the (-1,+1), (+1,-1) and (0,0) entries are exactly zero.
+    Rows must sum to 1 within 1e-14 (so no entry is NaN) and the wand zero
+    pattern is enforced: the (-1,+1), (+1,-1) and (0,0) entries are exactly
+    zero.
     """
 
     __slots__ = ()
 
     def __new__(cls, entries):
-        rows = tuple(tuple(float(v) for v in row) for row in entries)
-        if len(rows) != 3 or any(len(row) != 3 for row in rows):
+        rows = tuple([tuple(map(float, row)) for row in entries])
+        if len(rows) != 3 or list(map(len, rows)) != [3, 3, 3]:
             raise ValueError("transition matrix must be 3x3")
-        if any(v < 0.0 for row in rows for v in row):
+        if any(map((0.0).__gt__, rows[0] + rows[1] + rows[2])):
             raise ValueError("transition probabilities must be nonnegative")
         for row in rows:
-            if abs(math.fsum(row) - 1.0) > 1e-14:
+            if not abs(math.fsum(row) - 1.0) <= 1e-14:  # a NaN entry fails here too
                 raise ValueError(f"row {row!r} does not sum to 1 within 1e-14")
         if rows[0][2] != 0.0 or rows[2][0] != 0.0 or rows[1][1] != 0.0:
             raise ValueError("zero pattern violated: P(-1,+1), P(+1,-1), P(0,0) must vanish")

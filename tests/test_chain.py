@@ -70,6 +70,33 @@ def test_matrix_validation_rejects_bad_rows():
         TransitionMatrix(((0.5, 0.25, 0.25), (0.5, 0.0, 0.5), (0.0, 0.5, 0.5)))
 
 
+@pytest.mark.parametrize("matrix", [
+    ((math.nan, 0.5, 0.0), (0.5, 0.0, 0.5), (0.0, 0.5, 0.5)),
+    ((0.5, 0.5, 0.0), (math.nan, 0.0, 0.5), (0.0, 0.5, 0.5)),
+    ((0.5, 0.5, 0.0), (0.5, 0.0, 0.5), (0.0, 0.5, math.nan)),
+])
+def test_matrix_validation_rejects_nan_in_any_row(matrix):
+    with pytest.raises(ValueError, match="does not sum to 1"):
+        TransitionMatrix(matrix)
+
+
+@pytest.mark.parametrize("matrix, message", [
+    # each matrix breaks its own rule and every later one: the first rule decides
+    (((-0.5, 0.5, 1.0), (0.5, 0.0, 0.5)),
+     "transition matrix must be 3x3"),
+    (((-0.5, 0.5, 1.0), (0.5, 0.0, 0.5), (0.0, 0.5, 0.6)),
+     "transition probabilities must be nonnegative"),
+    (((0.5, 0.5, 0.0), (0.5, 0.25, 0.5), (0.0, 0.5, 0.5)),
+     "row (0.5, 0.25, 0.5) does not sum to 1 within 1e-14"),
+    (((0.5, 0.25, 0.25), (0.5, 0.0, 0.5), (0.0, 0.5, 0.5)),
+     "zero pattern violated: P(-1,+1), P(+1,-1), P(0,0) must vanish"),
+])
+def test_matrix_validation_messages_and_order(matrix, message):
+    with pytest.raises(ValueError) as info:
+        TransitionMatrix(matrix)
+    assert str(info.value) == message
+
+
 # --- spectrum ----------------------------------------------------------------
 
 def test_spectrum_unit_point():

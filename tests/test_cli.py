@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import tracemalloc
@@ -8,7 +9,8 @@ import pytest
 
 from wand_gibbs import cli
 from wand_gibbs.cli import JSON_SCHEMAS, main
-from wand_gibbs.scan import CSV_COLUMNS
+from wand_gibbs import scan
+from wand_gibbs.scan import CSV_COLUMNS, format_value
 
 
 def run(capsys, *argv):
@@ -282,6 +284,73 @@ def test_thresholds_csv(capsys):
     assert code == 0
     rows = list(csv.DictReader(out.splitlines()))
     assert [r["criterion"] for r in rows] == ["ks", "msw"]
+
+
+# --- CSV writer: comma joins, checked against csv.writer ----------------------------
+
+SOLVE_COLUMNS = ("kind", "z1", "z2", "residual", "theta_cr", "s1", "s2",
+                 "lambda2", "ks_value", "kappa", "gamma", "product", "classification")
+THRESHOLD_COLUMNS = ("criterion", "k", "lower", "upper", "certified")
+
+
+def csv_writer_text(columns, records):
+    """What ``csv.writer`` makes of the same ``format_value`` cells."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([format_value(record[name]) for name in columns] for record in records)
+    return buffer.getvalue()
+
+
+def csv_and_json(capsys, *argv):
+    """Exit code and stdout of ``argv`` in CSV, and its JSON document; the
+    JSON floats round-trip exactly, so they are the CSV's cell values."""
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    json_code, doc, _ = run(capsys, *argv, "--format", "json")
+    assert json_code == code
+    return code, out, json.loads(doc)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 300])
+@pytest.mark.parametrize("grid", [("0.05", "3.0", "31", "linear"),
+                                  ("0.01", "100.0", "31", "log"),
+                                  ("1e-300", "1e308", "7", "log")])
+def test_scan_csv_equals_csv_writer(capsys, k, grid):
+    lo, hi, steps, scale = grid
+    code, out, doc = csv_and_json(capsys, "scan", "--k", str(k), "--theta-min", lo,
+                                  "--theta-max", hi, "--steps", steps, "--scale", scale)
+    failed = sum(row["classification"] == "solver-error" for row in doc["rows"])
+    assert code == (3 if failed else 0)
+    assert failed or lo != "1e-300"  # the extreme grid has solver-error rows at every k
+    assert out == csv_writer_text(CSV_COLUMNS, doc["rows"])
+
+
+@pytest.mark.parametrize("theta", ["0.5", "3.0"])  # below and above theta_cr = 1
+def test_solve_csv_equals_csv_writer(capsys, theta):
+    code, out, doc = csv_and_json(capsys, "solve", "--k", "3", "--theta", theta)
+    assert code == 0
+    assert doc["tisgm_count"] == (3 if theta == "0.5" else 1)
+    laws = [dict(law, theta_cr=doc["theta_cr"]) for law in doc["laws"]]
+    assert out == csv_writer_text(SOLVE_COLUMNS, laws)
+
+
+@pytest.mark.parametrize("criterion", ["ks", "msw", "both"])
+def test_thresholds_csv_equals_csv_writer(capsys, criterion):
+    code, out, doc = csv_and_json(capsys, "thresholds", "--k", "3", "--criterion", criterion)
+    assert code == 0
+    records = [dict(doc[name], criterion=name, k=doc["k"], certified="true")
+               for name in ("ks", "msw") if doc[name] is not None]
+    assert len(records) == (2 if criterion == "both" else 1)
+    assert out == csv_writer_text(THRESHOLD_COLUMNS, records)
+
+
+def test_no_fixed_cell_needs_quoting():
+    labels = [value for name, value in vars(scan).items() if name.startswith("CLASS_")]
+    assert len(labels) == 5
+    fixed = (*CSV_COLUMNS, *SOLVE_COLUMNS, *THRESHOLD_COLUMNS, *labels,
+             "symmetric", "asymmetric", "ks", "msw", "true")
+    for text in fixed:
+        assert not set(text) & set(',"\r\n'), text
 
 
 # --- verify ------------------------------------------------------------------------

@@ -10,7 +10,9 @@ provenance (git commit, sha256 of ``src/wand_gibbs``) go under WORKLOAD
 in ``--out``, next to a summary per metric: median and quartiles of each
 side and the number of pairs in which the change is better, in the
 direction ``BENCHMARK.json`` names.  Other workloads already in the file
-are kept.
+are kept.  With ``--trace`` every run is ``--trace 1`` instead, which
+reports the per-layer metrics of ``BENCHMARK.json`` in place of the
+end-to-end ones, and the record is stored as ``WORKLOAD --trace 1``.
 
 Usage, from the root of a checkout:
     python3 scripts/pairs_report.py scan-k3 61-70 ../parent .
@@ -33,10 +35,10 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 
 
-def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
+def run_once(root: str, workload: str, seed: int, seconds: float, trace: bool) -> dict:
     """One benchmark run in ``root``: its last-line JSON plus provenance."""
     argv = [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+            "--seconds", str(seconds), "--trace", str(int(trace))]
     lines = subprocess.run(argv, cwd=root, capture_output=True, text=True,
                            check=True).stdout.splitlines()
     result = json.loads(lines[-1])
@@ -73,6 +75,8 @@ def main(argv=None) -> int:
     parser.add_argument("parent")
     parser.add_argument("change")
     parser.add_argument("--out", default="BENCH_pairs.json")
+    parser.add_argument("--trace", action="store_true",
+                        help="traced runs, which report the per-layer metrics")
     args = parser.parse_args(argv)
     try:
         first, last = (int(part) for part in args.seeds.split("-"))
@@ -82,7 +86,9 @@ def main(argv=None) -> int:
         parser.error("a summary needs at least two pairs: FIRST < LAST")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = spec["run_seconds"]
-    directions = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+    directions = {metric["name"]: metric["better"]
+                  for metric in spec["per_layer" if args.trace else "end_to_end"]}
+    shown = next(iter(directions))
     roots = {"parent": args.parent, "change": args.change}
 
     pairs = []
@@ -90,22 +96,23 @@ def main(argv=None) -> int:
         order = SIDES if seed % 2 else SIDES[::-1]
         pair = {"seed": seed, "first": order[0]}
         for side in order:
-            pair[side] = run_once(roots[side], args.workload, seed, seconds)
+            pair[side] = run_once(roots[side], args.workload, seed, seconds, args.trace)
         pairs.append(pair)
         print(f"seed {seed}: " + ", ".join(
-            f"{side} {pair[side]['metrics']['goodput_per_s']:.1f}/s" for side in SIDES))
+            f"{side} {shown} {pair[side]['metrics'][shown]:.6g}" for side in SIDES))
 
     out = Path(args.out)
     report = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {
-        "measure": "benchmark/run.py --trace 0, parent and change alternating per seed",
+        "measure": "benchmark/run.py --trace 0 (--trace 1 under 'WORKLOAD --trace 1'), "
+                   "parent and change alternating per seed",
         "python": platform.python_version(),
         "machine": {"arch": platform.machine(), "cpus": os.cpu_count(), "cpu": cpu_model()},
         "workloads": {}}
-    report["workloads"][args.workload] = {"run_seconds": seconds,
-                                          "summary": summarize(pairs, directions),
-                                          "pairs": pairs}
+    key = args.workload + (" --trace 1" if args.trace else "")
+    report["workloads"][key] = {"run_seconds": seconds, "summary": summarize(pairs, directions),
+                                "pairs": pairs}
     out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    for name, row in report["workloads"][args.workload]["summary"].items():
+    for name, row in report["workloads"][key]["summary"].items():
         print(f"{name}: parent {row['parent']['median']:.4g} -> change "
               f"{row['change']['median']:.4g}, change better in "
               f"{row['change_better_pairs']}/{row['pairs']}")

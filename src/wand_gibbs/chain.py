@@ -70,9 +70,8 @@ __all__ = [
 class TransitionMatrix(_value_type("TransitionMatrix", "entries")):
     """Row-stochastic 3x3 matrix, rows = source spin, columns = target spin.
 
-    Rows must sum to 1 within 1e-14 (so no entry is NaN) and the wand zero
-    pattern is enforced: the (-1,+1), (+1,-1) and (0,0) entries are exactly
-    zero.
+    Rows must sum to 1 within 1e-14 and the wand zero pattern is enforced:
+    the (-1,+1), (+1,-1) and (0,0) entries are exactly zero.
     """
 
     __slots__ = ()

@@ -54,9 +54,8 @@ def grid(lo: float, hi: float, points: int, log_scale: bool = True) -> list:
         xs = [math.exp(((points - 1 - i) * la + i * lb) / (points - 1)) for i in range(points)]
     else:
         m = points - 1
-        # i * hi overflows once hi > DBL_MAX / m; then form the points in
-        # units of a power of two above m, an exact scaling that leaves every
-        # other grid as it was
+        # i * hi overflows once hi > DBL_MAX / m: then scale by a power of two
+        # above m, which is exact and leaves every other grid as it was
         unit = 2.0 ** m.bit_length() if math.isinf(m * hi) else 1.0
         a, b = lo / unit, hi / unit
         xs = [((m - i) * a + i * b) / m * unit for i in range(points)]

@@ -191,6 +191,15 @@ def test_scan_unwritable_path(capsys):
     assert code == 4
 
 
+def test_scan_linear_grid_up_to_float_max(capsys):
+    # i * theta_max overflows in the grid formula here; every row must still be solved
+    code, out, err = run(capsys, "scan", "--k", "3", "--theta-min", "0.1",
+                         "--theta-max", "1.7e308", "--steps", "4")
+    assert (code, err) == (0, "")
+    thetas = [float(row["theta"]) for row in csv.DictReader(out.splitlines())]
+    assert thetas[0] == 0.1 and thetas[-1] == 1.7e308 and all(map(math.isfinite, thetas))
+
+
 def test_scan_k5_log_all_nonextremal(capsys):
     code, out, _ = run(capsys, "scan", "--k", "5", "--theta-min", "0.01",
                        "--theta-max", "100.0", "--steps", "60", "--scale", "log")

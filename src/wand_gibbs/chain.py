@@ -17,10 +17,12 @@ signs.  Their sum is formed without subtracting 1, as p00 p22 - p01 p21 =
 (z1 z2 - t^2) / ((z1 + t)(z2 + t)), and det has no cancellation either, so
 an eigenvalue near 0, as on the asymmetric branch, keeps its relative
 accuracy.  For the symmetric law z1 = z2 = z they collapse to the closed
-forms s1 = z/(z+t) and s2 = -t/(z+t), which are literally matrix entries.
-The measure is provably non-extremal when k * lambda2^2 > 1 with
-lambda2 = max(|s1|, |s2|); equality is classified as undetermined, never
-as non-extremal.
+forms s1 = z/(z+t) and s2 = -t/(z+t), which are literally matrix entries;
+``scan.law_cells`` evaluates them from z and t without a matrix, keeping
+the matrix path for the asymmetric pair and for a symmetric law whose
+z + t or z + z overflows.  The measure is provably non-extremal when
+k * lambda2^2 > 1 with lambda2 = max(|s1|, |s2|); equality is classified
+as undetermined, never as non-extremal.
 
 The Kesten-Stigum window of the symmetric law in closed form.  Write
 r = z/t for the symmetric root z of z = ((t + z)/(2 t z))^k.  Then

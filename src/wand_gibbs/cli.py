@@ -307,16 +307,16 @@ def _read_scan_csv(path: str):
 
 
 def _zero_crossings(xs, ys):
+    """Each grid point where the curve is exactly 0, and the linear
+    interpolant's zero across each strict sign change, in grid order; a
+    curve that falls onto 0 at a point is marked there once."""
     crossings = []
-    for i in range(len(xs) - 1):
-        a, b = ys[i], ys[i + 1]
+    for i, (x, a) in enumerate(zip(xs, ys)):
+        b = ys[i + 1] if i + 1 < len(ys) else a  # the last point starts no interval
         if a == 0.0:
-            crossings.append(xs[i])
-        elif (a > 0.0) != (b > 0.0):
-            frac = a / (a - b)
-            crossings.append(xs[i] + frac * (xs[i + 1] - xs[i]))
-    if ys and ys[-1] == 0.0:
-        crossings.append(xs[-1])
+            crossings.append(x)
+        elif a < 0.0 < b or b < 0.0 < a:
+            crossings.append(x + a / (a - b) * (xs[i + 1] - x))
     return crossings
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 from .model import DEFAULT_RESIDUAL_TOL, BoundaryLaw, ModelParams
 from .solver import SolverError, solve_symmetric, find_asymmetric
 from .chain import transition_matrix, spectrum
@@ -66,20 +68,32 @@ def theta_grid(theta_min: float, theta_max: float, steps: int, scale: str = "lin
 def law_cells(law: BoundaryLaw, params: ModelParams) -> dict:
     """s1, s2, lambda2, ks_value, kappa, gamma, product and classification
     of a solved law.  Only the symmetric law (z1 == z2) is classified; no
-    extremality statement is made for the asymmetric pair (CLASS_NO_CLAIM)."""
-    report = spectrum(transition_matrix(law, params.theta), params.k)
+    extremality statement is made for the asymmetric pair (CLASS_NO_CLAIM).
+
+    The symmetric law's cells come from the closed forms s1 = z/(z+theta),
+    s2 = -theta/(z+theta) (see ``chain``), by the operations the matrix path
+    would apply, so to the same bits; while z + theta and z + z are finite,
+    every check of ``TransitionMatrix`` provably passes.  The asymmetric
+    pair, and a symmetric law outside that guard, take the matrix path,
+    whose checks raise ValueError."""
+    z, theta = law.z1, params.theta
+    if law.symmetric and math.isfinite(d := z + theta) and math.isfinite(z + z):
+        s1, s2 = z / d, -(theta / d)
+        lambda2 = max(abs(s1), abs(s2))
+        ks_value = params.k * lambda2 * lambda2
+    else:
+        s1, s2, _, lambda2, ks_value = spectrum(transition_matrix(law, theta), params.k)
     if law.symmetric:
         # kappa = gamma(p0 = 1/2) = lambda2 for the symmetric law, derived in
         # the ``extremality`` docstring, so the product is k lambda2^2
-        kappa = gamma = report.lambda2
-        product = report.ks_value
-        label = classify(report.ks_value)
+        kappa = gamma = lambda2
+        product = ks_value
+        label = classify(ks_value)
     else:
         kappa = gamma = product = None
         label = CLASS_NO_CLAIM
-    return {"s1": report.s1, "s2": report.s2, "lambda2": report.lambda2,
-            "ks_value": report.ks_value, "kappa": kappa, "gamma": gamma,
-            "product": product, "classification": label}
+    return {"s1": s1, "s2": s2, "lambda2": lambda2, "ks_value": ks_value, "kappa": kappa,
+            "gamma": gamma, "product": product, "classification": label}
 
 
 def scan_row(params: ModelParams, tol: float = DEFAULT_RESIDUAL_TOL) -> dict:

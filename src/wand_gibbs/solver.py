@@ -118,12 +118,12 @@ def _typed_overflow(entry):
 def _log_rhs(z1: float, z2: float, k: int, theta: float) -> list:
     """[F1, F2], F_i = k ln((theta + z_i) / (theta (z1 + z2))): the logs of
     the fixed-point right-hand sides, free of overflow and of cancellation
-    between large logs."""
+    between large logs; [F1] alone when z1 == z2, since F2 would repeat it."""
     big = max(z1, z2)
     q = min(z1, z2) / big
     log_total = math.log(big) + math.log1p(q)  # ln(z1 + z2)
     logs = []
-    for z in (z1, z2):
+    for z in (z1,) if z1 == z2 else (z1, z2):
         if z <= theta:
             log_ratio = math.log1p(z / theta) - log_total
         else:
@@ -139,7 +139,8 @@ def _residual(z1: float, z2: float, k: int, theta: float) -> float:
     """max |z_i - rhs_i| / max(1, z_i), as min(1, z_i) |expm1(F_i - ln z_i)|.
 
     The exponent is clamped at _LOG_RANGE, so the value is always finite,
-    and exact unless a component is subnormal."""
+    and exact unless a component is subnormal.  Equal components give one
+    term, as ``zip`` stops at F1."""
     return max(
         min(1.0, z) * abs(math.expm1(min(log_rhs - math.log(z), _LOG_RANGE)))
         for z, log_rhs in zip((z1, z2), _log_rhs(z1, z2, k, theta))

@@ -529,6 +529,33 @@ def test_plot_missing_file(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("ys, expected", [
+    ([1.0, 0.0, -1.0], [1]),                # + -> 0 -> -
+    ([-1.0, 0.0, 1.0], [1]),                # - -> 0 -> +
+    ([1.0, 0.0, 1.0], [1]),                 # touches 0 without crossing
+    ([0.0, 1.0, 2.0], [0]),                 # 0 at the first point
+    ([1.0, 2.0, 0.0], [2]),                 # 0 at the last point
+    ([1.0, 0.0], [1]),
+    ([0.0, 0.0, 0.0], [0, 1, 2]),           # each exact zero once
+    ([1.0, -3.0, 1.0], [0.25, 1.75]),       # strict sign changes interpolate
+    ([1.0, 2.0, 3.0], []),
+])
+def test_zero_crossings_mark_each_zero_once(ys, expected):
+    assert cli._zero_crossings([0, 1, 2][:len(ys)], ys) == expected
+
+
+def test_plot_k4_touching_zero_marks_one_crossing_per_curve(tmp_path, capsys):
+    # at k = 4, theta = 1 both curves 4 s^2 - 1 are exactly 0 on the grid
+    scan_path = tmp_path / "scan.csv"
+    code, _, _ = run(capsys, "scan", "--k", "4", "--theta-min", "0.5", "--theta-max", "1.5",
+                     "--steps", "3", "--out", str(scan_path))
+    assert code == 0
+    svg_path = tmp_path / "fig.svg"
+    code, _, _ = run(capsys, "plot", str(scan_path), "--out", str(svg_path))
+    assert code == 0
+    assert svg_path.read_text().count('stroke-dasharray="5,4"') == 2
+
+
 # --- environment override -------------------------------------------------------------
 
 def test_tolerance_env_var(monkeypatch, capsys):

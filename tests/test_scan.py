@@ -2,8 +2,11 @@ import math
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wand_gibbs.model import ModelParams
+from wand_gibbs import cli, scan
+from wand_gibbs.chain import spectrum, transition_matrix
+from wand_gibbs.model import BoundaryLaw, ModelParams
 from wand_gibbs.scan import (
     CLASS_EXTREMAL_MSW,
     CLASS_NONEXTREMAL_KS,
@@ -11,9 +14,12 @@ from wand_gibbs.scan import (
     CSV_COLUMNS,
     classify,
     format_value,
+    law_cells,
     scan_row,
+    scan_rows,
     theta_grid,
 )
+from wand_gibbs.solver import solve_symmetric
 
 
 def test_classify_regions():
@@ -107,3 +113,86 @@ def test_linear_grid_without_overflow_is_the_plain_formula(lo, hi, steps):
     plain = [((m - i) * lo + i * hi) / m for i in range(steps)]
     plain[0], plain[-1] = lo, hi
     assert theta_grid(lo, hi, steps, "linear") == plain
+
+
+# --- the symmetric law's cells in closed form ---------------------------------------
+
+def matrix_cells(law, params):
+    """The symmetric law's cells through the validated matrix and its spectrum."""
+    report = spectrum(transition_matrix(law, params.theta), params.k)
+    return {"s1": report.s1, "s2": report.s2, "lambda2": report.lambda2,
+            "ks_value": report.ks_value, "kappa": report.lambda2, "gamma": report.lambda2,
+            "product": report.ks_value, "classification": classify(report.ks_value)}
+
+
+def bits(cells):
+    return {name: value.hex() if isinstance(value, float) else value
+            for name, value in cells.items()}
+
+
+@st.composite
+def solved_symmetric_laws(draw):
+    # ln z* ~ -k ln(2 theta) as theta -> 0; keep it within the double range
+    k = draw(st.integers(min_value=2, max_value=10**4))
+    log_theta = draw(st.floats(min_value=-700.0 / k - math.log(2.0), max_value=709.0))
+    params = ModelParams(k, math.exp(log_theta))
+    return solve_symmetric(params), params
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(solved_symmetric_laws())
+def test_symmetric_cells_are_the_matrix_path_bit_for_bit(case):
+    law, params = case
+    cells = law_cells(law, params)
+    assert list(cells) == list(matrix_cells(law, params))
+    assert bits(cells) == bits(matrix_cells(law, params))
+
+
+@pytest.mark.parametrize("z", [5e-324, math.exp(708.0), 1.0, 1e300])
+@pytest.mark.parametrize("theta", [5e-324, 1e-300, 1.0, 1e300, 1.7976931348623157e308])
+@pytest.mark.parametrize("k", [2, 3, 4, 10**4])
+def test_hand_made_symmetric_cells_match_the_matrix_path(z, theta, k):
+    # the matrix path's answer, or its exception, at the ends of the double range
+    law, params = BoundaryLaw(z, z), ModelParams(k, theta)
+    try:
+        expected = matrix_cells(law, params)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            law_cells(law, params)
+        assert str(raised.value) == str(exc)
+    else:
+        assert bits(law_cells(law, params)) == bits(expected)
+
+
+@pytest.mark.parametrize("theta", [1.0, 1e308])
+def test_symmetric_cells_fall_back_to_the_matrix_checks(theta):
+    # z + z (and at theta = 1e308 also z + theta) overflows: the closed form's
+    # guard fails, and the matrix rejects its row that sums to 0
+    with pytest.raises(ValueError) as raised:
+        law_cells(BoundaryLaw(1e308, 1e308), ModelParams(3, theta))
+    assert str(raised.value) == "row (0.0, 0.0, 0.0) does not sum to 1 within 1e-14"
+
+
+@pytest.fixture
+def matrices_built(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return transition_matrix(*args)
+
+    monkeypatch.setattr(scan, "transition_matrix", counted)
+    return calls
+
+
+def test_scan_builds_no_matrix(matrices_built):
+    rows = scan_rows(3, theta_grid(0.1, 3.0, 300))
+    assert len(rows) == 300 and {row["tisgm_count"] for row in rows} == {1, 3}
+    assert matrices_built == []
+
+
+@pytest.mark.parametrize("theta, matrices", [("0.5", 2), ("3.0", 0)])
+def test_solve_builds_a_matrix_per_asymmetric_law(matrices_built, capsys, theta, matrices):
+    assert cli.main(["solve", "--k", "3", "--theta", theta]) == 0
+    capsys.readouterr()
+    assert len(matrices_built) == matrices

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -86,6 +87,56 @@ def test_residual_finite_at_extreme_values(z1, z2, theta):
     # z2 / (z1 + z2) underflows to 0
     residual = boundary_law(z1, z2, ModelParams(7, theta)).residual
     assert math.isfinite(residual) and residual > 1e-12
+
+
+def two_component_residual(z1, z2, k, theta):
+    """The residual with both components of the log right-hand side
+    evaluated, as the solver forms them for an asymmetric law."""
+    big = max(z1, z2)
+    q = min(z1, z2) / big
+    log_total = math.log(big) + math.log1p(q)
+    terms = []
+    for z in (z1, z2):
+        if z <= theta:
+            log_ratio = math.log1p(z / theta) - log_total
+        else:
+            share = z / big / (1.0 + q)
+            log_share = math.log(z) - log_total if share < sys.float_info.min else math.log(share)
+            log_ratio = log_share - math.log(theta) + math.log1p(theta / z)
+        terms.append(min(1.0, z) * abs(math.expm1(min(k * log_ratio - math.log(z), 708.0))))
+    return max(terms)
+
+
+EDGE_Z = [5e-324, 2.2250738585072014e-308, math.exp(-708.0), math.exp(708.0),
+          math.nextafter(math.exp(708.0), math.inf), 1.0, 1.7976931348623157e308]
+EDGE_THETA = [5e-324, 1e-300, 1.0, 1e300, 1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("z", EDGE_Z)
+@pytest.mark.parametrize("theta", EDGE_THETA)
+@pytest.mark.parametrize("k", [2, 3, 10**4, 10**12])
+def test_symmetric_residual_is_the_two_component_max_at_the_edges(z, theta, k):
+    assert solver._residual(z, z, k, theta).hex() == two_component_residual(z, z, k, theta).hex()
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.integers(min_value=2, max_value=10**6),
+       st.floats(min_value=-745.0, max_value=709.0),
+       st.floats(min_value=-745.0, max_value=709.0))
+def test_symmetric_residual_is_the_two_component_max(k, log_theta, log_z):
+    theta, z = max(math.exp(log_theta), 5e-324), max(math.exp(log_z), 5e-324)
+    assert solver._residual(z, z, k, theta).hex() == two_component_residual(z, z, k, theta).hex()
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.integers(min_value=2, max_value=10**4),
+       st.floats(min_value=-700.0, max_value=700.0),
+       st.floats(min_value=-700.0, max_value=700.0),
+       st.floats(min_value=-700.0, max_value=700.0))
+def test_asymmetric_residual_is_the_two_component_max(k, log_theta, log_z1, log_z2):
+    theta, z1, z2 = math.exp(log_theta), math.exp(log_z1), math.exp(log_z2)
+    expected = two_component_residual(z1, z2, k, theta)
+    assert solver._residual(z1, z2, k, theta).hex() == expected.hex()
 
 
 # --- symmetric root --------------------------------------------------------

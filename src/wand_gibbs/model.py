@@ -45,8 +45,9 @@ def allows(s: int, t: int) -> bool:
 
 def tree_order(k) -> int:
     """``k`` as an int after checking that it is a valid tree order: an
-    integer >= 2 (booleans are rejected); ValueError otherwise."""
-    if isinstance(k, bool) or int(k) != k or k < 2:
+    integer >= 2 (booleans, NaN and infinities are rejected before int());
+    ValueError otherwise."""
+    if isinstance(k, bool) or k != k or k in (math.inf, -math.inf) or int(k) != k or k < 2:
         raise ValueError(f"tree order k must be an integer >= 2, got {k!r}")
     return int(k)
 

@@ -48,7 +48,7 @@ def test_params_reject_bad_k(k):
         ModelParams(k, 1.0)
 
 
-@pytest.mark.parametrize("k", [1, 0, -3, 2.5, True])
+@pytest.mark.parametrize("k", [1, 0, -3, 2.5, True, math.inf, -math.inf, math.nan])
 def test_every_entry_point_checks_tree_order(k):
     matrix = transition_matrix(BoundaryLaw(1.0, 1.0), 1.0)
     checks = (tree_order, lambda k: ModelParams(k, 1.0), theta_critical,

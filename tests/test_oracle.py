@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 from collections import Counter
@@ -68,6 +69,13 @@ def test_tree_rejects_bad_args():
         cayley_tree(1, 1)
     with pytest.raises(ValueError):
         cayley_tree(2, -1)
+
+
+@pytest.mark.parametrize("depth", [math.inf, -math.inf, math.nan])
+def test_tree_rejects_non_finite_depth(depth):
+    # int() would raise its own OverflowError or ValueError first
+    with pytest.raises(ValueError, match=r"^depth must be a nonnegative integer, got "):
+        cayley_tree(3, depth)
 
 
 # --- hamiltonian ------------------------------------------------------------------
@@ -363,14 +371,16 @@ def test_grouped_counts_sum_to_admissible_count(k, depth, full_root):
     for tree in (cayley_tree(k, depth, full_root), cayley_tree(k, depth + 1, full_root)):
         for prefix_size in (1, cayley_tree(k, depth, full_root).size):
             _, groups = oracle._grouped_counts(tree, prefix_size)
-            total = sum(count for _, terms in groups for count, _ in terms)
+            # every prefix of a group carries the group's counts
+            total = sum(sum(counts) * len(prefixes) for counts, _, prefixes in groups)
             assert total == admissible_count_formula(tree)
 
 
-@pytest.mark.parametrize("k,depth,expected", [(3, 2, 564), (2, 3, 4416)])
+@pytest.mark.parametrize("k,depth,expected", [(3, 2, 218), (2, 3, 783)])
 def test_grouped_counts_collapse(k, depth, expected):
+    # one term list per distinct multiset: 564 and 4,416 terms over single prefixes
     _, groups = oracle._grouped_counts(cayley_tree(k, depth), cayley_tree(k, depth - 1).size)
-    assert sum(len(terms) for _, terms in groups) == expected
+    assert sum(len(counts) for counts, _, _ in groups) == expected
 
 
 @pytest.mark.parametrize("k,depth,expected", [(3, 2, 155), (2, 3, 292), (2, 2, 39)])
@@ -382,7 +392,55 @@ def test_grouped_counts_distinct_statistics(k, depth, expected):
     ring = tree.boundary()
     assert set(statistics) == {oracle._statistic(config, tree.parents, ring)
                                for config in enumerate_admissible(tree)}
-    assert {index for _, terms in groups for _, index in terms} == set(range(expected))
+    assert {index for _, indices, _ in groups for index in indices} == set(range(expected))
+
+
+@pytest.mark.parametrize("k,depth,expected", [(3, 2, 11), (2, 3, 39), (2, 2, 8)])
+def test_grouped_counts_one_group_per_small_statistic(k, depth, expected):
+    # a prefix's extensions depend on it only through its own statistic on
+    # the small tree, so the big tree has one group per such statistic
+    small, big = cayley_tree(k, depth - 1), cayley_tree(k, depth)
+    small_statistics, _ = oracle._grouped_counts(small, small.size)
+    _, groups = oracle._grouped_counts(big, small.size)
+    assert len(groups) == len(small_statistics) == expected
+    prefixes = [prefix for _, _, group in groups for prefix in group]
+    assert sorted(prefixes) == enumerate_admissible(small)
+    assert len({tuple(sorted(zip(counts, indices))) for counts, indices, _ in groups}) == expected
+
+
+@functools.cache
+def ungrouped_counts(tree, prefix_size):
+    ring = tree.boundary()
+    return Counter((config[:prefix_size], oracle._statistic(config, tree.parents, ring))
+                   for config in enumerate_admissible(tree))
+
+
+def per_prefix_marginals(tree, prefix_size, theta, law):
+    """One fsum per prefix over the ungrouped counts, as before grouping."""
+    counts = ungrouped_counts(tree, prefix_size)
+    log_theta, log_z1, log_z2 = math.log(theta), math.log(law.z1), math.log(law.z2)
+    logs = {statistic: statistic[0] * log_theta + statistic[1] * log_z1 + statistic[2] * log_z2
+            for _, statistic in counts}
+    top = max(logs.values())
+    terms = {}
+    for (prefix, statistic), count in counts.items():
+        terms.setdefault(prefix, []).append(count * math.exp(logs[statistic] - top))
+    masses = {prefix: math.fsum(values) for prefix, values in terms.items()}
+    total = math.fsum(masses.values())
+    return {prefix: mass / total for prefix, mass in masses.items()}
+
+
+@pytest.mark.parametrize("theta", [1e-300, 1.0, 1e300])
+@pytest.mark.parametrize("z1,z2", [(1e-200, 1e200), (1e200, 1e-200), (1e-300, 1e-300), (0.7, 1.3)])
+@pytest.mark.parametrize("k,depth,full_root", [(3, 1, False), (2, 2, False), (2, 1, True)])
+def test_grouped_marginals_are_per_prefix_fsums_bit_for_bit(k, depth, full_root, theta, z1, z2):
+    law = BoundaryLaw(z1, z2)
+    small, big = cayley_tree(k, depth, full_root), cayley_tree(k, depth + 1, full_root)
+    for tree, prefix_size in ((small, small.size), (big, small.size), (big, 1)):
+        grouped = oracle._prefix_marginals(tree, prefix_size, theta, law)
+        expected = per_prefix_marginals(tree, prefix_size, theta, law)
+        assert grouped.keys() == expected.keys()
+        assert all(grouped[prefix].hex() == p.hex() for prefix, p in expected.items())
 
 
 def test_verify_enumerates_each_tree_once(monkeypatch, capsys):

@@ -416,7 +416,7 @@ def ungrouped_counts(tree, prefix_size):
 
 
 def per_prefix_marginals(tree, prefix_size, theta, law):
-    """One fsum per prefix over the ungrouped counts, as before grouping."""
+    """The reference: one fsum per prefix over the ungrouped counts."""
     counts = ungrouped_counts(tree, prefix_size)
     log_theta, log_z1, log_z2 = math.log(theta), math.log(law.z1), math.log(law.z2)
     logs = {statistic: statistic[0] * log_theta + statistic[1] * log_z1 + statistic[2] * log_z2

@@ -17,12 +17,11 @@ signs.  Their sum is formed without subtracting 1, as p00 p22 - p01 p21 =
 (z1 z2 - t^2) / ((z1 + t)(z2 + t)), and det has no cancellation either, so
 an eigenvalue near 0, as on the asymmetric branch, keeps its relative
 accuracy.  For the symmetric law z1 = z2 = z they collapse to the closed
-forms s1 = z/(z+t) and s2 = -t/(z+t), which are literally matrix entries;
-``scan.law_cells`` evaluates them from z and t without a matrix, keeping
-the matrix path for the asymmetric pair and for a symmetric law whose
-z + t or z + z overflows.  The measure is provably non-extremal when
-k * lambda2^2 > 1 with lambda2 = max(|s1|, |s2|); equality is classified
-as undetermined, never as non-extremal.
+forms s1 = z/(z+t) and s2 = -t/(z+t), which are literally matrix entries.
+``_law_spectrum`` takes ``spectrum``'s steps from the entries, building no
+matrix, for ``scan.law_cells`` and ``ks_gap``.  The measure is provably
+non-extremal when k * lambda2^2 > 1 with lambda2 = max(|s1|, |s2|);
+equality is classified as undetermined, never as non-extremal.
 
 The Kesten-Stigum window of the symmetric law in closed form.  Write
 r = z/t for the symmetric root z of z = ((t + z)/(2 t z))^k.  Then
@@ -116,15 +115,13 @@ def transition_matrix(law: BoundaryLaw, theta: float) -> TransitionMatrix:
     ))
 
 
-def _deflated_pair(trace: float, det: float) -> tuple:
-    """Non-unit eigenvalues: roots of s^2 - trace s + det, where ``trace``
-    and ``det`` belong to the chain with its unit eigenvalue deflated.
-
-    The wand zero pattern and nonnegative entries give det <= 0, so the
-    discriminant trace^2 - 4 det is a sum of nonnegative terms and both
-    roots are real.  The larger root in modulus is formed without
-    cancellation and the other as det / root, so a tiny eigenvalue keeps
-    its relative accuracy."""
+def _deflated_pair(p00, p01, p10, p12, p21, p22) -> tuple:
+    """Non-unit eigenvalues of the chain with these free entries, the roots of
+    s^2 - trace s + det (module docstring): the larger in modulus without
+    cancellation, the other as det / root, so a tiny one keeps its relative
+    accuracy."""
+    trace = p00 * p22 - p01 * p21
+    det = -(p00 * (p12 * p21) + p01 * (p10 * p22))
     root = math.sqrt(trace * trace - 4.0 * det)
     if trace < 0.0:
         big = 0.5 * (trace - root)
@@ -140,23 +137,39 @@ def spectrum(matrix: TransitionMatrix, k: int) -> SpectralReport:
     s1 = P(+1,+1) and s2 = -P(+1,0), returned as they are.
     """
     tree_order(k)
-    p = matrix.entries
-    if p[0][0] == p[2][2] and p[0][1] == p[2][1]:
-        s_pos, s_neg = p[2][2], -p[2][1]
+    (p00, p01, _), (p10, _, p12), (_, p21, p22) = matrix.entries
+    if p00 == p22 and p01 == p21:
+        s_pos, s_neg = p22, -p21
     else:
-        # the pair's sum and product without cancellation (module docstring)
-        s_pos, s_neg = _deflated_pair(
-            p[0][0] * p[2][2] - p[0][1] * p[2][1],
-            -(p[0][0] * (p[1][2] * p[2][1]) + p[0][1] * (p[1][0] * p[2][2])),
-        )
+        s_pos, s_neg = _deflated_pair(p00, p01, p10, p12, p21, p22)
     lam = max(abs(s_pos), abs(s_neg))
     return SpectralReport(s1=s_pos, s2=s_neg, s3=1.0, lambda2=lam, ks_value=k * lam * lam)
 
 
+def _law_spectrum(law: BoundaryLaw, theta: float, k: int) -> tuple:
+    """(s1, s2, lambda2, ks_value), the bits of ``spectrum(transition_matrix(
+    law, theta), k)`` from the same entries by the same steps.  While
+    z1 + z2 + theta is finite, so is each denominator, and every matrix check
+    provably passes (nonnegative quotients, rows summing to 1 within a few
+    ulps, literal zeros); past it the matrix is built, and a zero row raises."""
+    z1, z2 = law.z1, law.z2
+    if not math.isfinite(z1 + z2 + theta):
+        transition_matrix(law, theta)
+    d_neg, d_pos = z2 + theta, z1 + theta
+    p00, p01, p21, p22 = z2 / d_neg, theta / d_neg, theta / d_pos, z1 / d_pos
+    if p00 == p22 and p01 == p21:
+        s_pos, s_neg = p22, -p21
+    else:
+        d_zero = z1 + z2
+        s_pos, s_neg = _deflated_pair(p00, p01, z2 / d_zero, z1 / d_zero, p21, p22)
+    lam = max(abs(s_pos), abs(s_neg))
+    return s_pos, s_neg, lam, k * lam * lam
+
+
 def ks_gap(k: int, theta: float) -> float:
     """k * lambda2^2 - 1 evaluated on the symmetric law at (k, theta)."""
-    law = solve_symmetric(ModelParams(k, theta))
-    return spectrum(transition_matrix(law, theta), k).ks_value - 1.0
+    params = ModelParams(k, theta)
+    return _law_spectrum(solve_symmetric(params), params.theta, params.k)[3] - 1.0
 
 
 def _log_window(k: int) -> tuple:

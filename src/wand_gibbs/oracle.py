@@ -323,5 +323,5 @@ def check_consistency(tree_small: FiniteCayleyTree, tree_big: FiniteCayleyTree,
         raise ValueError("the full-root ball of depth 0 is not consistent with depth 1")
     small = _prefix_marginals(tree_small, tree_small.size, theta, law)
     big = _prefix_marginals(tree_big, tree_small.size, theta, law)
-    return max(abs(big.get(config, 0.0) - small.get(config, 0.0))
-               for config in small.keys() | big.keys())
+    # both are keyed by the small tree's admissible configurations
+    return max(abs(big[config] - mass) for config, mass in small.items())

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import math
-
 from .model import DEFAULT_RESIDUAL_TOL, BoundaryLaw, ModelParams
 from .solver import SolverError, solve_symmetric, find_asymmetric
-from .chain import transition_matrix, spectrum
+from .chain import _law_spectrum
 from .rootfind import grid
 
 __all__ = [
@@ -69,20 +67,9 @@ def law_cells(law: BoundaryLaw, params: ModelParams) -> dict:
     """s1, s2, lambda2, ks_value, kappa, gamma, product and classification
     of a solved law.  Only the symmetric law (z1 == z2) is classified; no
     extremality statement is made for the asymmetric pair (CLASS_NO_CLAIM).
-
-    The symmetric law's cells come from the closed forms s1 = z/(z+theta),
-    s2 = -theta/(z+theta) (see ``chain``), by the operations the matrix path
-    would apply, so to the same bits; while z + theta and z + z are finite,
-    every check of ``TransitionMatrix`` provably passes.  The asymmetric
-    pair, and a symmetric law outside that guard, take the matrix path,
-    whose checks raise ValueError."""
-    z, theta = law.z1, params.theta
-    if law.symmetric and math.isfinite(d := z + theta) and math.isfinite(z + z):
-        s1, s2 = z / d, -(theta / d)
-        lambda2 = max(abs(s1), abs(s2))
-        ks_value = params.k * lambda2 * lambda2
-    else:
-        s1, s2, _, lambda2, ks_value = spectrum(transition_matrix(law, theta), params.k)
+    The spectral cells of every law come from ``chain._law_spectrum``: the
+    matrix path's bits, with no matrix built."""
+    s1, s2, lambda2, ks_value = _law_spectrum(law, params.theta, params.k)
     if law.symmetric:
         # kappa = gamma(p0 = 1/2) = lambda2 for the symmetric law, derived in
         # the ``extremality`` docstring, so the product is k lambda2^2

@@ -280,6 +280,17 @@ def test_ks_no_bracket_above_k4(k):
         ks_threshold_pair(k)
 
 
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.integers(min_value=2, max_value=10**4), st.floats(min_value=0.0, max_value=1.0))
+def test_ks_gap_is_the_matrix_path_bit_for_bit(k, u):
+    # ln z* ~ -k ln(2 theta) as theta -> 0: ln theta from -700/k - ln 2 to 709
+    low = -700.0 / k - math.log(2.0)
+    theta = math.exp(low + u * (709.0 - low))
+    law = solve_symmetric(ModelParams(k, theta))
+    expected = spectrum(transition_matrix(law, theta), k).ks_value - 1.0
+    assert ks_gap(k, theta).hex() == expected.hex()
+
+
 def test_ks_gap_single_sign_change_each_side_k3():
     xs_low = grid(1e-3, 1.0, 1000, log_scale=True)
     vals = [ks_gap(3, x) for x in xs_low]

@@ -272,6 +272,38 @@ def test_consistency_rejects_mismatched_trees():
         check_consistency(cayley_tree(2, 1), cayley_tree(2, 3), 1.0, BoundaryLaw(1.0, 1.0))
 
 
+def accepted_consistency_pairs() -> list:
+    """Every (small, big) tree pair that ``check_consistency`` accepts and
+    ENUMERATION_CAP allows: half trees from depth 0, full-root ones from 1."""
+    pairs = []
+    for full_root in (False, True):
+        for k in range(2, ENUMERATION_CAP):
+            for depth in range(int(full_root), ENUMERATION_CAP):
+                try:
+                    big = cayley_tree(k, depth + 1, full_root)
+                except SizeCapError:
+                    break
+                pairs.append((cayley_tree(k, depth, full_root), big))
+    return pairs
+
+
+def test_consistency_marginals_share_their_keys():
+    # the small tree is the big one's breadth-first prefix and every
+    # admissible configuration extends, so both marginals have the same keys
+    pairs = accepted_consistency_pairs()
+    cases = {(small.k, small.depth, small.full_root) for small, _ in pairs}
+    assert len(pairs) == 18 and {(2, 2, False), (3, 1, False), (2, 1, True)} <= cases
+    law = BoundaryLaw(0.7, 1.3)
+    for small, big in pairs:
+        assert big.parents[:small.size] == small.parents
+        small_marginal = oracle._prefix_marginals(small, small.size, 0.9, law)
+        big_marginal = oracle._prefix_marginals(big, small.size, 0.9, law)
+        assert small_marginal.keys() == big_marginal.keys()
+        union_defect = max(abs(big_marginal.get(config, 0.0) - small_marginal.get(config, 0.0))
+                           for config in small_marginal.keys() | big_marginal.keys())
+        assert check_consistency(small, big, 0.9, law).hex() == union_defect.hex()
+
+
 # --- grouped evaluation against the per-configuration measure ------------------------
 
 def brute_force_marginal(measure, prefix_size):

@@ -2,13 +2,14 @@ import math
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from wand_gibbs import cli, scan
+from wand_gibbs import chain, cli
 from wand_gibbs.chain import spectrum, transition_matrix
 from wand_gibbs.model import BoundaryLaw, ModelParams
 from wand_gibbs.scan import (
     CLASS_EXTREMAL_MSW,
+    CLASS_NO_CLAIM,
     CLASS_NONEXTREMAL_KS,
     CLASS_UNDETERMINED,
     CSV_COLUMNS,
@@ -19,7 +20,7 @@ from wand_gibbs.scan import (
     scan_rows,
     theta_grid,
 )
-from wand_gibbs.solver import solve_symmetric
+from wand_gibbs.solver import _log_theta_critical, find_asymmetric, solve_symmetric
 
 
 def test_classify_regions():
@@ -115,14 +116,17 @@ def test_linear_grid_without_overflow_is_the_plain_formula(lo, hi, steps):
     assert theta_grid(lo, hi, steps, "linear") == plain
 
 
-# --- the symmetric law's cells in closed form ---------------------------------------
+# --- every law's cells without a matrix --------------------------------------------
 
 def matrix_cells(law, params):
-    """The symmetric law's cells through the validated matrix and its spectrum."""
+    """A law's cells through the validated matrix and its spectrum."""
     report = spectrum(transition_matrix(law, params.theta), params.k)
-    return {"s1": report.s1, "s2": report.s2, "lambda2": report.lambda2,
-            "ks_value": report.ks_value, "kappa": report.lambda2, "gamma": report.lambda2,
-            "product": report.ks_value, "classification": classify(report.ks_value)}
+    cells = {"s1": report.s1, "s2": report.s2, "lambda2": report.lambda2,
+             "ks_value": report.ks_value}
+    if not law.symmetric:
+        return dict(cells, kappa=None, gamma=None, product=None, classification=CLASS_NO_CLAIM)
+    return dict(cells, kappa=report.lambda2, gamma=report.lambda2, product=report.ks_value,
+                classification=classify(report.ks_value))
 
 
 def bits(cells):
@@ -148,12 +152,34 @@ def test_symmetric_cells_are_the_matrix_path_bit_for_bit(case):
     assert bits(cells) == bits(matrix_cells(law, params))
 
 
-@pytest.mark.parametrize("z", [5e-324, math.exp(708.0), 1.0, 1e300])
-@pytest.mark.parametrize("theta", [5e-324, 1e-300, 1.0, 1e300, 1.7976931348623157e308])
-@pytest.mark.parametrize("k", [2, 3, 4, 10**4])
-def test_hand_made_symmetric_cells_match_the_matrix_path(z, theta, k):
+@st.composite
+def solved_asymmetric_laws(draw):
+    # ln z2 ~ k^2 (ln theta - ln theta_cr) far below theta_cr; a width of
+    # 600 / k^2 in ln theta keeps both components normal doubles
+    k = draw(st.integers(min_value=2, max_value=10**4))
+    log_cr = _log_theta_critical(k)
+    log_theta = draw(st.floats(min_value=log_cr - 600.0 / (k * k), max_value=log_cr,
+                               exclude_max=True))
+    params = ModelParams(k, math.exp(log_theta))
+    # the cells are under test, not the residual certificate, which large k fails
+    laws = find_asymmetric(params, tol=math.inf)
+    assume(laws)
+    return laws, params
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(solved_asymmetric_laws())
+def test_asymmetric_cells_are_the_matrix_path_bit_for_bit(case):
+    laws, params = case
+    assert len(laws) == 2 and laws[1] == laws[0].swapped()
+    for law in laws:
+        cells = law_cells(law, params)
+        assert list(cells) == list(matrix_cells(law, params))
+        assert bits(cells) == bits(matrix_cells(law, params))
+
+
+def assert_cells_match_the_matrix_path(law, params):
     # the matrix path's answer, or its exception, at the ends of the double range
-    law, params = BoundaryLaw(z, z), ModelParams(k, theta)
     try:
         expected = matrix_cells(law, params)
     except ValueError as exc:
@@ -164,10 +190,44 @@ def test_hand_made_symmetric_cells_match_the_matrix_path(z, theta, k):
         assert bits(law_cells(law, params)) == bits(expected)
 
 
+EXTREME_Z = [5e-324, math.exp(708.0), 1.0, 1e300, 6e307]
+EXTREME_THETA = [5e-324, 1e-300, 1.0, 1e300, 1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("z", [5e-324, math.exp(708.0), 1.0, 1e300])
+@pytest.mark.parametrize("theta", EXTREME_THETA)
+@pytest.mark.parametrize("k", [2, 3, 4, 10**4])
+def test_hand_made_symmetric_cells_match_the_matrix_path(z, theta, k):
+    assert_cells_match_the_matrix_path(BoundaryLaw(z, z), ModelParams(k, theta))
+
+
+@pytest.mark.parametrize("z1, z2", [(z1, z2) for z1 in EXTREME_Z for z2 in EXTREME_Z if z1 != z2])
+@pytest.mark.parametrize("theta", EXTREME_THETA)
+@pytest.mark.parametrize("k", [2, 3, 4, 10**4])
+def test_hand_made_asymmetric_cells_match_the_matrix_path(z1, z2, theta, k):
+    assert_cells_match_the_matrix_path(BoundaryLaw(z1, z2), ModelParams(k, theta))
+
+
+@pytest.mark.parametrize("z1, z2, theta", [
+    (4.2468912191468007e-19, 4.246891219146801e-19, 21510.16471126802),
+    (3348878364610.156, 3348878364610.1562, 1.4789112316905325e+21),
+    (0.00011765095152138682, 0.00011765095152138683, 1.8491140359046454e+18),
+])
+def test_asymmetric_law_with_the_symmetric_pattern_takes_the_shortcut(z1, z2, theta):
+    # z1 != z2 but the entries round to the symmetric pattern: spectrum reads
+    # s1 and s2 off the matrix, which differs in the last bits from deflating
+    law, params = BoundaryLaw(z1, z2), ModelParams(3, theta)
+    (p00, p01, _), _, (_, p21, p22) = transition_matrix(law, theta).entries
+    assert not law.symmetric and (p00, p01) == (p22, p21)
+    cells = law_cells(law, params)
+    assert (cells["s1"], cells["s2"]) == (p22, -p21)
+    assert bits(cells) == bits(matrix_cells(law, params))
+
+
 @pytest.mark.parametrize("theta", [1.0, 1e308])
 def test_symmetric_cells_fall_back_to_the_matrix_checks(theta):
-    # z + z (and at theta = 1e308 also z + theta) overflows: the closed form's
-    # guard fails, and the matrix rejects its row that sums to 0
+    # z + z (and at theta = 1e308 also z + theta) overflows: the matrix
+    # rejects its row that sums to 0
     with pytest.raises(ValueError) as raised:
         law_cells(BoundaryLaw(1e308, 1e308), ModelParams(3, theta))
     assert str(raised.value) == "row (0.0, 0.0, 0.0) does not sum to 1 within 1e-14"
@@ -181,8 +241,20 @@ def matrices_built(monkeypatch):
         calls.append(args)
         return transition_matrix(*args)
 
-    monkeypatch.setattr(scan, "transition_matrix", counted)
+    monkeypatch.setattr(chain, "transition_matrix", counted)
     return calls
+
+
+@pytest.mark.parametrize("z1, z2, theta", [(6e307, 6e307, 6e307), (8e307, 5e307, 6e307),
+                                           (5e307, 8e307, 6e307)])
+def test_overflowing_sum_with_finite_pairs_takes_the_checked_rows(matrices_built, z1, z2, theta):
+    # every pairwise sum is finite, z1 + z2 + theta is not: the matrix is
+    # built, its checks pass, and the cells are its spectrum's
+    assert all(map(math.isfinite, (z1 + z2, z1 + theta, z2 + theta)))
+    assert math.isinf(z1 + z2 + theta)
+    law, params = BoundaryLaw(z1, z2), ModelParams(3, theta)
+    assert bits(law_cells(law, params)) == bits(matrix_cells(law, params))
+    assert len(matrices_built) == 1
 
 
 def test_scan_builds_no_matrix(matrices_built):
@@ -191,8 +263,9 @@ def test_scan_builds_no_matrix(matrices_built):
     assert matrices_built == []
 
 
-@pytest.mark.parametrize("theta, matrices", [("0.5", 2), ("3.0", 0)])
-def test_solve_builds_a_matrix_per_asymmetric_law(matrices_built, capsys, theta, matrices):
+@pytest.mark.parametrize("theta", ["0.5", "3.0"])
+def test_solve_builds_no_matrix(matrices_built, capsys, theta):
+    # at 0.5 the report holds the asymmetric pair too
     assert cli.main(["solve", "--k", "3", "--theta", theta]) == 0
-    capsys.readouterr()
-    assert len(matrices_built) == matrices
+    assert capsys.readouterr().out.count('"kind"') == (3 if theta == "0.5" else 1)
+    assert matrices_built == []

@@ -194,7 +194,7 @@ EXTREME_Z = [5e-324, math.exp(708.0), 1.0, 1e300, 6e307]
 EXTREME_THETA = [5e-324, 1e-300, 1.0, 1e300, 1.7976931348623157e308]
 
 
-@pytest.mark.parametrize("z", [5e-324, math.exp(708.0), 1.0, 1e300])
+@pytest.mark.parametrize("z", EXTREME_Z)
 @pytest.mark.parametrize("theta", EXTREME_THETA)
 @pytest.mark.parametrize("k", [2, 3, 4, 10**4])
 def test_hand_made_symmetric_cells_match_the_matrix_path(z, theta, k):

@@ -12,10 +12,9 @@ Usage:
     python3 scripts/threshold_report.py
 """
 
-from wand_gibbs.chain import ks_threshold_pair, spectrum, transition_matrix
+from wand_gibbs.chain import NoBracketError, ks_threshold_pair, spectrum, transition_matrix
 from wand_gibbs.extremality import msw_threshold_pair
 from wand_gibbs.model import ModelParams
-from wand_gibbs.rootfind import NoBracketError
 from wand_gibbs.solver import solve_symmetric, theta_critical
 
 

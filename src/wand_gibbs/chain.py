@@ -55,10 +55,10 @@ from __future__ import annotations
 import math
 
 from .model import BoundaryLaw, ModelParams, _value_type, tree_order
-from .rootfind import NoBracketError
 from .solver import solve_symmetric
 
 __all__ = [
+    "NoBracketError",
     "TransitionMatrix",
     "SpectralReport",
     "transition_matrix",
@@ -66,6 +66,10 @@ __all__ = [
     "ks_gap",
     "ks_threshold_pair",
 ]
+
+
+class NoBracketError(RuntimeError):
+    """No sign change of the Kesten-Stigum gap: ``ks_threshold_pair`` at k >= 4."""
 
 
 class TransitionMatrix(_value_type("TransitionMatrix", "entries")):

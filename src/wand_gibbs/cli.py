@@ -20,9 +20,8 @@ import sys
 
 from .model import DEFAULT_RESIDUAL_TOL, ModelParams, tree_order
 from .solver import SolverError, boundary_law, solve_symmetric, tisgm_set
-from .chain import ks_threshold_pair
+from .chain import NoBracketError, ks_threshold_pair
 from .oracle import cayley_tree, check_consistency
-from .rootfind import NoBracketError
 from .scan import (
     CLASS_EXTREMAL_MSW, CLASS_NO_CLAIM, CLASS_NONEXTREMAL_KS, CLASS_SOLVER_ERROR,
     CLASS_UNDETERMINED, CSV_COLUMNS, format_value, law_cells, scan_rows, theta_grid,
@@ -283,8 +282,8 @@ def _read_scan_csv(path: str):
     reader = csv.DictReader(io.StringIO(text, newline=""))
     if reader.fieldnames is None:
         raise OSError(f"{path}: empty scan file")
-    missing = [c for c in ("theta", "s1", "s2", "lambda2", "ks_value")
-               if c not in reader.fieldnames]
+    columns = ("theta", "s1", "s2", "lambda2", "ks_value")
+    missing = [c for c in columns if c not in reader.fieldnames]
     if missing:
         raise OSError(f"{path}: line 1: missing columns {missing}")
     rows = []
@@ -292,15 +291,12 @@ def _read_scan_csv(path: str):
         if record.get("classification") == CLASS_SOLVER_ERROR:
             continue  # a point the scan could not solve has no spectrum
         try:
-            rows.append({
-                "theta": float(record["theta"]),
-                "s1": float(record["s1"]),
-                "s2": float(record["s2"]),
-                "lambda2": float(record["lambda2"]),
-                "ks_value": float(record["ks_value"]),
-            })
-        except (TypeError, ValueError, KeyError) as exc:
+            row = {c: float(record[c]) for c in columns}
+        except (TypeError, ValueError) as exc:  # a short row leaves None cells
             raise OSError(f"{path}: line {lineno}: {exc}") from exc
+        if not all(map(math.isfinite, row.values())):
+            raise OSError(f"{path}: line {lineno}: non-finite cell in {row}")
+        rows.append(row)
     if not rows:
         raise OSError(f"{path}: no data rows")
     return rows
@@ -323,9 +319,11 @@ def _zero_crossings(xs, ys):
 def cmd_plot(args) -> int:
     rows = _read_scan_csv(args.scan)
     first = rows[0]
-    if first["lambda2"] <= 0.0:
-        raise OSError(f"{args.scan}: cannot recover k from a zero spectral gap")
-    k = round(first["ks_value"] / first["lambda2"] ** 2)
+    square = first["lambda2"] ** 2
+    ratio = first["ks_value"] / square if first["lambda2"] > 0.0 and square > 0.0 else 0.0
+    if not (math.isfinite(ratio) and round(ratio) >= 2):
+        raise OSError(f"{args.scan}: cannot recover a tree order k >= 2 from the first row")
+    k = round(ratio)
     thetas = [row["theta"] for row in rows]
     curve1 = [k * row["s1"] ** 2 - 1.0 for row in rows]
     curve2 = [k * row["s2"] ** 2 - 1.0 for row in rows]

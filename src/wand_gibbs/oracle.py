@@ -205,13 +205,16 @@ def _statistic(config, parents, ring) -> tuple:
     return energy, spins.count(1), spins.count(-1)
 
 
-def _log_parameters(theta: float, law: BoundaryLaw) -> tuple:
-    """(ln theta, ln z1, ln z2): a statistic (e, a, b) has log weight
-    e ln theta + a ln z1 + b ln z2."""
+def _weights(statistics, theta: float, law: BoundaryLaw) -> tuple:
+    """(top, weights): the largest log weight e ln theta + a ln z1 + b ln z2
+    of the statistics (e, a, b), and each one's exp(log weight - top) in (0, 1]."""
     theta = float(theta)
     if not (math.isfinite(theta) and theta > 0.0):
         raise ValueError(f"theta must be positive and finite, got {theta!r}")
-    return math.log(theta), math.log(law.z1), math.log(law.z2)
+    log_theta, log_z1, log_z2 = math.log(theta), math.log(law.z1), math.log(law.z2)
+    logs = [e * log_theta + a * log_z1 + b * log_z2 for e, a, b in statistics]
+    top = max(logs)
+    return top, [math.exp(lw - top) for lw in logs]
 
 
 @functools.cache
@@ -243,11 +246,8 @@ def _prefix_marginals(tree: FiniteCayleyTree, prefix_size: int, theta: float,
     """Probability of each admissible prefix of ``prefix_size`` spins under
     the finite-volume measure, from the grouped counts: one exponential per
     distinct statistic and one fsum per group of prefixes."""
-    log_theta, log_z1, log_z2 = _log_parameters(theta, law)
     statistics, groups = _grouped_counts(tree, prefix_size)
-    logs = [e * log_theta + a * log_z1 + b * log_z2 for e, a, b in statistics]
-    top = max(logs)
-    weights = [math.exp(lw - top) for lw in logs]
+    _, weights = _weights(statistics, theta, law)
     masses = [math.fsum([count * weights[index] for count, index in zip(counts, indices)])
               for counts, indices, _ in groups]
     # each prefix's mass once: the same multiset as one fsum per prefix
@@ -279,16 +279,11 @@ def finite_volume_measure(tree: FiniteCayleyTree, theta: float,
     product of z(spin) over the outermost generation, with z(-1) = z2,
     z(0) = 1, z(+1) = z1; interior vertices carry no field.
     """
-    log_theta, log_z1, log_z2 = _log_parameters(theta, law)
     configs = enumerate_admissible(tree)
     ring = tree.boundary()
-    log_weights = [e * log_theta + a * log_z1 + b * log_z2
-                   for e, a, b in (_statistic(config, tree.parents, ring) for config in configs)]
-
-    top = max(log_weights)
-    rel = [math.exp(lw - top) for lw in log_weights]
-    total = math.fsum(rel)
-    probabilities = {config: w / total for config, w in zip(configs, rel)}
+    top, weights = _weights([_statistic(c, tree.parents, ring) for c in configs], theta, law)
+    total = math.fsum(weights)
+    probabilities = {config: w / total for config, w in zip(configs, weights)}
     return FiniteVolumeMeasure(
         tree=tree,
         theta=float(theta),

@@ -1,11 +1,13 @@
-"""Activity-grid scanning: per-point solution tables with regime labels."""
+"""Activity-grid scanning: the grid (``theta_grid``, linear or log-uniform), one
+report row per point, and ``law_cells``, the one path from a solved law to its cells."""
 
 from __future__ import annotations
+
+import math
 
 from .model import DEFAULT_RESIDUAL_TOL, BoundaryLaw, ModelParams
 from .solver import SolverError, solve_symmetric, find_asymmetric
 from .chain import _law_spectrum
-from .rootfind import grid
 
 __all__ = [
     "CLASS_NONEXTREMAL_KS",
@@ -53,14 +55,25 @@ def classify(ks_value: float) -> str:
 
 
 def theta_grid(theta_min: float, theta_max: float, steps: int, scale: str = "linear") -> list:
-    """Grid with exact endpoints; ``scale`` is ``linear`` or ``log``."""
+    """A ``steps``-long grid with exact endpoints; ``scale`` is ``linear`` or ``log``."""
     if not theta_min > 0.0 or not theta_max > theta_min:
         raise ValueError(f"need 0 < theta_min < theta_max, got ({theta_min}, {theta_max})")
     if steps < 2:
         raise ValueError(f"need at least 2 steps, got {steps}")
     if scale not in ("linear", "log"):
         raise ValueError(f"scale must be 'linear' or 'log', got {scale!r}")
-    return grid(theta_min, theta_max, steps, log_scale=scale == "log")
+    m = steps - 1
+    if scale == "log":
+        la, lb = math.log(theta_min), math.log(theta_max)
+        xs = [math.exp(((m - i) * la + i * lb) / m) for i in range(steps)]
+    else:
+        # i * theta_max overflows once theta_max > DBL_MAX / m: then scale by a
+        # power of two above m, which is exact and leaves every other grid as it was
+        unit = 2.0 ** m.bit_length() if math.isinf(m * theta_max) else 1.0
+        a, b = theta_min / unit, theta_max / unit
+        xs = [((m - i) * a + i * b) / m * unit for i in range(steps)]
+    xs[0], xs[-1] = theta_min, theta_max
+    return xs
 
 
 def law_cells(law: BoundaryLaw, params: ModelParams) -> dict:

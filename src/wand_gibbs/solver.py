@@ -205,16 +205,11 @@ def theta_critical(k: int) -> float:
     return math.exp(_log_theta_critical(tree_order(k)))
 
 
-def _branch_log_p_minus_1(k: int, s: float) -> float:
-    """ln(P - 1) at t = e^s < 1, where P - 1 = t (1 - t^(k-1)) / (1 - t)."""
-    return s + math.log(-math.expm1((k - 1) * s)) - math.log(-math.expm1(s))
-
-
 def _branch(k: int, s: float) -> tuple:
-    """(k+1) ln theta and its derivative in s on the asymmetric branch at
-    s = ln t < 0.  The value is k ln P + ln(P - 1) - k ln Q; with
-    D_m = d/ds ln(1 - t^m) = -m t^m / (1 - t^m), the slope is
-    k (D_k - D_1) + 1 + D_(k-1) - D_1 - k^2 t^k / (1 + t^k)."""
+    """(k+1) ln theta, its slope in s, and ln(P - 1), for z1 = theta / (P - 1),
+    on the asymmetric branch at s = ln t < 0: the branch's one evaluator.  The
+    value is k ln P + ln(P - 1) - k ln Q; with D_m = d/ds ln(1 - t^m) =
+    -m t^m / (1 - t^m), the slope is k (D_k - D_1) + 1 + D_(k-1) - D_1 - k^2 t^k / (1 + t^k)."""
     a1 = -math.expm1(s)  # 1 - t
     ak1 = -math.expm1((k - 1) * s)  # 1 - t^(k-1)
     ak = -math.expm1(k * s)  # 1 - t^k
@@ -225,13 +220,7 @@ def _branch(k: int, s: float) -> tuple:
     d1 = (a1 - 1.0) / a1
     slope = (k * (-k * tk / ak - d1) + 1.0 - (k - 1) * (1.0 - ak1) / ak1 - d1
              - float(k) * k * tk / (1.0 + tk))
-    return value, slope
-
-
-def _branch_log_theta(k: int, s: float) -> float:
-    """ln theta on the asymmetric branch at s = ln t < 0:
-    (k ln P + ln(P - 1) - k ln Q) / (k + 1), strictly increasing in s."""
-    return _branch(k, s)[0] / (k + 1)
+    return value, slope, log_p_minus_1
 
 
 @_typed_overflow
@@ -259,7 +248,7 @@ def find_asymmetric(params: ModelParams, tol: float = DEFAULT_RESIDUAL_TOL) -> l
     # one rounding unit of the terms summed in g: below it the sign of g is noise
     noise = sys.float_info.epsilon * ((k + 1) * math.log(2 * k) + abs(target))
     while True:
-        value, slope = _branch(k, s)
+        value, slope, log_p_minus_1 = _branch(k, s)
         g = value - target
         if abs(g) <= noise:
             break
@@ -272,13 +261,13 @@ def find_asymmetric(params: ModelParams, tol: float = DEFAULT_RESIDUAL_TOL) -> l
         if not lo < after < hi:
             after = 0.5 * (lo + hi)
             if not lo < after < hi:
-                s = lo
+                s, log_p_minus_1 = lo, _branch(k, lo)[2]
                 break
         elif abs(step) <= 4.0 * math.ulp(s):
-            s = after
+            s, log_p_minus_1 = after, _branch(k, after)[2]
             break
         s = after
-    log_z1 = log_theta - _branch_log_p_minus_1(k, s)
+    log_z1 = log_theta - log_p_minus_1
     log_z2 = log_z1 + k * s
     if max(abs(log_z1), abs(log_z2)) > _LOG_RANGE:
         raise IterationFailureError(

@@ -22,7 +22,8 @@ from __future__ import annotations
 import math
 
 from wand_gibbs.model import DEFAULT_RESIDUAL_TOL, BoundaryLaw, ModelParams
-from wand_gibbs.rootfind import NoBracketError, grid
+from wand_gibbs.chain import NoBracketError
+from wand_gibbs.scan import theta_grid
 from wand_gibbs.solver import boundary_law, solve_symmetric
 
 #: relative separation below which a root counts as the symmetric one
@@ -140,7 +141,7 @@ def _grid_seeds(k, theta, z_star, points=40, keep=8):
     """Local minima of the log defect on a points x points log-log grid."""
     lo = 1e-6 * min(1.0, z_star, theta)
     hi = 1e4 * max(1.0, z_star, 1.0 / theta)
-    us = [math.log(x) for x in grid(lo, hi, points, log_scale=True)]
+    us = [math.log(x) for x in theta_grid(lo, hi, points, "log")]
     defect = [[_log_defect(u, v, k, theta) for v in us] for u in us]
     seeds = []
     for i in range(1, points - 1):
@@ -211,7 +212,7 @@ def detect_bifurcation_onset(k: int, theta_lo: float = 0.05, theta_hi: float = 1
     def has_pair(theta: float) -> bool:
         return len(newton_asymmetric(ModelParams(k, theta))) >= 2
 
-    xs = grid(theta_lo, theta_hi, points, log_scale=True)
+    xs = theta_grid(theta_lo, theta_hi, points, "log")
     flags = [has_pair(x) for x in xs]
     bracket = None
     for i in range(points - 1):

@@ -16,7 +16,7 @@ from wand_gibbs.chain import (
 from wand_gibbs.extremality import msw_gap, msw_threshold_pair
 from wand_gibbs.model import ModelParams
 from wand_gibbs.oracle import cayley_tree, check_consistency
-from wand_gibbs.rootfind import grid
+from wand_gibbs.scan import theta_grid
 from wand_gibbs.solver import (
     boundary_law,
     find_asymmetric,
@@ -68,7 +68,7 @@ def test_criterion_03_k2_thresholds_closed_forms():
 
 
 def test_criterion_04_high_order_sweep():
-    thetas = grid(0.01, 100.0, 500, log_scale=True)
+    thetas = theta_grid(0.01, 100.0, 500, "log")
     ok = True
     details = []
     for k in range(5, 11):
@@ -105,7 +105,7 @@ def test_criterion_05_symmetric_root_properties():
 
 def test_criterion_06_ferrari_equivalence():
     worst = 0.0
-    for theta in grid(0.05, 20.0, 200, log_scale=True):
+    for theta in theta_grid(0.05, 20.0, 200, "log"):
         z_bisect = solve_symmetric(ModelParams(3, theta)).z1
         z_closed = solve_ferrari_k3(theta)
         worst = max(worst, abs(z_closed - z_bisect) / max(1.0, z_bisect))
@@ -169,7 +169,7 @@ def test_criterion_09_certificate_thresholds_and_disjointness():
     ok = abs(msw[0] - 0.83) <= 0.01 and abs(msw[1] - 1.226) <= 0.01
     ok = ok and abs(msw[0] - ks[0]) <= 1e-4 and abs(msw[1] - ks[1]) <= 1e-4
     disjoint = True
-    for theta in grid(0.01, 20.0, 2000, log_scale=True):
+    for theta in theta_grid(0.01, 20.0, 2000, "log"):
         ks_fires = ks_gap(3, theta) > 0.0
         msw_fires = msw_gap(3, theta) < 0.0
         if ks_fires and msw_fires:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wand_gibbs.chain import (
+    NoBracketError,
     TransitionMatrix,
     _log_window,
     ks_gap,
@@ -15,7 +16,7 @@ from wand_gibbs.chain import (
     transition_matrix,
 )
 from wand_gibbs.model import BoundaryLaw, ModelParams
-from wand_gibbs.rootfind import NoBracketError, grid
+from wand_gibbs.scan import theta_grid
 from wand_gibbs.solver import (
     IterationFailureError,
     find_asymmetric,
@@ -292,11 +293,11 @@ def test_ks_gap_is_the_matrix_path_bit_for_bit(k, u):
 
 
 def test_ks_gap_single_sign_change_each_side_k3():
-    xs_low = grid(1e-3, 1.0, 1000, log_scale=True)
+    xs_low = theta_grid(1e-3, 1.0, 1000, "log")
     vals = [ks_gap(3, x) for x in xs_low]
     changes = sum((a > 0) != (b > 0) for a, b in zip(vals, vals[1:]))
     assert changes == 1
-    xs_high = grid(1.0, 20.0, 1000, log_scale=True)
+    xs_high = theta_grid(1.0, 20.0, 1000, "log")
     vals = [ks_gap(3, x) for x in xs_high]
     changes = sum((a > 0) != (b > 0) for a, b in zip(vals, vals[1:]))
     assert changes == 1
@@ -305,7 +306,7 @@ def test_ks_gap_single_sign_change_each_side_k3():
 # --- all-activity sweep (k >= 4) ----------------------------------------------
 
 def test_sweep_k5_nonextremal_everywhere():
-    values, sides_ok = ks_sweep(5, grid(0.01, 100.0, 200, log_scale=True))
+    values, sides_ok = ks_sweep(5, theta_grid(0.01, 100.0, 200, "log"))
     assert min(values) >= 5 / 4 > 1.0  # the k/4 floor
     assert sides_ok
 

@@ -492,6 +492,54 @@ def test_plot_bad_number_reports_line(tmp_path, capsys):
     assert "line 2" in err
 
 
+def _plot_rows(tmp_path, capsys, *rows):
+    """Exit code and stderr of ``plot`` on a scan file of these
+    (theta, s1, s2, lambda2, ks_value) rows; no SVG may be left on failure."""
+    path = tmp_path / "rows.csv"
+    path.write_text("theta,s1,s2,lambda2,ks_value\n" + "".join(",".join(r) + "\n" for r in rows))
+    svg = tmp_path / "rows.svg"
+    code, out, err = run(capsys, "plot", str(path), "--out", str(svg))
+    assert out == "" and svg.exists() == (code == 0)
+    return code, err
+
+
+GOOD_ROW = ("1.0", "0.5", "-0.5", "0.5", "0.75")
+
+
+@pytest.mark.parametrize("column", range(5))
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_plot_non_finite_cell_is_io_error(tmp_path, capsys, column, value):
+    # a NaN theta used to write "M nan,..." paths and exit 0, a NaN lambda2
+    # to exit 2 and an infinite ks_value to exit 3
+    bad = GOOD_ROW[:column] + (value,) + GOOD_ROW[column + 1:]
+    code, err = _plot_rows(tmp_path, capsys, GOOD_ROW, bad)
+    assert code == 4
+    assert err.startswith(f"i/o error: {tmp_path / 'rows.csv'}: line 3: non-finite cell")
+
+
+@pytest.mark.parametrize("lambda2, ks_value", [
+    ("0", "0"),           # no gap
+    ("-0.5", "0.75"),     # a negative modulus
+    ("1e-200", "0.75"),   # the square underflows to 0: used to exit 3, dividing by zero
+    ("1e-160", "1e300"),  # k overflows
+    ("0.5", "0.25"),      # k = 1
+    ("0.5", "0.3"),       # k rounds to 1
+    ("0.5", "-0.75"),     # k = -3
+])
+def test_plot_without_a_tree_order_is_io_error(tmp_path, capsys, lambda2, ks_value):
+    code, err = _plot_rows(tmp_path, capsys, ("1.0", "0.5", "-0.5", lambda2, ks_value), GOOD_ROW)
+    assert code == 4
+    assert err == (f"i/o error: {tmp_path / 'rows.csv'}: "
+                   "cannot recover a tree order k >= 2 from the first row\n")
+
+
+def test_plot_smallest_tree_order_is_drawn(tmp_path, capsys):
+    # ks_value / lambda2^2 = 1.5 rounds to k = 2
+    code, _ = _plot_rows(tmp_path, capsys, ("1.0", "0.5", "-0.5", "0.5", "0.375"), GOOD_ROW)
+    assert code == 0
+    assert "k=2" in (tmp_path / "rows.svg").read_text()
+
+
 def test_plot_single_row(tmp_path, capsys):
     scan_path = _make_scan(tmp_path, capsys, steps=2)
     # keep only the header and the first data row

@@ -107,13 +107,17 @@ def test_linear_grid_near_float_max_stays_finite():
     assert theta_grid(0.1, 1.7e308, 4, "linear")[1:3] == [1.7e308 / 3, 2 * (1.7e308 / 3)]
 
 
+@pytest.mark.parametrize("scale", ["linear", "log"])
 @pytest.mark.parametrize("lo, hi, steps", [(0.05, 3.0, 300), (0.1, 3.0, 7), (1e-300, 1e300, 50),
                                            (0.5, 1e306, 101), (2.0, 2.0000000000000004, 9)])
-def test_linear_grid_without_overflow_is_the_plain_formula(lo, hi, steps):
+def test_grid_without_overflow_is_the_plain_formula(lo, hi, steps, scale):
     m = steps - 1
-    plain = [((m - i) * lo + i * hi) / m for i in range(steps)]
+    if scale == "linear":
+        plain = [((m - i) * lo + i * hi) / m for i in range(steps)]
+    else:
+        plain = [math.exp(((m - i) * math.log(lo) + i * math.log(hi)) / m) for i in range(steps)]
     plain[0], plain[-1] = lo, hi
-    assert theta_grid(lo, hi, steps, "linear") == plain
+    assert [x.hex() for x in theta_grid(lo, hi, steps, scale)] == [x.hex() for x in plain]
 
 
 # --- every law's cells without a matrix --------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,6 @@ from wand_gibbs.scan import theta_grid
 from wand_gibbs.solver import (
     IterationFailureError,
     _branch,
-    _branch_log_theta,
     boundary_law,
     find_asymmetric,
     solve_symmetric,
@@ -327,11 +327,11 @@ def test_asymmetric_root_failing_certification_raises():
 @pytest.mark.parametrize("k", list(range(2, 41)) + [50, 100, 200, 500])
 def test_branch_log_theta_increasing_to_critical(k):
     ss = [-700.0 * (j / 4000) ** 3 for j in range(4000, 0, -1)]
-    values = [_branch_log_theta(k, s) for s in ss]
+    values = [_branch(k, s)[0] / (k + 1) for s in ss]
     assert all(a < b for a, b in zip(values, values[1:]))
     log_cr = math.log(theta_critical(k))
     assert values[-1] < log_cr
-    assert _branch_log_theta(k, -1e-9) == pytest.approx(log_cr, rel=1e-12, abs=1e-12)
+    assert _branch(k, -1e-9)[0] / (k + 1) == pytest.approx(log_cr, rel=1e-12, abs=1e-12)
 
 
 def _poly_mul(a, b):
@@ -447,6 +447,50 @@ def test_newton_branch_matches_bisection_oracle(rng):
     assert laws[0].z1 == pytest.approx(math.exp(log_z1), rel=rel)
     assert laws[0].z2 == pytest.approx(math.exp(log_z2), rel=rel)
     assert all(law.residual <= 1e-12 for law in laws)
+
+
+@pytest.mark.parametrize("k", [2, 3, 7, 50])
+@pytest.mark.parametrize("s", [-1e-300, -1e-9, -0.3, -1.0, -40.0, -700.0])
+def test_branch_log_p_minus_1_is_the_geometric_sum(k, s):
+    # P - 1 = t + t^2 + ... + t^(k-1), the divisor of theta in z1
+    t = math.exp(s)
+    expected = math.fsum(t ** j for j in range(1, k)) if t > 0.0 else 0.0
+    log_p_minus_1 = _branch(k, s)[2]
+    if expected > 1e-300:
+        assert math.exp(log_p_minus_1) == pytest.approx(expected, rel=1e-13)
+    else:  # below the normal range only the log stays exact: ln(P - 1) ~ s
+        assert log_p_minus_1 == pytest.approx(s, rel=1e-13)
+
+
+@pytest.mark.parametrize("k", [2, 3, 10])
+def test_newton_ending_past_its_last_evaluation_keeps_the_root(monkeypatch, k):
+    # with no noise floor the loop stops only on an exact zero of g, a Newton
+    # step of a few ulps or a collapsed bracket; the last two leave s one step
+    # past the last evaluation, so ln(P - 1) is taken once more at the final s
+    thetas = theta_grid(1e-3 * theta_critical(k), 0.999 * theta_critical(k), 40, "log")
+    expected = [find_asymmetric(ModelParams(k, theta)) for theta in thetas]
+    monkeypatch.setattr(solver, "sys", SimpleNamespace(
+        float_info=SimpleNamespace(epsilon=0.0, min=sys.float_info.min)))
+    inner, calls = solver._branch, []
+
+    def recorded(k, s):
+        calls.append((s, inner(k, s)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(solver, "_branch", recorded)
+    past = 0
+    for theta, (law, _) in zip(thetas, expected):
+        calls.clear()
+        got, swapped = find_asymmetric(ModelParams(k, theta))
+        s, (value, _, log_p_minus_1) = calls[-1]
+        past += value != (k + 1) * math.log(theta)  # g != 0 where the loop last evaluated
+        # z1 = theta / (P - 1) and z2 = t^k z1, both at the final s
+        assert got.z1 == math.exp(math.log(theta) - log_p_minus_1)
+        assert got.z2 == math.exp(math.log(theta) - log_p_minus_1 + k * s)
+        assert got.z1 == pytest.approx(law.z1, rel=1e-12)
+        assert got.z2 == pytest.approx(law.z2, rel=1e-12)
+        assert swapped == got.swapped()
+    assert past > 0
 
 
 def test_newton_evaluations_on_scan_grid(monkeypatch):

@@ -8,6 +8,7 @@ breaks only a traced benchmark run.  This test reads ``BENCHMARK.json``
 and fails first.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -20,6 +21,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "wand_gibbs"
 
 #: modules whose public functions the tracer wraps
 TRACED_MODULES = ("solver", "chain", "extremality", "rootfind", "scan", "oracle", "cli")
@@ -85,3 +87,28 @@ def test_traced_name_is_public_function(name):
     assert function in public_functions(module), (
         f"BENCHMARK.json traces {name}, which is not a public function of wand_gibbs.{module_name}"
     )
+
+
+# --- rootfind: kept for the benchmark alone, so that it can go as one file ---------
+
+def _imports_rootfind(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[-1] == "rootfind" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return ((node.module or "").split(".")[-1] == "rootfind"
+                or any(alias.name == "rootfind" for alias in node.names))
+    return False
+
+
+def test_only_the_package_init_imports_rootfind():
+    importers = sorted(path.name for path in SRC.glob("*.py")
+                       if any(map(_imports_rootfind, ast.walk(ast.parse(path.read_text())))))
+    assert importers == ["__init__.py"]
+
+
+def test_rootfind_defines_only_the_benchmark_pinned_functions():
+    body = ast.parse((SRC / "rootfind.py").read_text()).body
+    public = {node.name for node in body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
+    pinned = {name.split(".")[1] for name in traced_names() if name.startswith("rootfind.")}
+    assert public == pinned == {"bisect", "sign_change_brackets"}

@@ -14,9 +14,9 @@ check the algebra against it:
 
 from __future__ import annotations
 
-from wand_gibbs.chain import ks_gap, spectrum, transition_matrix
+from wand_gibbs.chain import NoBracketError, ks_gap, spectrum, transition_matrix
 from wand_gibbs.model import ModelParams
-from wand_gibbs.rootfind import NoBracketError, bisect, sign_change_brackets
+from wand_gibbs.rootfind import bisect, sign_change_brackets
 from wand_gibbs.solver import solve_symmetric
 
 

@@ -15,6 +15,7 @@ import functools
 import io
 import json
 import math
+import operator
 import os
 import sys
 
@@ -145,13 +146,26 @@ def _write_text(path: str | None, text: str):
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
+#: the conversion that gives ``format_value``'s text, per exact cell type
+_CELL_FORMATS = {float: "%.17g", int: "%d", str: "%s", type(None): "%.0s"}
+
+
 def _write_csv(path: str | None, columns, records):
-    """Write ``records``, mappings keyed by ``columns``, as CSV under a
-    header row, every cell through ``format_value``.  Cells are comma-joined
-    because none ever needs quoting (a number, an int, empty or a fixed
-    label); the tests check the bytes against the csv module's writer."""
+    """Write ``records``, mappings keyed by two or more ``columns``, as CSV
+    under a header row, each cell in ``format_value``'s text.  Cells are
+    comma-joined because none ever needs quoting (a number, an int, empty or
+    a fixed label); the tests check the bytes against the csv module's
+    writer.  Each row is one ``%`` with a template per tuple of cell types;
+    a row holding any other type (a bool, say) goes through ``format_value``."""
     lines = [",".join(columns)]
-    lines.extend(",".join([format_value(record[col]) for col in columns]) for record in records)
+    templates = {}
+    for row in map(operator.itemgetter(*columns), records):
+        kinds = tuple(map(type, row))
+        template = templates.get(kinds)
+        if template is None:
+            known = all(kind in _CELL_FORMATS for kind in kinds)
+            template = templates[kinds] = ",".join(map(_CELL_FORMATS.get, kinds)) if known else ""
+        lines.append(template % row if template else ",".join(map(format_value, row)))
     _write_text(path, "\n".join(lines) + "\n")
 
 

@@ -55,9 +55,10 @@ def classify(ks_value: float) -> str:
 
 
 def theta_grid(theta_min: float, theta_max: float, steps: int, scale: str = "linear") -> list:
-    """A ``steps``-long grid with exact endpoints; ``scale`` is ``linear`` or ``log``."""
-    if not theta_min > 0.0 or not theta_max > theta_min:
-        raise ValueError(f"need 0 < theta_min < theta_max, got ({theta_min}, {theta_max})")
+    """A ``steps``-long grid of finite activities with exact endpoints;
+    ``scale`` is ``linear`` or ``log``."""
+    if not 0.0 < theta_min < theta_max < math.inf:  # NaN fails every comparison
+        raise ValueError(f"need 0 < theta_min < theta_max < inf, got ({theta_min}, {theta_max})")
     if steps < 2:
         raise ValueError(f"need at least 2 steps, got {steps}")
     if scale not in ("linear", "log"):

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tracemalloc
+from decimal import Decimal
 
 import jsonschema
 import pytest
@@ -184,6 +185,15 @@ def test_scan_rejects_bad_ranges(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("scale", ["linear", "log"])
+@pytest.mark.parametrize("lo, hi", [("0.1", "inf"), ("0.1", "nan"), ("inf", "inf"), ("nan", "1.0")])
+def test_scan_non_finite_bound_is_usage_error_before_any_row(capsys, scale, lo, hi):
+    code, out, err = run(capsys, "scan", "--k", "3", "--theta-min", lo, "--theta-max", hi,
+                         "--steps", "3", "--scale", scale)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: need 0 < theta_min < theta_max < inf, got (")
+
+
 def test_scan_unwritable_path(capsys):
     code, _, _ = run(capsys, "scan", "--k", "2", "--theta-min", "0.5",
                      "--theta-max", "1.0", "--steps", "3",
@@ -351,6 +361,36 @@ def test_thresholds_csv_equals_csv_writer(capsys, criterion):
                for name in ("ks", "msw") if doc[name] is not None]
     assert len(records) == (2 if criterion == "both" else 1)
     assert out == csv_writer_text(THRESHOLD_COLUMNS, records)
+
+
+def written_csv(capsys, columns, records):
+    cli._write_csv(None, columns, records)
+    return capsys.readouterr().out
+
+
+def test_csv_rows_whose_cell_types_change_from_row_to_row(capsys):
+    # 3 roots, 1 root, a solver-error row, then 3 roots again: each row's
+    # template follows its own cell types, and a seen tuple of types reuses one
+    rows = (scan.scan_rows(3, [0.5, 2.0]) + scan.scan_rows(300, [1e-8])
+            + scan.scan_rows(3, [0.7, 0.5]))
+    assert [row["tisgm_count"] for row in rows] == [3, 1, None, 3, 3]
+    assert rows[2]["classification"] == "solver-error"
+    assert written_csv(capsys, CSV_COLUMNS, rows) == csv_writer_text(CSV_COLUMNS, rows)
+
+
+def test_csv_cells_outside_the_template_types(capsys):
+    columns = ("a", "b", "c", "d")
+    records = [
+        dict(a=-0.0, b=math.nan, c=math.inf, d=-math.inf),
+        dict(a=5e-324, b="%s", c="100%", d=None),
+        dict(a=True, b=1.5, c=0, d="x"),  # a bool is int text "True", not "%d" text "1"
+        dict(a=Decimal("0.1"), b=None, c=-7, d=False),
+        dict(a=1.7976931348623157e308, b=10**30, c="%(a)s %%", d=2.2250738585072014e-308),
+    ]
+    text = written_csv(capsys, columns, records)
+    assert text == csv_writer_text(columns, records)
+    assert text.splitlines()[1:4] == ["-0,nan,inf,-inf", "4.9406564584124654e-324,%s,100%,",
+                                      "True,1.5,0,x"]
 
 
 def test_no_fixed_cell_needs_quoting():

@@ -48,6 +48,32 @@ def test_grid_rejects_bad_ranges(args):
         theta_grid(*args)
 
 
+@pytest.mark.parametrize("scale", ["linear", "log"])
+@pytest.mark.parametrize("lo, hi", [(0.1, math.inf), (0.1, math.nan), (math.inf, math.inf),
+                                    (math.nan, 1.0), (-math.inf, 1.0)])
+def test_grid_rejects_non_finite_bounds(scale, lo, hi):
+    with pytest.raises(ValueError, match=r"need 0 < theta_min < theta_max < inf"):
+        theta_grid(lo, hi, 3, scale)
+
+
+@pytest.mark.parametrize("scale, lo, steps, expected", [
+    ("linear", 0.1, 5, ["0x1.999999999999ap-4", "0x1.fffffffffffffp+1021",
+                        "0x1.fffffffffffffp+1022", "0x1.7ffffffffffffp+1023",
+                        "0x1.fffffffffffffp+1023"]),
+    ("linear", 5e-324, 4, ["0x0.0000000000001p-1022", "0x1.5555555555555p+1022",
+                           "0x1.5555555555555p+1023", "0x1.fffffffffffffp+1023"]),
+    ("log", 0.1, 5, ["0x1.999999999999ap-4", "0x1.6c310e3769f46p+253",
+                     "0x1.43d13624848e6p+510", "0x1.1feb33c1c37d0p+767",
+                     "0x1.fffffffffffffp+1023"]),
+    ("log", 5e-324, 4, ["0x0.0000000000001p-1022", "0x1.428a2f98d7371p-375",
+                        "0x1.965fea53d6e78p+324", "0x1.fffffffffffffp+1023"]),
+])
+def test_grid_up_to_float_max_is_finite_and_keeps_its_bits(scale, lo, steps, expected):
+    # the largest finite bound is still a grid, point for point as before the
+    # non-finite check
+    assert [x.hex() for x in theta_grid(lo, sys.float_info.max, steps, scale)] == expected
+
+
 def test_scan_row_below_critical():
     row = scan_row(ModelParams(3, 0.5))
     assert row["tisgm_count"] == 3

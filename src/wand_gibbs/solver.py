@@ -6,10 +6,11 @@ to positive solutions of the two-component fixed-point system
     z1 = ((theta + z1) / (theta * (z1 + z2)))**k
     z2 = ((theta + z2) / (theta * (z1 + z2)))**k.
 
-Both sides are compared in logs.  The map F_i = k ln((theta + z_i) /
-(theta (z1 + z2))) is built from the ratio z_i / (z1 + z2) and log1p terms,
-so no power overflows, and a law's residual max |z_i - rhs_i| / max(1, z_i)
-is evaluated as min(1, z_i) |expm1(F_i - ln z_i)|.
+Both sides are compared in logs.  A law's residual max |z_i - rhs_i| /
+max(1, z_i) is evaluated in one pass over the components as
+min(1, z_i) |expm1(F_i - ln z_i)|, where F_i = k ln((theta + z_i) /
+(theta (z1 + z2))) is formed in place from the ratio z_i / (z1 + z2) and
+log1p terms, so no power overflows; equal components take one term.
 
 The symmetric root z1 = z2 = z* always exists and is unique.  In u = ln z
 it is the zero of

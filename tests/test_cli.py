@@ -186,7 +186,7 @@ def test_scan_rejects_bad_ranges(capsys):
 
 
 @pytest.mark.parametrize("scale", ["linear", "log"])
-@pytest.mark.parametrize("lo, hi", [("0.1", "inf"), ("0.1", "nan"), ("inf", "inf"), ("nan", "1.0")])
+@pytest.mark.parametrize("lo, hi", [("0.1", "inf"), ("inf", "inf"), ("0.1", "nan")])
 def test_scan_non_finite_bound_is_usage_error_before_any_row(capsys, scale, lo, hi):
     code, out, err = run(capsys, "scan", "--k", "3", "--theta-min", lo, "--theta-max", hi,
                          "--steps", "3", "--scale", scale)

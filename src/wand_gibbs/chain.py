@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import math
 
-from .model import BoundaryLaw, ModelParams, _value_type, tree_order
+from .model import BoundaryLaw, ModelParams, _value_type, activity, tree_order
 from .solver import solve_symmetric
 
 __all__ = [
@@ -108,9 +108,7 @@ class SpectralReport(_value_type("SpectralReport", "s1 s2 s3 lambda2 ks_value"))
 
 def transition_matrix(law: BoundaryLaw, theta: float) -> TransitionMatrix:
     """The descent chain's transition matrix for ``law`` at activity ``theta``."""
-    theta = float(theta)
-    if not (math.isfinite(theta) and theta > 0.0):
-        raise ValueError(f"theta must be positive and finite, got {theta!r}")
+    theta = activity(theta)
     z1, z2 = law.z1, law.z2
     return TransitionMatrix((
         (z2 / (z2 + theta), theta / (z2 + theta), 0.0),

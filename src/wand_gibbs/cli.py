@@ -42,25 +42,27 @@ VERIFY_PERTURBED_DEFECT = 1e-6
 JSON_SCHEMAS = {
     "solve": {
         "type": "object",
-        "required": ["command", "k", "theta", "theta_cr", "tisgm_count", "laws"],
+        "required": ["command", "k", "theta", "theta_cr", "tisgm_count", "residual_tol", "laws"],
         "properties": {
             "command": {"const": "solve"},
             "k": {"type": "integer", "minimum": 2},
             "theta": {"type": "number", "exclusiveMinimum": 0},
             "theta_cr": {"type": "number"},
             "tisgm_count": {"type": "integer"},
+            "residual_tol": {"type": "number", "exclusiveMinimum": 0},
             "laws": {
                 "type": "array",
                 "minItems": 1,
                 "items": {
                     "type": "object",
-                    "required": ["kind", "z1", "z2", "residual", "s1", "s2",
+                    "required": ["kind", "z1", "z2", "residual", "certified", "s1", "s2",
                                  "lambda2", "ks_value", "classification"],
                     "properties": {
                         "kind": {"enum": ["symmetric", "asymmetric"]},
                         "z1": {"type": "number"},
                         "z2": {"type": "number"},
                         "residual": {"type": "number"},
+                        "certified": {"type": "boolean"},
                         "s1": {"type": "number"},
                         "s2": {"type": "number"},
                         "lambda2": {"type": "number"},
@@ -86,19 +88,9 @@ JSON_SCHEMAS = {
                 "items": {
                     "type": "object",
                     "required": list(CSV_COLUMNS),
-                    "properties": {
+                    "properties": dict.fromkeys(CSV_COLUMNS, {"type": ["number", "null"]}) | {
                         "theta": {"type": "number"},
-                        "z_sym": {"type": ["number", "null"]},
-                        "z_asym_1": {"type": ["number", "null"]},
-                        "z_asym_2": {"type": ["number", "null"]},
                         "tisgm_count": {"enum": [1, 3, None]},
-                        "s1": {"type": ["number", "null"]},
-                        "s2": {"type": ["number", "null"]},
-                        "lambda2": {"type": ["number", "null"]},
-                        "ks_value": {"type": ["number", "null"]},
-                        "kappa": {"type": ["number", "null"]},
-                        "gamma": {"type": ["number", "null"]},
-                        "product": {"type": ["number", "null"]},
                         "classification": {"enum": [CLASS_NONEXTREMAL_KS, CLASS_EXTREMAL_MSW,
                                                     CLASS_UNDETERMINED, CLASS_SOLVER_ERROR]},
                     },

@@ -19,6 +19,11 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
+__all__ = [
+    "SPINS", "SPIN_INDEX", "DEFAULT_RESIDUAL_TOL", "WAND_ADJACENCY", "allows", "tree_order",
+    "activity", "ModelParams", "BoundaryLaw",
+]
+
 #: the spin alphabet in its canonical (total) order
 SPINS = (-1, 0, 1)
 
@@ -43,13 +48,27 @@ def allows(s: int, t: int) -> bool:
     return WAND_ADJACENCY[SPIN_INDEX[s]][SPIN_INDEX[t]] == 1
 
 
+def _is_integer(x) -> bool:
+    """True when ``x`` is integral and not a bool; NaN and infinities are
+    rejected before int() could raise on them."""
+    return not isinstance(x, bool) and x == x and x not in (math.inf, -math.inf) and int(x) == x
+
+
 def tree_order(k) -> int:
     """``k`` as an int after checking that it is a valid tree order: an
-    integer >= 2 (booleans, NaN and infinities are rejected before int());
-    ValueError otherwise."""
-    if isinstance(k, bool) or k != k or k in (math.inf, -math.inf) or int(k) != k or k < 2:
+    integer >= 2; ValueError otherwise."""
+    if not _is_integer(k) or k < 2:
         raise ValueError(f"tree order k must be an integer >= 2, got {k!r}")
     return int(k)
+
+
+def activity(theta) -> float:
+    """``theta`` as a float after checking that it is a valid activity:
+    positive and finite; ValueError otherwise."""
+    value = float(theta)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"activity theta must be positive and finite, got {theta!r}")
+    return value
 
 
 def _value_type(name: str, fields: str) -> type:
@@ -73,11 +92,7 @@ class ModelParams(_value_type("ModelParams", "k theta")):
     __slots__ = ()
 
     def __new__(cls, k, theta):
-        k = tree_order(k)
-        value = float(theta)
-        if not math.isfinite(value) or value <= 0.0:
-            raise ValueError(f"activity theta must be positive and finite, got {theta!r}")
-        return tuple.__new__(cls, (k, value))
+        return tuple.__new__(cls, (tree_order(k), activity(theta)))
 
 
 class BoundaryLaw(_value_type("BoundaryLaw", "z1 z2 residual")):

@@ -41,7 +41,9 @@ import functools
 import math
 from collections import Counter
 
-from .model import SPINS, WAND_ADJACENCY, BoundaryLaw, _value_type, allows, tree_order
+from .model import (
+    SPINS, WAND_ADJACENCY, BoundaryLaw, _is_integer, _value_type, activity, allows, tree_order,
+)
 
 __all__ = [
     "ENUMERATION_CAP",
@@ -105,7 +107,7 @@ def cayley_tree(k: int, depth: int, full_root: bool = False) -> FiniteCayleyTree
     Raises SizeCapError before allocating the first generation that would
     take the ball past ENUMERATION_CAP vertices."""
     k = tree_order(k)
-    if depth != depth or depth in (math.inf, -math.inf) or int(depth) != depth or depth < 0:
+    if not _is_integer(depth) or depth < 0:
         raise ValueError(f"depth must be a nonnegative integer, got {depth!r}")
     depth = int(depth)
     parents = [-1]
@@ -208,10 +210,7 @@ def _statistic(config, parents, ring) -> tuple:
 def _weights(statistics, theta: float, law: BoundaryLaw) -> tuple:
     """(top, weights): the largest log weight e ln theta + a ln z1 + b ln z2
     of the statistics (e, a, b), and each one's exp(log weight - top) in (0, 1]."""
-    theta = float(theta)
-    if not (math.isfinite(theta) and theta > 0.0):
-        raise ValueError(f"theta must be positive and finite, got {theta!r}")
-    log_theta, log_z1, log_z2 = math.log(theta), math.log(law.z1), math.log(law.z2)
+    log_theta, log_z1, log_z2 = math.log(activity(theta)), math.log(law.z1), math.log(law.z2)
     logs = [e * log_theta + a * log_z1 + b * log_z2 for e, a, b in statistics]
     top = max(logs)
     return top, [math.exp(lw - top) for lw in logs]

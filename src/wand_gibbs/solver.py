@@ -189,13 +189,17 @@ def solve_symmetric(params: ModelParams, tol: float = DEFAULT_RESIDUAL_TOL) -> B
 
 
 def _log_theta_critical(k: int) -> float:
-    return (k * math.log(k) + math.log(k - 1) - k * math.log(2.0)) / (k + 1)
+    value = (k * math.log(k) + math.log(k - 1) - k * math.log(2.0)) / (k + 1)
+    if value == math.inf:  # k ln k overflows from k ~ 2.56e305 on: the same log, divided first
+        value = k / (k + 1) * (math.log(k) - math.log(2.0)) + math.log(k - 1) / (k + 1)
+    return value
 
 
 @_typed_overflow
 def theta_critical(k: int) -> float:
-    """Critical activity (k^k (k-1) / 2^k)^(1/(k+1)), computed in logs so
-    that it stays finite for every k up to the float range; below it three
+    """Critical activity (k^k (k-1) / 2^k)^(1/(k+1)), about k / 2 for large
+    k, computed in logs so that it stays finite for every k up to the float
+    range (a larger k raises IterationFailureError); below it three
     translation-invariant measures exist, at or above it exactly one."""
     return math.exp(_log_theta_critical(tree_order(k)))
 

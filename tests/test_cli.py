@@ -305,6 +305,46 @@ def test_thresholds_csv(capsys):
     assert [r["criterion"] for r in rows] == ["ks", "msw"]
 
 
+# --- JSON schemas: every emitted key is named -------------------------------------
+
+def undeclared(doc, schema, path="") -> list:
+    """Keys of ``doc``, and of its nested objects and array items, that the
+    ``properties`` of ``schema`` do not name."""
+    missing = []
+    if isinstance(doc, dict) and "properties" in schema:
+        for key, value in doc.items():
+            if key in schema["properties"]:
+                missing += undeclared(value, schema["properties"][key], f"{path}.{key}")
+            else:
+                missing.append(f"{path}.{key}")
+    elif isinstance(doc, list) and "items" in schema:
+        for item in doc:
+            missing += undeclared(item, schema["items"], f"{path}[]")
+    return missing
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--k", "3", "--theta", "0.5"),
+    ("solve", "--k", "5", "--theta", "4.0"),
+    ("scan", "--k", "3", "--theta-min", "0.1", "--theta-max", "3", "--steps", "7"),
+    ("scan", "--k", "300", "--theta-min", "1e-8", "--theta-max", "1e8", "--steps", "5",
+     "--scale", "log"),
+    ("thresholds", "--k", "3", "--criterion", "both"),
+    ("thresholds", "--k", "2", "--criterion", "ks"),
+], ids=lambda argv: "-".join(argv[:5:2]))
+def test_every_emitted_key_is_in_its_schema(capsys, argv):
+    _, out, _ = run(capsys, *argv, "--format", "json")
+    doc = json.loads(out)
+    schema = JSON_SCHEMAS[argv[0]]
+    jsonschema.validate(doc, schema)
+    assert undeclared(doc, schema) == []
+
+
+def test_scan_row_schema_names_the_csv_columns():
+    row = JSON_SCHEMAS["scan"]["properties"]["rows"]["items"]
+    assert list(row["properties"]) == row["required"] == list(CSV_COLUMNS)
+
+
 # --- CSV writer: comma joins, checked against csv.writer ----------------------------
 
 SOLVE_COLUMNS = ("kind", "z1", "z2", "residual", "theta_cr", "s1", "s2",

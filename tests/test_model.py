@@ -1,19 +1,34 @@
+import ast
 import math
+import types
+from pathlib import Path
 
 import pytest
 
+import wand_gibbs
+from wand_gibbs import chain, extremality, model, oracle, scan, solver
 from wand_gibbs.model import (
     SPINS,
     SPIN_INDEX,
     WAND_ADJACENCY,
     BoundaryLaw,
     ModelParams,
+    activity,
     allows,
     tree_order,
 )
 from wand_gibbs.chain import ks_threshold_pair, spectrum, transition_matrix
-from wand_gibbs.oracle import cayley_tree
+from wand_gibbs.oracle import _weights, cayley_tree
 from wand_gibbs.solver import theta_critical
+
+SRC = Path(wand_gibbs.__file__).resolve().parent
+
+
+def test_package_exports_each_module_all():
+    public = {name for name, value in vars(wand_gibbs).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    modules = (model, solver, chain, extremality, oracle, scan)
+    assert public == {name for module in modules for name in module.__all__}
 
 
 def test_wand_adjacency_entries():
@@ -63,6 +78,38 @@ def test_every_entry_point_checks_tree_order(k):
 def test_params_reject_bad_theta(theta):
     with pytest.raises(ValueError):
         ModelParams(2, theta)
+
+
+@pytest.mark.parametrize("theta", [0, -1, math.nan, math.inf, -math.inf, "x"])
+def test_activity_rejects_bad_theta(theta):
+    with pytest.raises(ValueError):
+        activity(theta)
+
+
+def test_activity_returns_a_float():
+    assert activity(1) == 1.0 and type(activity(1)) is float
+
+
+@pytest.mark.parametrize("theta", [0.0, -1.0, math.inf, math.nan])
+def test_every_entry_point_checks_activity(theta):
+    law = BoundaryLaw(1.0, 1.0)
+    checks = (activity, lambda theta: ModelParams(2, theta),
+              lambda theta: transition_matrix(law, theta),
+              lambda theta: _weights([(0, 0, 0)], theta, law))
+    for check in checks:
+        with pytest.raises(ValueError, match=r"^activity theta must be positive and finite, got "):
+            check(theta)
+
+
+def test_only_activity_raises_the_activity_message():
+    raisers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                raises = (n for n in ast.walk(node) if isinstance(n, ast.Raise))
+                if any("theta must be positive" in ast.unparse(n) for n in raises):
+                    raisers.append(f"{path.stem}.{node.name}")
+    assert raisers == ["model.activity"]
 
 
 def test_params_accept_boundary():

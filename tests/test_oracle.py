@@ -78,6 +78,13 @@ def test_tree_rejects_non_finite_depth(depth):
         cayley_tree(3, depth)
 
 
+@pytest.mark.parametrize("depth", [True, False, 1.5])
+def test_tree_rejects_non_integer_depth(depth):
+    # the same check as tree_order's: a bool is not an integer depth
+    with pytest.raises(ValueError, match=r"^depth must be a nonnegative integer, got "):
+        cayley_tree(2, depth)
+
+
 # --- hamiltonian ------------------------------------------------------------------
 
 def test_hamiltonian_constant_config():

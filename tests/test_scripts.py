@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from wand_gibbs.chain import ks_threshold_pair
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -57,3 +59,23 @@ def test_pairs_report_needs_two_pairs():
         proc = subprocess.run([sys.executable, "scripts/pairs_report.py", "verify", seeds,
                                ".", "."], cwd=ROOT, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 2 and "FIRST" in proc.stderr, proc.stderr
+
+
+def test_tier1_report_needs_label_and_root():
+    # parsed before any suite runs
+    for checkout in ("change", "=.", "change="):
+        proc = subprocess.run([sys.executable, "scripts/tier1_report.py", checkout], cwd=ROOT,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2 and "LABEL=ROOT" in proc.stderr, proc.stderr
+
+
+def test_tier1_report_parses_the_pytest_summary(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    from tier1_report import parse_summary
+
+    assert parse_summary("....\n1328 passed in 27.31s\n") == (1328, 27.31)
+    assert parse_summary("F.\n1 failed, 1327 passed, 2 warnings in 75.02s (0:01:15)\n") == (
+        1327, 75.02)
+    assert parse_summary("E\n1 error in 0.50s\n") == (0, 0.5)
+    with pytest.raises(ValueError):
+        parse_summary("Traceback (most recent call last):\n")

@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 from types import SimpleNamespace
 
@@ -206,6 +207,39 @@ def test_theta_critical_large_k_finite(k):
     # math.log, which accepts integers of any size
     log_cr = (math.log(k ** k * (k - 1)) - k * math.log(2.0)) / (k + 1)
     assert theta_critical(k) == pytest.approx(math.exp(log_cr), rel=1e-12)
+
+
+def _old_log_theta_critical(k):
+    return (k * math.log(k) + math.log(k - 1) - k * math.log(2.0)) / (k + 1)
+
+
+@pytest.mark.parametrize("k", [3 * 10**305, 10**306, int(sys.float_info.max)],
+                         ids=["3e305", "1e306", "DBL_MAX"])
+def test_theta_critical_finite_where_k_log_k_overflows(k):
+    # k ln k leaves the float range from k ~ 2.56e305; theta_cr ~ k / 2 there
+    assert _old_log_theta_critical(k) == math.inf
+    assert theta_critical(k) == pytest.approx(k / 2, rel=1e-12)
+
+
+def test_theta_critical_keeps_its_bits_where_k_log_k_is_finite():
+    rng = random.Random(2001)
+    orders = [*range(2, 300), 10**6, 10**100, 2 * 10**305, 25 * 10**304]
+    orders += [int(10 ** rng.uniform(0.5, 305.39)) for _ in range(2000)]
+    for k in orders:
+        old = _old_log_theta_critical(k)
+        assert solver._log_theta_critical(k) == old, k
+        assert theta_critical(k) == math.exp(old), k
+
+
+def test_no_asymmetric_pair_above_critical_at_huge_k():
+    # theta = 1e306 lies above theta_cr ~ 5.0e305
+    assert find_asymmetric(ModelParams(10**306, 1e306)) == []
+
+
+@pytest.mark.parametrize("k", [int(sys.float_info.max) * 2, 10**400])
+def test_theta_critical_beyond_float_range_fails_typed(k):
+    with pytest.raises(IterationFailureError):
+        theta_critical(k)
 
 
 def test_theta_critical_rejects_small_k():

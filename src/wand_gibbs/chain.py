@@ -18,10 +18,10 @@ signs.  Their sum is formed without subtracting 1, as p00 p22 - p01 p21 =
 an eigenvalue near 0, as on the asymmetric branch, keeps its relative
 accuracy.  For the symmetric law z1 = z2 = z they collapse to the closed
 forms s1 = z/(z+t) and s2 = -t/(z+t), which are literally matrix entries.
-``_law_spectrum`` takes ``spectrum``'s steps from the entries, building no
-matrix, for ``scan.law_cells`` and ``ks_gap``.  The measure is provably
-non-extremal when k * lambda2^2 > 1 with lambda2 = max(|s1|, |s2|);
-equality is classified as undetermined, never as non-extremal.
+``spectrum`` and ``_law_spectrum`` (a law's cells with no matrix built)
+share these steps.  The measure is provably non-extremal when
+k * lambda2^2 > 1 with lambda2 = max(|s1|, |s2|); equality is classified
+as undetermined, never as non-extremal.
 
 The Kesten-Stigum window of the symmetric law in closed form.  Write
 r = z/t for the symmetric root z of z = ((t + z)/(2 t z))^k.  Then
@@ -117,55 +117,43 @@ def transition_matrix(law: BoundaryLaw, theta: float) -> TransitionMatrix:
     ))
 
 
-def _deflated_pair(p00, p01, p10, p12, p21, p22) -> tuple:
-    """Non-unit eigenvalues of the chain with these free entries, the roots of
-    s^2 - trace s + det (module docstring): the larger in modulus without
-    cancellation, the other as det / root, so a tiny one keeps its relative
-    accuracy."""
-    trace = p00 * p22 - p01 * p21
-    det = -(p00 * (p12 * p21) + p01 * (p10 * p22))
-    root = math.sqrt(trace * trace - 4.0 * det)
-    if trace < 0.0:
-        big = 0.5 * (trace - root)
-        return det / big, big
-    big = 0.5 * (trace + root)
-    return big, (det / big if big else 0.0)
-
-
-def spectrum(matrix: TransitionMatrix, k: int) -> SpectralReport:
-    """Eigenvalues of ``matrix`` by deflating the known root 1.
-
-    A matrix with the symmetric-law pattern has the closed forms
-    s1 = P(+1,+1) and s2 = -P(+1,0), returned as they are.
-    """
-    tree_order(k)
-    (p00, p01, _), (p10, _, p12), (_, p21, p22) = matrix.entries
+def _entry_spectrum(p00, p01, p10, p12, p21, p22, k) -> tuple:
+    """(s1, s2, lambda2, ks_value) of the chain with these free entries: the
+    symmetric-law pattern's s1 = P(+1,+1), s2 = -P(+1,0) as they are, else the
+    roots of s^2 - trace s + det (module docstring), the larger in modulus
+    without cancellation and the other as det / root, so a tiny one stays accurate."""
     if p00 == p22 and p01 == p21:
         s_pos, s_neg = p22, -p21
     else:
-        s_pos, s_neg = _deflated_pair(p00, p01, p10, p12, p21, p22)
+        trace = p00 * p22 - p01 * p21
+        det = -(p00 * (p12 * p21) + p01 * (p10 * p22))
+        root = math.sqrt(trace * trace - 4.0 * det)
+        big = 0.5 * (trace - root if trace < 0.0 else trace + root)
+        small = det / big if big else 0.0
+        s_pos, s_neg = (small, big) if trace < 0.0 else (big, small)
     lam = max(abs(s_pos), abs(s_neg))
-    return SpectralReport(s1=s_pos, s2=s_neg, s3=1.0, lambda2=lam, ks_value=k * lam * lam)
+    return s_pos, s_neg, lam, k * lam * lam
+
+
+def spectrum(matrix: TransitionMatrix, k: int) -> SpectralReport:
+    """Eigenvalues of ``matrix`` by deflating the known root 1 (``_entry_spectrum``)."""
+    k = tree_order(k)
+    (p00, p01, _), (p10, _, p12), (_, p21, p22) = matrix.entries
+    s1, s2, lam, ks_value = _entry_spectrum(p00, p01, p10, p12, p21, p22, k)
+    return SpectralReport(s1=s1, s2=s2, s3=1.0, lambda2=lam, ks_value=ks_value)
 
 
 def _law_spectrum(law: BoundaryLaw, theta: float, k: int) -> tuple:
     """(s1, s2, lambda2, ks_value), the bits of ``spectrum(transition_matrix(
-    law, theta), k)`` from the same entries by the same steps.  While
-    z1 + z2 + theta is finite, so is each denominator, and every matrix check
-    provably passes (nonnegative quotients, rows summing to 1 within a few
-    ulps, literal zeros); past it the matrix is built, and a zero row raises."""
+    law, theta), k)`` by the same steps, with no matrix built: while every
+    denominator is finite, every matrix check provably passes; past it a row
+    is all zeros, and the matrix's error for that row is raised."""
     z1, z2 = law.z1, law.z2
-    if not math.isfinite(z1 + z2 + theta):
-        transition_matrix(law, theta)
-    d_neg, d_pos = z2 + theta, z1 + theta
-    p00, p01, p21, p22 = z2 / d_neg, theta / d_neg, theta / d_pos, z1 / d_pos
-    if p00 == p22 and p01 == p21:
-        s_pos, s_neg = p22, -p21
-    else:
-        d_zero = z1 + z2
-        s_pos, s_neg = _deflated_pair(p00, p01, z2 / d_zero, z1 / d_zero, p21, p22)
-    lam = max(abs(s_pos), abs(s_neg))
-    return s_pos, s_neg, lam, k * lam * lam
+    d_neg, d_zero, d_pos = z2 + theta, z1 + z2, z1 + theta
+    if math.inf in (d_neg, d_zero, d_pos):
+        raise ValueError("row (0.0, 0.0, 0.0) does not sum to 1 within 1e-14")
+    return _entry_spectrum(z2 / d_neg, theta / d_neg, z2 / d_zero, z1 / d_zero,
+                           theta / d_pos, z1 / d_pos, k)
 
 
 def ks_gap(k: int, theta: float) -> float:

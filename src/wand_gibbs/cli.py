@@ -106,8 +106,9 @@ JSON_SCHEMAS = {
             "k": {"type": "integer", "minimum": 2},
             "criterion": {"enum": ["ks", "msw", "both"]},
             "certified": {"type": "boolean"},
-            "ks": {"type": ["object", "null"]},
-            "msw": {"type": ["object", "null"]},
+            **dict.fromkeys(("ks", "msw"), {  # a window, null where not asked for
+                "type": ["object", "null"], "required": ["lower", "upper"],
+                "properties": dict.fromkeys(("lower", "upper"), {"type": "number"})}),
             "agreement": {"type": ["number", "null"]},
         },
     },
@@ -147,17 +148,15 @@ def _write_csv(path: str | None, columns, records):
     under a header row, each cell in ``format_value``'s text.  Cells are
     comma-joined because none ever needs quoting (a number, an int, empty or
     a fixed label); the tests check the bytes against the csv module's
-    writer.  Each row is one ``%`` with a template per tuple of cell types;
-    a row holding any other type (a bool, say) goes through ``format_value``."""
+    writer.  Each row is one ``%`` with a template per tuple of cell types."""
     lines = [",".join(columns)]
     templates = {}
     for row in map(operator.itemgetter(*columns), records):
         kinds = tuple(map(type, row))
         template = templates.get(kinds)
         if template is None:
-            known = all(kind in _CELL_FORMATS for kind in kinds)
-            template = templates[kinds] = ",".join(map(_CELL_FORMATS.get, kinds)) if known else ""
-        lines.append(template % row if template else ",".join(map(format_value, row)))
+            template = templates[kinds] = ",".join([_CELL_FORMATS[kind] for kind in kinds])
+        lines.append(template % row)
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -248,7 +247,11 @@ def cmd_verify(args) -> int:
         thetas = [float(t) for t in args.thetas.split(",") if t.strip()]
     except ValueError as exc:
         raise ValueError(f"cannot parse --thetas {args.thetas!r}") from exc
-    if not thetas or any(not (math.isfinite(t) and t > 0.0) for t in thetas):
+    try:
+        points = [ModelParams(k, theta) for theta in thetas]  # model.activity checks each
+    except ValueError:
+        points = []
+    if not points:
         raise ValueError(f"--thetas must be positive reals, got {args.thetas!r}")
 
     small = cayley_tree(k, args.depth - 1)
@@ -256,17 +259,16 @@ def cmd_verify(args) -> int:
     tol = _residual_tol()
     failures = 0
     lines = []
-    for theta in thetas:
-        params = ModelParams(k, theta)
+    for params in points:
         law = solve_symmetric(params, tol)
-        defect = check_consistency(small, big, theta, law)
+        defect = check_consistency(small, big, params.theta, law)
         ok_cert = defect <= VERIFY_PASS_DEFECT
         perturbed = boundary_law(law.z1 * 1.1, law.z2 * 0.9, params)
-        defect_pert = check_consistency(small, big, theta, perturbed)
+        defect_pert = check_consistency(small, big, params.theta, perturbed)
         ok_pert = defect_pert >= VERIFY_PERTURBED_DEFECT
         failures += (not ok_cert) + (not ok_pert)
         lines.append(
-            f"theta={format_value(theta)} certified defect={defect:.3e} "
+            f"theta={format_value(params.theta)} certified defect={defect:.3e} "
             f"[{'PASS' if ok_cert else 'FAIL'}] perturbed defect={defect_pert:.3e} "
             f"[{'PASS' if ok_pert else 'FAIL'}]"
         )

@@ -62,10 +62,18 @@ def tree_order(k) -> int:
     return int(k)
 
 
+def _real(x) -> float:
+    """``float(x)``, or +-inf for a number beyond the doubles (a huge int)."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def activity(theta) -> float:
     """``theta`` as a float after checking that it is a valid activity:
     positive and finite; ValueError otherwise."""
-    value = float(theta)
+    value = _real(theta)
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"activity theta must be positive and finite, got {theta!r}")
     return value
@@ -107,10 +115,10 @@ class BoundaryLaw(_value_type("BoundaryLaw", "z1 z2 residual")):
     __slots__ = ()
 
     def __new__(cls, z1, z2, residual=math.inf):
-        x1, x2 = float(z1), float(z2)
+        x1, x2 = _real(z1), _real(z2)
         if not (math.isfinite(x1) and x1 > 0.0 and math.isfinite(x2) and x2 > 0.0):
             raise ValueError(f"boundary law components must be positive and finite, got ({z1!r}, {z2!r})")
-        defect = float(residual)
+        defect = _real(residual)
         if math.isnan(defect) or defect < 0.0:
             raise ValueError("residual must be nonnegative")
         return tuple.__new__(cls, (x1, x2, defect))

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 
-from .model import DEFAULT_RESIDUAL_TOL, BoundaryLaw, ModelParams
+from .model import DEFAULT_RESIDUAL_TOL, BoundaryLaw, ModelParams, _real
 from .solver import SolverError, solve_symmetric, find_asymmetric
 from .chain import _law_spectrum
 
@@ -57,6 +57,7 @@ def classify(ks_value: float) -> str:
 def theta_grid(theta_min: float, theta_max: float, steps: int, scale: str = "linear") -> list:
     """A ``steps``-long grid of finite activities with exact endpoints;
     ``scale`` is ``linear`` or ``log``."""
+    theta_min, theta_max = _real(theta_min), _real(theta_max)
     if not 0.0 < theta_min < theta_max < math.inf:  # NaN fails every comparison
         raise ValueError(f"need 0 < theta_min < theta_max < inf, got ({theta_min}, {theta_max})")
     if steps < 2:

@@ -145,7 +145,8 @@ def _residual(z1: float, z2: float, k: int, theta: float) -> float:
 @_typed_overflow
 def boundary_law(z1: float, z2: float, params: ModelParams) -> BoundaryLaw:
     """A BoundaryLaw carrying the fixed-point residual evaluated at (z1, z2)."""
-    return BoundaryLaw(z1, z2, _residual(float(z1), float(z2), params.k, params.theta))
+    law = BoundaryLaw(z1, z2)
+    return law._replace(residual=_residual(law.z1, law.z2, params.k, params.theta))
 
 
 @_typed_overflow

@@ -3,7 +3,6 @@ import io
 import json
 import math
 import tracemalloc
-from decimal import Decimal
 
 import jsonschema
 import pytest
@@ -340,6 +339,19 @@ def test_every_emitted_key_is_in_its_schema(capsys, argv):
     assert undeclared(doc, schema) == []
 
 
+@pytest.mark.parametrize("name", ["ks", "msw"])
+@pytest.mark.parametrize("key", ["lower", "upper"])
+def test_threshold_window_schema_requires_both_ends(capsys, name, key):
+    _, out, _ = run(capsys, "thresholds", "--k", "3", "--format", "json")
+    doc = json.loads(out)
+    del doc[name][key]
+    with pytest.raises(jsonschema.ValidationError, match=f"'{key}' is a required property"):
+        jsonschema.validate(doc, JSON_SCHEMAS["thresholds"])
+    doc[name][key] = "0.5"
+    with pytest.raises(jsonschema.ValidationError, match="is not of type 'number'"):
+        jsonschema.validate(doc, JSON_SCHEMAS["thresholds"])
+
+
 def test_scan_row_schema_names_the_csv_columns():
     row = JSON_SCHEMAS["scan"]["properties"]["rows"]["items"]
     assert list(row["properties"]) == row["required"] == list(CSV_COLUMNS)
@@ -423,14 +435,11 @@ def test_csv_cells_outside_the_template_types(capsys):
     records = [
         dict(a=-0.0, b=math.nan, c=math.inf, d=-math.inf),
         dict(a=5e-324, b="%s", c="100%", d=None),
-        dict(a=True, b=1.5, c=0, d="x"),  # a bool is int text "True", not "%d" text "1"
-        dict(a=Decimal("0.1"), b=None, c=-7, d=False),
         dict(a=1.7976931348623157e308, b=10**30, c="%(a)s %%", d=2.2250738585072014e-308),
     ]
     text = written_csv(capsys, columns, records)
     assert text == csv_writer_text(columns, records)
-    assert text.splitlines()[1:4] == ["-0,nan,inf,-inf", "4.9406564584124654e-324,%s,100%,",
-                                      "True,1.5,0,x"]
+    assert text.splitlines()[1:3] == ["-0,nan,inf,-inf", "4.9406564584124654e-324,%s,100%,"]
 
 
 def test_no_fixed_cell_needs_quoting():
@@ -503,6 +512,23 @@ def test_verify_vertex_cap_high_order(capsys):
 def test_verify_bad_thetas(capsys):
     code, _, _ = run(capsys, "verify", "--k", "2", "--thetas", "0.5,zebra")
     assert code == 2
+
+
+@pytest.mark.parametrize("thetas, reason", [
+    ("a", "cannot parse --thetas 'a'"), ("0.5,zebra", "cannot parse --thetas '0.5,zebra'"),
+    (",", "--thetas must be positive reals, got ','"),
+    (" ", "--thetas must be positive reals, got ' '"),
+    *[(text, f"--thetas must be positive reals, got {text!r}")
+      for text in ("-1", "0", "inf", "nan", "1e400", "0.5,-2", "0.5,,nan")],
+])
+def test_verify_bad_thetas_exact_message(capsys, thetas, reason):
+    assert run(capsys, "verify", "--k", "2", "--thetas", thetas) == (2, "", f"error: {reason}\n")
+
+
+def test_verify_skips_empty_thetas(capsys):
+    code, out, _ = run(capsys, "verify", "--k", "2", "--depth", "1", "--thetas", "0.5,,2")
+    assert code == 0
+    assert [line.split()[0] for line in out.splitlines()[:-1]] == ["theta=0.5", "theta=2"]
 
 
 def test_verify_failure_writes_report_and_exits_5(monkeypatch, capsys):

@@ -86,11 +86,21 @@ def test_activity_rejects_bad_theta(theta):
         activity(theta)
 
 
+def test_law_residual_beyond_the_doubles_is_infinite():
+    assert BoundaryLaw(1.0, 1.0, 10**400).residual == math.inf
+    with pytest.raises(ValueError, match="^residual must be nonnegative$"):
+        BoundaryLaw(1.0, 1.0, -(10**400))
+
+
 def test_activity_returns_a_float():
     assert activity(1) == 1.0 and type(activity(1)) is float
 
 
-@pytest.mark.parametrize("theta", [0.0, -1.0, math.inf, math.nan])
+#: integers beyond the range of doubles, whose conversion to float overflows
+HUGE = [pytest.param(10**400, id="1e400"), pytest.param(-(10**400), id="-1e400")]
+
+
+@pytest.mark.parametrize("theta", [0.0, -1.0, math.inf, math.nan, *HUGE])
 def test_every_entry_point_checks_activity(theta):
     law = BoundaryLaw(1.0, 1.0)
     checks = (activity, lambda theta: ModelParams(2, theta),
@@ -117,7 +127,9 @@ def test_params_accept_boundary():
     assert p.k == 2 and p.theta == 1e-9
 
 
-@pytest.mark.parametrize("z1,z2", [(0.0, 1.0), (1.0, -2.0), (math.inf, 1.0)])
+@pytest.mark.parametrize("z1,z2", [(0.0, 1.0), (1.0, -2.0), (math.inf, 1.0),
+                                   pytest.param(10**400, 1.0, id="1e400-1"),
+                                   pytest.param(1.0, -(10**400), id="1--1e400")])
 def test_law_rejects_nonpositive(z1, z2):
     with pytest.raises(ValueError):
         BoundaryLaw(z1, z2)

@@ -45,10 +45,20 @@ def test_grid_exact_endpoints():
                                   (0.1, 1.0, 5, "cubic"),
                                   # a non-finite bound would put inf on the grid
                                   (0.1, math.inf, 3, "linear"), (0.1, math.inf, 3, "log"),
-                                  (math.inf, math.inf, 3, "log"), (0.1, math.nan, 3, "log")])
+                                  (math.inf, math.inf, 3, "log"), (0.1, math.nan, 3, "log"),
+                                  # an int beyond the doubles is an infinite bound
+                                  (0.1, 10**400, 3, "linear"), (0.1, 10**400, 3, "log"),
+                                  (10**400, 10**401, 3, "log")])
 def test_grid_rejects_bad_ranges(args):
     with pytest.raises(ValueError):
         theta_grid(*args)
+
+
+@pytest.mark.parametrize("theta", [10**400, -1.0], ids=["1e400", "-1"])
+def test_scan_rows_reject_an_activity_beyond_the_doubles(theta):
+    # an invalid activity is a usage error, as -1.0 is, not a solver-error row
+    with pytest.raises(ValueError, match=r"^activity theta must be positive and finite, got "):
+        scan_rows(3, [0.5, theta])
 
 
 @pytest.mark.parametrize("scale, lo, steps, expected", [
@@ -250,8 +260,8 @@ def test_asymmetric_law_with_the_symmetric_pattern_takes_the_shortcut(z1, z2, th
 
 @pytest.mark.parametrize("theta", [1.0, 1e308])
 def test_symmetric_cells_fall_back_to_the_matrix_checks(theta):
-    # z + z (and at theta = 1e308 also z + theta) overflows: the matrix
-    # rejects its row that sums to 0
+    # z + z (and at theta = 1e308 also z + theta) overflows: the error is the
+    # matrix's for its row that sums to 0
     with pytest.raises(ValueError) as raised:
         law_cells(BoundaryLaw(1e308, 1e308), ModelParams(3, theta))
     assert str(raised.value) == "row (0.0, 0.0, 0.0) does not sum to 1 within 1e-14"
@@ -272,13 +282,14 @@ def matrices_built(monkeypatch):
 @pytest.mark.parametrize("z1, z2, theta", [(6e307, 6e307, 6e307), (8e307, 5e307, 6e307),
                                            (5e307, 8e307, 6e307)])
 def test_overflowing_sum_with_finite_pairs_takes_the_checked_rows(matrices_built, z1, z2, theta):
-    # every pairwise sum is finite, z1 + z2 + theta is not: the matrix is
-    # built, its checks pass, and the cells are its spectrum's
+    # every pairwise sum is finite, z1 + z2 + theta is not: the matrix's
+    # checks pass, and the cells are its spectrum's, with no matrix built
     assert all(map(math.isfinite, (z1 + z2, z1 + theta, z2 + theta)))
     assert math.isinf(z1 + z2 + theta)
     law, params = BoundaryLaw(z1, z2), ModelParams(3, theta)
-    assert bits(law_cells(law, params)) == bits(matrix_cells(law, params))
-    assert len(matrices_built) == 1
+    cells = law_cells(law, params)
+    assert matrices_built == []
+    assert bits(cells) == bits(matrix_cells(law, params))
 
 
 def test_scan_builds_no_matrix(matrices_built):

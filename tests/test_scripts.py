@@ -1,6 +1,7 @@
 """Smoke tests of the scripts under ``scripts/``: each runs in a fresh
 interpreter against ``src`` and must print the k = 3 window."""
 
+import json
 import os
 import subprocess
 import sys
@@ -61,17 +62,41 @@ def test_pairs_report_needs_two_pairs():
         assert proc.returncode == 2 and "FIRST" in proc.stderr, proc.stderr
 
 
-def test_tier1_report_needs_label_and_root():
-    # parsed before any suite runs
-    for checkout in ("change", "=.", "change="):
-        proc = subprocess.run([sys.executable, "scripts/tier1_report.py", checkout], cwd=ROOT,
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 2 and "LABEL=ROOT" in proc.stderr, proc.stderr
+@pytest.mark.parametrize("argv", [("bogus", "1-2", ".", "."),
+                                  ("startup", "1-2", ".", ".", "--trace"),
+                                  ("tier1", "1-2", ".", ".", "--trace")])
+def test_pairs_report_rejects_a_measure_before_it_runs(tmp_path, argv):
+    out = tmp_path / "pairs.json"
+    proc = subprocess.run([sys.executable, "scripts/pairs_report.py", *argv, "--out", str(out)],
+                          cwd=ROOT, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stderr.startswith("usage: "), proc.stderr
+    assert proc.stdout == "" and not out.exists()
+
+
+def test_pairs_report_startup_pairs(tmp_path):
+    # 2 pairs: 4 timed interpreter starts after one untimed start per side
+    out = tmp_path / "pairs.json"
+    proc = subprocess.run([sys.executable, "scripts/pairs_report.py", "startup", "1-2", ".", ".",
+                           "--out", str(out)], cwd=ROOT, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    entry = json.loads(out.read_text())["workloads"]["startup"]
+    assert [(pair["seed"], pair["first"]) for pair in entry["pairs"]] == [(1, "parent"),
+                                                                          (2, "change")]
+    for pair in entry["pairs"]:
+        for side in ("parent", "change"):
+            assert set(pair[side]) == {"commit", "dirty", "metrics"}
+            assert pair[side]["metrics"]["import_ms"] > 0.0
+    row = entry["summary"]["import_ms"]
+    assert row["better"] == "lower" and row["pairs"] == 2
+    assert 0 <= row["change_better_pairs"] <= 2
+    assert row["parent"]["q1"] <= row["parent"]["median"] <= row["parent"]["q3"]
+    assert "import_ms: parent" in proc.stdout
 
 
 def test_tier1_report_parses_the_pytest_summary(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
-    from tier1_report import parse_summary
+    from pairs_report import parse_summary
 
     assert parse_summary("....\n1328 passed in 27.31s\n") == (1328, 27.31)
     assert parse_summary("F.\n1 failed, 1327 passed, 2 warnings in 75.02s (0:01:15)\n") == (

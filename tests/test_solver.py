@@ -59,6 +59,14 @@ def test_rhs_symmetric_reduces_to_gain_map(k, theta, z):
     assert boundary_law(z, z, params).residual == pytest.approx(expected, rel=1e-13)
 
 
+@pytest.mark.parametrize("z1, z2", [(10**400, 1.0), (1.0, 10**400), (-(10**400), 1.0)],
+                         ids=["1e400-1", "1-1e400", "-1e400-1"])
+def test_boundary_law_rejects_a_component_beyond_the_doubles(z1, z2):
+    # the law's own check, not the solver's overflow guard that blames k
+    with pytest.raises(ValueError, match=r"^boundary law components must be positive and finite"):
+        boundary_law(z1, z2, ModelParams(3, 1.0))
+
+
 def test_rhs_hand_evaluated_point():
     # k=2, theta=0.5, (z1, z2) = (1, 2):
     #   rhs1 = ((0.5+1)/(0.5*3))^2 = 1,  rhs2 = ((0.5+2)/(0.5*3))^2 = 25/9,

@@ -54,6 +54,13 @@ def test_grid_rejects_bad_ranges(args):
         theta_grid(*args)
 
 
+def test_grid_takes_int_bounds_as_floats():
+    # 4 * 10**308 is an int beyond the doubles, where 4 * 1e308 is inf
+    for scale in ("linear", "log"):
+        grid = theta_grid(1, 10**308, 5, scale)
+        assert grid == theta_grid(1.0, 1e308, 5, scale) and type(grid[0]) is float
+
+
 @pytest.mark.parametrize("theta", [10**400, -1.0], ids=["1e400", "-1"])
 def test_scan_rows_reject_an_activity_beyond_the_doubles(theta):
     # an invalid activity is a usage error, as -1.0 is, not a solver-error row

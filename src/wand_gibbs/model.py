@@ -117,7 +117,7 @@ class BoundaryLaw(_value_type("BoundaryLaw", "z1 z2 residual")):
     def __new__(cls, z1, z2, residual=math.inf):
         try:
             x1, x2, defect = float(z1), float(z2), float(residual)
-        except OverflowError:  # the solver's laws never pay for _real's call
+        except OverflowError:  # float() first: only an overflow pays for _real's call
             x1, x2, defect = _real(z1), _real(z2), _real(residual)
         if not (math.isfinite(x1) and x1 > 0.0 and math.isfinite(x2) and x2 > 0.0):
             raise ValueError(f"boundary law components must be positive and finite, got ({z1!r}, {z2!r})")

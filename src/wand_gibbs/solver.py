@@ -145,8 +145,8 @@ def _residual(z1: float, z2: float, k: int, theta: float) -> float:
 @_typed_overflow
 def boundary_law(z1: float, z2: float, params: ModelParams) -> BoundaryLaw:
     """A BoundaryLaw carrying the fixed-point residual evaluated at (z1, z2)."""
-    law = BoundaryLaw(z1, z2)
-    return law._replace(residual=_residual(law.z1, law.z2, params.k, params.theta))
+    z1, z2, _ = BoundaryLaw(z1, z2)  # the law's own checks come before any arithmetic
+    return BoundaryLaw(z1, z2, _residual(z1, z2, params.k, params.theta))
 
 
 @_typed_overflow

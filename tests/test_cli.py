@@ -514,14 +514,12 @@ def test_verify_bad_thetas(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("thetas, reason", [
-    ("a", "cannot parse --thetas 'a'"), ("0.5,zebra", "cannot parse --thetas '0.5,zebra'"),
-    (",", "--thetas must be positive reals, got ','"),
-    (" ", "--thetas must be positive reals, got ' '"),
-    *[(text, f"--thetas must be positive reals, got {text!r}")
-      for text in ("-1", "0", "inf", "nan", "1e400", "0.5,-2", "0.5,,nan")],
-])
-def test_verify_bad_thetas_exact_message(capsys, thetas, reason):
+@pytest.mark.parametrize("thetas", ["a", ",", " ", "-1", "0", "inf", "nan", "1e400", "0.5,-2",
+                                    "0.5,,nan"])
+def test_verify_bad_thetas_exact_message(capsys, thetas):
+    # an empty list, like each value model.activity rejects, is not a positive real
+    reason = (f"cannot parse --thetas {thetas!r}" if thetas == "a"
+              else f"--thetas must be positive reals, got {thetas!r}")
     assert run(capsys, "verify", "--k", "2", "--thetas", thetas) == (2, "", f"error: {reason}\n")
 
 

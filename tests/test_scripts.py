@@ -64,7 +64,8 @@ def test_pairs_report_needs_two_pairs():
 
 @pytest.mark.parametrize("argv", [("bogus", "1-2", ".", "."),
                                   ("startup", "1-2", ".", ".", "--trace"),
-                                  ("tier1", "1-2", ".", ".", "--trace")])
+                                  ("tier1", "1-2", ".", ".", "--trace")],
+                         ids=["unknown", "startup-trace", "tier1-trace"])
 def test_pairs_report_rejects_a_measure_before_it_runs(tmp_path, argv):
     out = tmp_path / "pairs.json"
     proc = subprocess.run([sys.executable, "scripts/pairs_report.py", *argv, "--out", str(out)],

@@ -145,12 +145,12 @@ def spectrum(matrix: TransitionMatrix, k: int) -> SpectralReport:
 
 def _law_spectrum(law: BoundaryLaw, theta: float, k: int) -> tuple:
     """(s1, s2, lambda2, ks_value), the bits of ``spectrum(transition_matrix(
-    law, theta), k)`` by the same steps, with no matrix built: while every
-    denominator is finite, every matrix check provably passes; past it a row
-    is all zeros, and the matrix's error for that row is raised."""
+    law, theta), k)`` by the same steps, with no matrix built.  While every
+    denominator (each at most z1 + z2 + theta) is finite, every matrix check
+    provably passes; past it a row is all zeros, and the matrix's error for it is raised."""
     z1, z2 = law.z1, law.z2
     d_neg, d_zero, d_pos = z2 + theta, z1 + z2, z1 + theta
-    if math.inf in (d_neg, d_zero, d_pos):
+    if d_zero + theta == math.inf and math.inf in (d_neg, d_zero, d_pos):
         raise ValueError("row (0.0, 0.0, 0.0) does not sum to 1 within 1e-14")
     return _entry_spectrum(z2 / d_neg, theta / d_neg, z2 / d_zero, z1 / d_zero,
                            theta / d_pos, z1 / d_pos, k)

@@ -73,7 +73,7 @@ def _real(x) -> float:
 def activity(theta) -> float:
     """``theta`` as a float after checking that it is a valid activity:
     positive and finite; ValueError otherwise."""
-    value = _real(theta)
+    value = theta if type(theta) is float else _real(theta)  # a float makes no call
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"activity theta must be positive and finite, got {theta!r}")
     return value

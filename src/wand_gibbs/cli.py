@@ -19,13 +19,13 @@ import operator
 import os
 import sys
 
-from .model import DEFAULT_RESIDUAL_TOL, ModelParams, tree_order
-from .solver import SolverError, boundary_law, solve_symmetric, tisgm_set
+from .model import DEFAULT_RESIDUAL_TOL, BoundaryLaw, ModelParams, tree_order
+from .solver import SolverError, solve_symmetric, tisgm_set
 from .chain import NoBracketError, ks_threshold_pair
 from .oracle import cayley_tree, check_consistency
 from .scan import (
     CLASS_EXTREMAL_MSW, CLASS_NO_CLAIM, CLASS_NONEXTREMAL_KS, CLASS_SOLVER_ERROR,
-    CLASS_UNDETERMINED, CSV_COLUMNS, format_value, law_cells, scan_rows, theta_grid,
+    CLASS_UNDETERMINED, CSV_COLUMNS, LAW_CELLS, format_value, law_cells, scan_rows, theta_grid,
 )
 from .svgplot import regime_svg
 
@@ -59,17 +59,11 @@ JSON_SCHEMAS = {
                                  "lambda2", "ks_value", "classification"],
                     "properties": {
                         "kind": {"enum": ["symmetric", "asymmetric"]},
-                        "z1": {"type": "number"},
-                        "z2": {"type": "number"},
-                        "residual": {"type": "number"},
+                        **dict.fromkeys(("z1", "z2", "residual"), {"type": "number"}),
                         "certified": {"type": "boolean"},
-                        "s1": {"type": "number"},
-                        "s2": {"type": "number"},
-                        "lambda2": {"type": "number"},
-                        "ks_value": {"type": "number"},
-                        "kappa": {"type": ["number", "null"]},
-                        "gamma": {"type": ["number", "null"]},
-                        "product": {"type": ["number", "null"]},
+                        **dict.fromkeys(LAW_CELLS, {"type": "number"}),
+                        # null for an asymmetric law, which gets no extremality claim
+                        **dict.fromkeys(("kappa", "gamma", "product"), {"type": ["number", "null"]}),
                         "classification": {"enum": [CLASS_NONEXTREMAL_KS, CLASS_EXTREMAL_MSW,
                                                     CLASS_UNDETERMINED, CLASS_NO_CLAIM]},
                     },
@@ -160,6 +154,14 @@ def _write_csv(path: str | None, columns, records):
     _write_text(path, "\n".join(lines) + "\n")
 
 
+def _write_doc(args, doc: dict, columns, records):
+    """``doc`` as indented JSON or ``records`` as CSV under ``columns``, per ``--format``."""
+    if args.format == "json":
+        _write_text(args.out, json.dumps(doc, indent=2) + "\n")
+    else:
+        _write_csv(args.out, columns, records)
+
+
 def _law_report(law, params, tol) -> dict:
     return {
         "kind": "symmetric" if law.symmetric else "asymmetric",
@@ -185,12 +187,8 @@ def cmd_solve(args) -> int:
         "residual_tol": tol,
         "laws": laws,
     }
-    if args.format == "json":
-        _write_text(args.out, json.dumps(doc, indent=2) + "\n")
-    else:
-        columns = ("kind", "z1", "z2", "residual", "theta_cr", "s1", "s2",
-                   "lambda2", "ks_value", "kappa", "gamma", "product", "classification")
-        _write_csv(args.out, columns, (dict(law, theta_cr=solutions.theta_cr) for law in laws))
+    _write_doc(args, doc, ("kind", "z1", "z2", "residual", "theta_cr") + LAW_CELLS,
+               (dict(law, theta_cr=solutions.theta_cr) for law in laws))
     return EXIT_OK
 
 
@@ -198,11 +196,7 @@ def cmd_scan(args) -> int:
     tree_order(args.k)
     thetas = theta_grid(args.theta_min, args.theta_max, args.steps, args.scale)
     rows = scan_rows(args.k, thetas, tol=_residual_tol())
-    if args.format == "json":
-        doc = {"command": "scan", "k": args.k, "rows": rows}
-        _write_text(args.out, json.dumps(doc, indent=2) + "\n")
-    else:
-        _write_csv(args.out, CSV_COLUMNS, rows)
+    _write_doc(args, {"command": "scan", "k": args.k, "rows": rows}, CSV_COLUMNS, rows)
     failed = sum(row["classification"] == CLASS_SOLVER_ERROR for row in rows)
     if failed:
         print(f"solver error: {failed} of {len(rows)} rows could not be solved "
@@ -215,27 +209,19 @@ def cmd_thresholds(args) -> int:
     k = tree_order(args.k)
     # one window for both criteria (see ``extremality``); NoBracketError from k = 4 on
     lower, upper = ks_threshold_pair(k)
+    window = {"lower": lower, "upper": upper}
+    names = ("ks", "msw") if args.criterion == "both" else (args.criterion,)
     doc = {
         "command": "thresholds",
         "k": k,
         "criterion": args.criterion,
         "certified": True,
-        "ks": None,
-        "msw": None,
-        "agreement": None,
+        "ks": window if "ks" in names else None,
+        "msw": window if "msw" in names else None,
+        "agreement": 0.0 if args.criterion == "both" else None,
     }
-    for name in ("ks", "msw"):
-        if args.criterion in (name, "both"):
-            doc[name] = {"lower": lower, "upper": upper}
-    if args.criterion == "both":
-        doc["agreement"] = 0.0
-    if args.format == "json":
-        _write_text(args.out, json.dumps(doc, indent=2) + "\n")
-    else:
-        certified = str(doc["certified"]).lower()
-        _write_csv(args.out, ("criterion", "k", "lower", "upper", "certified"),
-                   [dict(doc[name], criterion=name, k=k, certified=certified)
-                    for name in ("ks", "msw") if doc[name] is not None])
+    _write_doc(args, doc, ("criterion", "k", "lower", "upper", "certified"),
+               (dict(window, criterion=name, k=k, certified="true") for name in names))
     return EXIT_OK
 
 
@@ -263,7 +249,7 @@ def cmd_verify(args) -> int:
         law = solve_symmetric(params, tol)
         defect = check_consistency(small, big, params.theta, law)
         ok_cert = defect <= VERIFY_PASS_DEFECT
-        perturbed = boundary_law(law.z1 * 1.1, law.z2 * 0.9, params)
+        perturbed = BoundaryLaw(law.z1 * 1.1, law.z2 * 0.9)
         defect_pert = check_consistency(small, big, params.theta, perturbed)
         ok_pert = defect_pert >= VERIFY_PERTURBED_DEFECT
         failures += (not ok_cert) + (not ok_pert)

@@ -54,11 +54,19 @@ def _is_integer(x) -> bool:
     return not isinstance(x, bool) and x == x and x not in (math.inf, -math.inf) and int(x) == x
 
 
+def _shown(x) -> str:
+    """``repr(x)`` for an error message, or a stand-in for an int too long for it."""
+    try:
+        return repr(x)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        return f"<{'negative ' if x < 0 else ''}int of {x.bit_length()} bits>"
+
+
 def tree_order(k) -> int:
     """``k`` as an int after checking that it is a valid tree order: an
     integer >= 2; ValueError otherwise."""
     if not _is_integer(k) or k < 2:
-        raise ValueError(f"tree order k must be an integer >= 2, got {k!r}")
+        raise ValueError(f"tree order k must be an integer >= 2, got {_shown(k)}")
     return int(k)
 
 
@@ -75,7 +83,7 @@ def activity(theta) -> float:
     positive and finite; ValueError otherwise."""
     value = theta if type(theta) is float else _real(theta)  # a float makes no call
     if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"activity theta must be positive and finite, got {theta!r}")
+        raise ValueError(f"activity theta must be positive and finite, got {_shown(theta)}")
     return value
 
 
@@ -120,7 +128,8 @@ class BoundaryLaw(_value_type("BoundaryLaw", "z1 z2 residual")):
         except OverflowError:  # float() first: only an overflow pays for _real's call
             x1, x2, defect = _real(z1), _real(z2), _real(residual)
         if not (math.isfinite(x1) and x1 > 0.0 and math.isfinite(x2) and x2 > 0.0):
-            raise ValueError(f"boundary law components must be positive and finite, got ({z1!r}, {z2!r})")
+            raise ValueError("boundary law components must be positive and finite, "
+                             f"got ({_shown(z1)}, {_shown(z2)})")
         if math.isnan(defect) or defect < 0.0:
             raise ValueError("residual must be nonnegative")
         return tuple.__new__(cls, (x1, x2, defect))

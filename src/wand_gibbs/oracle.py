@@ -42,7 +42,8 @@ import math
 from collections import Counter
 
 from .model import (
-    SPINS, WAND_ADJACENCY, BoundaryLaw, _is_integer, _value_type, activity, allows, tree_order,
+    SPINS, WAND_ADJACENCY, BoundaryLaw, _is_integer, _shown, _value_type, activity, allows,
+    tree_order,
 )
 
 __all__ = [
@@ -70,14 +71,15 @@ class SizeCapError(ValueError):
     """The tree exceeds the exact-enumeration cap."""
 
 
-class FiniteCayleyTree(_value_type("FiniteCayleyTree", "k depth full_root parents children generation")):
+class FiniteCayleyTree(_value_type("FiniteCayleyTree", "k depth full_root parents")):
     """A rooted ball of radius ``depth`` in the Cayley tree of order ``k``.
 
     Vertices are integers in breadth-first order with root 0, so every
-    vertex's parent has a smaller id.  ``full_root`` selects the geometry:
-    the default half-tree gives the root k children (matching the rooted
-    successor recursion); the full tree gives it k+1 and is for display
-    only.  Every non-root internal vertex has exactly k children.
+    vertex's parent has a smaller id; ``parents[v]`` is the parent of v
+    (-1 for the root).  ``full_root`` selects the geometry: the default
+    half-tree gives the root k children (matching the rooted successor
+    recursion); the full tree gives it k+1 and is for display only.  Every
+    non-root internal vertex has exactly k children.
     """
 
     __slots__ = ()
@@ -86,19 +88,11 @@ class FiniteCayleyTree(_value_type("FiniteCayleyTree", "k depth full_root parent
     def size(self) -> int:
         return len(self.parents)
 
-    def edges(self) -> list:
-        """Parent-child pairs, one per non-root vertex."""
-        return [(self.parents[v], v) for v in range(1, self.size)]
-
-    def generation_sizes(self) -> list:
-        sizes = [0] * (self.depth + 1)
-        for g in self.generation:
-            sizes[g] += 1
-        return sizes
-
-    def boundary(self) -> list:
-        """Vertex ids of the outermost generation (the field-carrying ring)."""
-        return [v for v in range(self.size) if self.generation[v] == self.depth]
+    def boundary(self) -> range:
+        """Vertex ids of the outermost generation (the field-carrying ring):
+        in breadth-first order, every id above the largest parent (at depth
+        0, the root alone)."""
+        return range(max(self.parents) + 1, self.size)
 
 
 def cayley_tree(k: int, depth: int, full_root: bool = False) -> FiniteCayleyTree:
@@ -108,35 +102,19 @@ def cayley_tree(k: int, depth: int, full_root: bool = False) -> FiniteCayleyTree
     take the ball past ENUMERATION_CAP vertices."""
     k = tree_order(k)
     if not _is_integer(depth) or depth < 0:
-        raise ValueError(f"depth must be a nonnegative integer, got {depth!r}")
+        raise ValueError(f"depth must be a nonnegative integer, got {_shown(depth)}")
     depth = int(depth)
     parents = [-1]
-    generation = [0]
-    frontier = [0]
+    frontier = range(1)  # the ids of the last generation built
     for g in range(1, depth + 1):
         size = len(parents) + len(frontier) * k + (full_root and g == 1)
         if size > ENUMERATION_CAP:
             # the ball through generation g: the whole tree only when g == depth
             raise _over_cap(size if g == depth else f"at least {size}")
-        next_frontier = []
         for v in frontier:
-            fanout = k + 1 if (v == 0 and full_root) else k
-            for _ in range(fanout):
-                parents.append(v)
-                generation.append(g)
-                next_frontier.append(len(parents) - 1)
-        frontier = next_frontier
-    children = [[] for _ in parents]
-    for v in range(1, len(parents)):
-        children[parents[v]].append(v)
-    return FiniteCayleyTree(
-        k=k,
-        depth=depth,
-        full_root=full_root,
-        parents=tuple(parents),
-        children=tuple(tuple(c) for c in children),
-        generation=tuple(generation),
-    )
+            parents += [v] * (k + 1 if (v == 0 and full_root) else k)
+        frontier = range(frontier.stop, len(parents))
+    return FiniteCayleyTree(k=k, depth=depth, full_root=full_root, parents=tuple(parents))
 
 
 def hamiltonian(config, tree: FiniteCayleyTree) -> int:
@@ -182,18 +160,16 @@ def enumerate_admissible(tree: FiniteCayleyTree) -> list:
 def admissible_count_formula(tree: FiniteCayleyTree) -> int:
     """Admissible-configuration count via the adjacency-power recursion.
 
-    Bottom-up over the tree: a leaf admits one completion per spin, an
-    internal vertex with spin s admits the product over children of the
-    adjacency-weighted sums of their counts.  Independent of enumeration.
+    Bottom-up, in decreasing id order so that every vertex's children come
+    first: a vertex's completions per spin (one for a leaf) multiply into
+    its parent's, adjacency-weighted.  Independent of enumeration.
     """
     a = WAND_ADJACENCY
     counts = [[1, 1, 1] for _ in range(tree.size)]
-    for v in range(tree.size - 1, -1, -1):
+    for v in range(tree.size - 1, 0, -1):
+        parent, child = counts[tree.parents[v]], counts[v]
         for i in range(3):
-            prod = 1
-            for c in tree.children[v]:
-                prod *= sum(a[i][j] * counts[c][j] for j in range(3))
-            counts[v][i] = prod
+            parent[i] *= sum(a[i][j] * child[j] for j in range(3))
     return sum(counts[0])
 
 
@@ -207,10 +183,11 @@ def _statistic(config, parents, ring) -> tuple:
     return energy, spins.count(1), spins.count(-1)
 
 
-def _weights(statistics, theta: float, law: BoundaryLaw) -> tuple:
+def _weights(statistics, log_theta: float, law: BoundaryLaw) -> tuple:
     """(top, weights): the largest log weight e ln theta + a ln z1 + b ln z2
-    of the statistics (e, a, b), and each one's exp(log weight - top) in (0, 1]."""
-    log_theta, log_z1, log_z2 = math.log(activity(theta)), math.log(law.z1), math.log(law.z2)
+    of the statistics (e, a, b), and each one's exp(log weight - top) in
+    (0, 1]; ``log_theta`` is the log of an activity already checked."""
+    log_z1, log_z2 = math.log(law.z1), math.log(law.z2)
     logs = [e * log_theta + a * log_z1 + b * log_z2 for e, a, b in statistics]
     top = max(logs)
     return top, [math.exp(lw - top) for lw in logs]
@@ -244,9 +221,10 @@ def _prefix_marginals(tree: FiniteCayleyTree, prefix_size: int, theta: float,
                       law: BoundaryLaw) -> dict:
     """Probability of each admissible prefix of ``prefix_size`` spins under
     the finite-volume measure, from the grouped counts: one exponential per
-    distinct statistic and one fsum per group of prefixes."""
+    distinct statistic and one fsum per group of prefixes.  ``theta`` is an
+    activity already checked."""
     statistics, groups = _grouped_counts(tree, prefix_size)
-    _, weights = _weights(statistics, theta, law)
+    _, weights = _weights(statistics, math.log(theta), law)
     masses = [math.fsum([count * weights[index] for count, index in zip(counts, indices)])
               for counts, indices, _ in groups]
     # each prefix's mass once: the same multiset as one fsum per prefix
@@ -279,13 +257,15 @@ def finite_volume_measure(tree: FiniteCayleyTree, theta: float,
     z(0) = 1, z(+1) = z1; interior vertices carry no field.
     """
     configs = enumerate_admissible(tree)
+    theta = activity(theta)
     ring = tree.boundary()
-    top, weights = _weights([_statistic(c, tree.parents, ring) for c in configs], theta, law)
+    top, weights = _weights([_statistic(c, tree.parents, ring) for c in configs],
+                            math.log(theta), law)
     total = math.fsum(weights)
     probabilities = {config: w / total for config, w in zip(configs, weights)}
     return FiniteVolumeMeasure(
         tree=tree,
-        theta=float(theta),
+        theta=theta,
         boundary_law=law,
         probabilities=probabilities,
         log_partition=top + math.log(total),
@@ -294,7 +274,7 @@ def finite_volume_measure(tree: FiniteCayleyTree, theta: float,
 
 def root_marginal(tree: FiniteCayleyTree, theta: float, law: BoundaryLaw) -> tuple:
     """Marginal distribution of the root spin, in spin order (-1, 0, +1)."""
-    marginal = _prefix_marginals(tree, 1, theta, law)
+    marginal = _prefix_marginals(tree, 1, activity(theta), law)
     return tuple(marginal[(s,)] for s in SPINS)
 
 
@@ -315,6 +295,7 @@ def check_consistency(tree_small: FiniteCayleyTree, tree_big: FiniteCayleyTree,
         raise ValueError("trees must differ by exactly one generation")
     if tree_small.full_root and tree_small.depth == 0:
         raise ValueError("the full-root ball of depth 0 is not consistent with depth 1")
+    theta = activity(theta)
     small = _prefix_marginals(tree_small, tree_small.size, theta, law)
     big = _prefix_marginals(tree_big, tree_small.size, theta, law)
     # both are keyed by the small tree's admissible configurations

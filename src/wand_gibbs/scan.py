@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 
-from .model import DEFAULT_RESIDUAL_TOL, BoundaryLaw, ModelParams, _real
+from .model import DEFAULT_RESIDUAL_TOL, BoundaryLaw, ModelParams, _real, _shown
 from .solver import SolverError, solve_symmetric, find_asymmetric
 from .chain import _law_spectrum
 
@@ -15,6 +15,7 @@ __all__ = [
     "CLASS_UNDETERMINED",
     "CLASS_SOLVER_ERROR",
     "CLASS_NO_CLAIM",
+    "LAW_CELLS",
     "CSV_COLUMNS",
     "classify",
     "law_cells",
@@ -32,12 +33,11 @@ CLASS_SOLVER_ERROR = "solver-error"
 #: label of an asymmetric law: no extremality statement is made for the pair
 CLASS_NO_CLAIM = "no-claim"
 
+#: the report cells of a solved law, in column order (``law_cells``)
+LAW_CELLS = ("s1", "s2", "lambda2", "ks_value", "kappa", "gamma", "product", "classification")
+
 #: flat-table column order, stable across releases
-CSV_COLUMNS = (
-    "theta", "z_sym", "z_asym_1", "z_asym_2", "tisgm_count",
-    "s1", "s2", "lambda2", "ks_value", "kappa", "gamma", "product",
-    "classification",
-)
+CSV_COLUMNS = ("theta", "z_sym", "z_asym_1", "z_asym_2", "tisgm_count") + LAW_CELLS
 
 
 def classify(ks_value: float) -> str:
@@ -61,7 +61,7 @@ def theta_grid(theta_min: float, theta_max: float, steps: int, scale: str = "lin
     if not 0.0 < theta_min < theta_max < math.inf:  # NaN fails every comparison
         raise ValueError(f"need 0 < theta_min < theta_max < inf, got ({theta_min}, {theta_max})")
     if steps < 2:
-        raise ValueError(f"need at least 2 steps, got {steps}")
+        raise ValueError(f"need at least 2 steps, got {_shown(steps)}")
     if scale not in ("linear", "log"):
         raise ValueError(f"scale must be 'linear' or 'log', got {scale!r}")
     m = steps - 1
@@ -79,11 +79,11 @@ def theta_grid(theta_min: float, theta_max: float, steps: int, scale: str = "lin
 
 
 def law_cells(law: BoundaryLaw, params: ModelParams) -> dict:
-    """s1, s2, lambda2, ks_value, kappa, gamma, product and classification
-    of a solved law.  Only the symmetric law (z1 == z2) is classified; no
-    extremality statement is made for the asymmetric pair (CLASS_NO_CLAIM).
-    The spectral cells of every law come from ``chain._law_spectrum``: the
-    matrix path's bits, with no matrix built."""
+    """The LAW_CELLS of a solved law, keyed by name in that order.  Only
+    the symmetric law (z1 == z2) is classified; no extremality statement
+    is made for the asymmetric pair (CLASS_NO_CLAIM).  The spectral cells
+    of every law come from ``chain._law_spectrum``: the matrix path's bits,
+    with no matrix built."""
     s1, s2, lambda2, ks_value = _law_spectrum(law, params.theta, params.k)
     if law.symmetric:
         # kappa = gamma(p0 = 1/2) = lambda2 for the symmetric law, derived in
@@ -94,8 +94,7 @@ def law_cells(law: BoundaryLaw, params: ModelParams) -> dict:
     else:
         kappa = gamma = product = None
         label = CLASS_NO_CLAIM
-    return {"s1": s1, "s2": s2, "lambda2": lambda2, "ks_value": ks_value, "kappa": kappa,
-            "gamma": gamma, "product": product, "classification": label}
+    return dict(zip(LAW_CELLS, (s1, s2, lambda2, ks_value, kappa, gamma, product, label)))
 
 
 def scan_row(params: ModelParams, tol: float = DEFAULT_RESIDUAL_TOL) -> dict:

@@ -18,7 +18,8 @@ from wand_gibbs.model import (
     tree_order,
 )
 from wand_gibbs.chain import ks_threshold_pair, spectrum, transition_matrix
-from wand_gibbs.oracle import _weights, cayley_tree
+from wand_gibbs.oracle import cayley_tree, check_consistency, finite_volume_measure, root_marginal
+from wand_gibbs.scan import theta_grid
 from wand_gibbs.solver import theta_critical
 
 SRC = Path(wand_gibbs.__file__).resolve().parent
@@ -102,13 +103,42 @@ HUGE = [pytest.param(10**400, id="1e400"), pytest.param(-(10**400), id="-1e400")
 
 @pytest.mark.parametrize("theta", [0.0, -1.0, math.inf, math.nan, *HUGE])
 def test_every_entry_point_checks_activity(theta):
-    law = BoundaryLaw(1.0, 1.0)
+    law, small, big = BoundaryLaw(1.0, 1.0), cayley_tree(2, 0), cayley_tree(2, 1)
     checks = (activity, lambda theta: ModelParams(2, theta),
               lambda theta: transition_matrix(law, theta),
-              lambda theta: _weights([(0, 0, 0)], theta, law))
+              lambda theta: finite_volume_measure(big, theta, law),
+              lambda theta: root_marginal(big, theta, law),
+              lambda theta: check_consistency(small, big, theta, law))
     for check in checks:
         with pytest.raises(ValueError, match=r"^activity theta must be positive and finite, got "):
             check(theta)
+
+
+#: an int with more digits than ``repr`` converts (sys.get_int_max_str_digits(), 4300)
+LONG = 10**5000
+
+
+@pytest.mark.parametrize("call,message", [
+    pytest.param(lambda: activity(LONG), "activity theta must be positive and finite, got "
+                 "<int of 16610 bits>", id="activity"),
+    pytest.param(lambda: activity(-LONG), "activity theta must be positive and finite, got "
+                 "<negative int of 16610 bits>", id="activity-negative"),
+    pytest.param(lambda: tree_order(-LONG), "tree order k must be an integer >= 2, got "
+                 "<negative int of 16610 bits>", id="tree_order"),
+    pytest.param(lambda: ModelParams(-LONG, 1.0), "tree order k must be an integer >= 2, got "
+                 "<negative int of 16610 bits>", id="ModelParams"),
+    pytest.param(lambda: BoundaryLaw(LONG, 1.0), "boundary law components must be positive and "
+                 "finite, got (<int of 16610 bits>, 1.0)", id="BoundaryLaw"),
+    pytest.param(lambda: cayley_tree(2, -LONG), "depth must be a nonnegative integer, got "
+                 "<negative int of 16610 bits>", id="cayley_tree"),
+    pytest.param(lambda: theta_grid(0.1, 1.0, -LONG), "need at least 2 steps, got "
+                 "<negative int of 16610 bits>", id="theta_grid"),
+])
+def test_rejection_shows_an_int_too_long_for_repr(call, message):
+    # repr raises its own ValueError for such an int, which would replace the message
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_only_activity_raises_the_activity_message():

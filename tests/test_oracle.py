@@ -31,10 +31,39 @@ CONSISTENCY_CASES = (
 
 
 def single_edge_tree():
-    """Degenerate two-vertex tree, representable directly by the dataclass."""
-    return FiniteCayleyTree(k=2, depth=1, full_root=False,
-                            parents=(-1, 0), children=((1,), ()),
-                            generation=(0, 1))
+    """Degenerate two-vertex tree, built directly from its parent array."""
+    return FiniteCayleyTree(k=2, depth=1, full_root=False, parents=(-1, 0))
+
+
+def _fits(k, depth, full_root):
+    try:
+        cayley_tree(k, depth, full_root)
+    except SizeCapError:
+        return False
+    return True
+
+
+#: every ball under the enumeration cap, half and full root, as (k, depth, full_root);
+#: depth 0 for the orders whose depth-1 ball fits
+BALLS = [pytest.param(k, depth, full_root, id=f"{k}-{depth}" + "-full" * full_root)
+         for k in range(2, ENUMERATION_CAP) for depth in range(ENUMERATION_CAP)
+         for full_root in (False, True) if _fits(k, depth, full_root)]
+
+
+def distances(tree):
+    """Each vertex's distance from the root, by walking ``parents`` up to it."""
+    result = []
+    for v in range(tree.size):
+        steps = 0
+        while tree.parents[v] != -1:
+            v, steps = tree.parents[v], steps + 1
+        result.append(steps)
+    return result
+
+
+def generation_sizes(tree):
+    found = distances(tree)
+    return [found.count(g) for g in range(tree.depth + 1)]
 
 
 # --- tree construction ---------------------------------------------------------
@@ -42,26 +71,33 @@ def single_edge_tree():
 def test_half_tree_shapes():
     tree = cayley_tree(2, 2)
     assert tree.size == 7
-    assert tree.generation_sizes() == [1, 2, 4]
-    assert all(len(tree.children[v]) == 2 for v in range(3))
+    assert generation_sizes(tree) == [1, 2, 4]
+    assert all(tree.parents.count(v) == 2 for v in range(3))
     tree3 = cayley_tree(3, 2)
     assert tree3.size == 13
-    assert tree3.generation_sizes() == [1, 3, 9]
+    assert generation_sizes(tree3) == [1, 3, 9]
 
 
 def test_full_tree_root_fanout():
     tree = cayley_tree(2, 2, full_root=True)
-    assert len(tree.children[0]) == 3
-    assert tree.generation_sizes() == [1, 3, 6]
+    assert tree.parents.count(0) == 3
+    assert generation_sizes(tree) == [1, 3, 6]
     assert tree.size == 10
 
 
 def test_tree_generation_consistency():
+    # breadth-first ids: every parent before its children, generations in id order
     tree = cayley_tree(3, 2)
-    sizes = tree.generation_sizes()
-    assert tree.size == sum(sizes)
-    for parent, child in tree.edges():
-        assert tree.generation[child] == tree.generation[parent] + 1
+    found = distances(tree)
+    assert tree.size == sum(generation_sizes(tree))
+    assert all(tree.parents[v] < v for v in range(1, tree.size))
+    assert found == sorted(found)
+
+
+@pytest.mark.parametrize("k,depth,full_root", BALLS)
+def test_boundary_is_the_last_generation(k, depth, full_root):
+    tree = cayley_tree(k, depth, full_root)
+    assert list(tree.boundary()) == [v for v, d in enumerate(distances(tree)) if d == depth]
 
 
 def test_tree_rejects_bad_args():
@@ -128,17 +164,17 @@ def test_depth_one_k2_count():
     assert len(configs) == 12  # 3 root spins x 2 admissible children each
 
 
-@pytest.mark.parametrize("k,depth", [(2, 1), (2, 2), (3, 1), (3, 2)])
-def test_count_formula_matches_enumeration(k, depth):
-    tree = cayley_tree(k, depth)
+@pytest.mark.parametrize("k,depth,full_root", BALLS)
+def test_count_formula_matches_enumeration(k, depth, full_root):
+    tree = cayley_tree(k, depth, full_root)
     assert admissible_count_formula(tree) == len(enumerate_admissible(tree))
 
 
 def test_every_enumerated_config_is_admissible():
     tree = cayley_tree(2, 2)
     for config in enumerate_admissible(tree):
-        for u, v in tree.edges():
-            assert allows(config[u], config[v])
+        for v in range(1, tree.size):
+            assert allows(config[tree.parents[v]], config[v])
 
 
 def test_size_cap():
@@ -151,10 +187,7 @@ def test_size_cap():
         cayley_tree(2, 10 ** 9)
     # a tree built by hand meets the cap in the enumeration itself
     n = ENUMERATION_CAP + 1
-    path = FiniteCayleyTree(k=2, depth=n - 1, full_root=False,
-                            parents=tuple(range(-1, n - 1)),
-                            children=tuple((v + 1,) for v in range(n - 1)) + ((),),
-                            generation=tuple(range(n)))
+    path = FiniteCayleyTree(k=2, depth=n - 1, full_root=False, parents=tuple(range(-1, n - 1)))
     with pytest.raises(SizeCapError, match=f"^tree has {n} vertices, above"):
         enumerate_admissible(path)
 
@@ -480,6 +513,22 @@ def test_grouped_marginals_are_per_prefix_fsums_bit_for_bit(k, depth, full_root,
         expected = per_prefix_marginals(tree, prefix_size, theta, law)
         assert grouped.keys() == expected.keys()
         assert all(grouped[prefix].hex() == p.hex() for prefix, p in expected.items())
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda theta, law: finite_volume_measure(cayley_tree(2, 1), theta, law),
+                 id="finite_volume_measure"),
+    pytest.param(lambda theta, law: root_marginal(cayley_tree(2, 1), theta, law),
+                 id="root_marginal"),
+    pytest.param(lambda theta, law: check_consistency(cayley_tree(2, 0), cayley_tree(2, 1),
+                                                      theta, law), id="check_consistency"),
+])
+def test_oracle_checks_theta_once_per_call(monkeypatch, call):
+    checked = []
+    check = oracle.activity
+    monkeypatch.setattr(oracle, "activity", lambda theta: checked.append(theta) or check(theta))
+    call(0.7, BoundaryLaw(0.7, 1.3))
+    assert checked == [0.7]
 
 
 def test_verify_enumerates_each_tree_once(monkeypatch, capsys):

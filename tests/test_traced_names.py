@@ -11,7 +11,6 @@ and fails first.
 import ast
 import importlib
 import importlib.util
-import inspect
 import json
 import os
 import subprocess
@@ -23,21 +22,15 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "wand_gibbs"
 
-#: modules whose public functions the tracer wraps
-TRACED_MODULES = ("solver", "chain", "extremality", "rootfind", "scan", "oracle", "cli")
+#: the benchmark tracer, loaded by path: its module list and its rule for what it wraps
+_spec = importlib.util.spec_from_file_location("spans", ROOT / "benchmark" / "spans.py")
+spans = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(spans)
+TRACED_MODULES, public_functions = spans.TRACED_MODULES, spans.public_functions
 
 #: read by the per-layer report beside the names in BENCHMARK.json
 #: (``chain.spectrum.self_ms`` adds its self time)
 EXTRA_NAMES = ("chain.transition_matrix",)
-
-
-def public_functions(module) -> set:
-    names = getattr(module, "__all__", None) or [n for n in vars(module) if not n.startswith("_")]
-    return {
-        name for name in names
-        if inspect.isfunction(obj := getattr(module, name, None))
-        and obj.__module__ == module.__name__
-    }
 
 
 def traced_names() -> list:
@@ -48,13 +41,6 @@ def traced_names() -> list:
         if len(parts) == 3 and parts[0] in TRACED_MODULES:
             names.add(f"{parts[0]}.{parts[1]}")
     return sorted(names)
-
-
-def test_traced_modules_match_benchmark_tracer():
-    spec = importlib.util.spec_from_file_location("spans", ROOT / "benchmark" / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    assert TRACED_MODULES == spans.TRACED_MODULES
 
 
 def test_cli_import_loads_every_traced_module():

@@ -40,7 +40,7 @@ CASES = {
     "SpectralReport": (SpectralReport, lambda: spectrum(_matrix(), 3),
                        ("s1", "s2", "s3", "lambda2", "ks_value")),
     "FiniteCayleyTree": (FiniteCayleyTree, _tree,
-                         ("k", "depth", "full_root", "parents", "children", "generation")),
+                         ("k", "depth", "full_root", "parents")),
     "FiniteVolumeMeasure": (FiniteVolumeMeasure, lambda: finite_volume_measure(_tree(), 0.7, _law()),
                             ("tree", "theta", "boundary_law", "probabilities", "log_partition")),
 }
@@ -125,8 +125,7 @@ def test_properties_and_methods():
     assert solutions.laws == (solutions.symmetric,) + solutions.asymmetric
     assert solutions.symmetric == solve_symmetric(ModelParams(3, 0.5))
     tree = _tree()
-    assert (tree.size, tree.edges(), tree.generation_sizes(), tree.boundary()) == (
-        3, [(0, 1), (0, 2)], [1, 2], [1, 2])
+    assert (tree.size, tree.parents, list(tree.boundary())) == (3, (-1, 0, 0), [1, 2])
     measure = _build("FiniteVolumeMeasure")
     assert measure.partition == pytest.approx(math.exp(measure.log_partition), rel=1e-15)
 

@@ -12,10 +12,9 @@ Usage:
     python3 scripts/threshold_report.py
 """
 
-from wand_gibbs.chain import NoBracketError, ks_threshold_pair, spectrum, transition_matrix
+from wand_gibbs.chain import NoBracketError, ks_gap, ks_threshold_pair
 from wand_gibbs.extremality import msw_threshold_pair
-from wand_gibbs.model import ModelParams
-from wand_gibbs.solver import solve_symmetric, theta_critical
+from wand_gibbs.solver import theta_critical
 
 
 def main() -> int:
@@ -33,11 +32,10 @@ def main() -> int:
     print("\nhigh orders: min Kesten-Stigum statistic, at theta = 1 (k = 4: exactly 1,"
           " where the strict criterion does not fire; undetermined):")
     for k in range(4, 11):
-        rep = spectrum(transition_matrix(solve_symmetric(ModelParams(k, 1.0)), 1.0), k)
         try:
             ks_threshold_pair(k)
         except NoBracketError as exc:
-            print(f"  k={k:2d}: min k*lambda2^2 = {rep.ks_value!r} (k/4 = {k / 4}); {exc}")
+            print(f"  k={k:2d}: min k*lambda2^2 = {ks_gap(k, 1.0) + 1.0!r} (k/4 = {k / 4}); {exc}")
     return 0
 
 

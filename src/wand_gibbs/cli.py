@@ -22,7 +22,7 @@ import sys
 from .model import DEFAULT_RESIDUAL_TOL, BoundaryLaw, ModelParams, tree_order
 from .solver import SolverError, solve_symmetric, tisgm_set
 from .chain import NoBracketError, ks_threshold_pair
-from .oracle import cayley_tree, check_consistency
+from .oracle import FiniteCayleyTree, check_consistency
 from .scan import (
     CLASS_EXTREMAL_MSW, CLASS_NO_CLAIM, CLASS_NONEXTREMAL_KS, CLASS_SOLVER_ERROR,
     CLASS_UNDETERMINED, CSV_COLUMNS, LAW_CELLS, format_value, law_cells, scan_rows, theta_grid,
@@ -240,17 +240,16 @@ def cmd_verify(args) -> int:
     if not points:
         raise ValueError(f"--thetas must be positive reals, got {args.thetas!r}")
 
-    small = cayley_tree(k, args.depth - 1)
-    big = cayley_tree(k, args.depth)
+    tree = FiniteCayleyTree(k, args.depth)
     tol = _residual_tol()
     failures = 0
     lines = []
     for params in points:
         law = solve_symmetric(params, tol)
-        defect = check_consistency(small, big, params.theta, law)
+        defect = check_consistency(tree, params.theta, law)
         ok_cert = defect <= VERIFY_PASS_DEFECT
         perturbed = BoundaryLaw(law.z1 * 1.1, law.z2 * 0.9)
-        defect_pert = check_consistency(small, big, params.theta, perturbed)
+        defect_pert = check_consistency(tree, params.theta, perturbed)
         ok_pert = defect_pert >= VERIFY_PERTURBED_DEFECT
         failures += (not ok_cert) + (not ok_pert)
         lines.append(

@@ -51,7 +51,6 @@ __all__ = [
     "SizeCapError",
     "FiniteCayleyTree",
     "FiniteVolumeMeasure",
-    "cayley_tree",
     "hamiltonian",
     "enumerate_admissible",
     "admissible_count_formula",
@@ -71,18 +70,47 @@ class SizeCapError(ValueError):
     """The tree exceeds the exact-enumeration cap."""
 
 
-class FiniteCayleyTree(_value_type("FiniteCayleyTree", "k depth full_root parents")):
+class FiniteCayleyTree(_value_type("FiniteCayleyTree", "k depth full_root")):
     """A rooted ball of radius ``depth`` in the Cayley tree of order ``k``.
 
     Vertices are integers in breadth-first order with root 0, so every
     vertex's parent has a smaller id; ``parents[v]`` is the parent of v
-    (-1 for the root).  ``full_root`` selects the geometry: the default
-    half-tree gives the root k children (matching the rooted successor
-    recursion); the full tree gives it k+1 and is for display only.  Every
-    non-root internal vertex has exactly k children.
+    (-1 for the root), derived from the three fields and built once per
+    tree.  ``full_root`` selects the geometry: the default half-tree gives
+    the root k children (matching the rooted successor recursion); the full
+    tree gives it k+1 and is for display only.  Every non-root internal
+    vertex has exactly k children.  A ball above ENUMERATION_CAP vertices
+    raises SizeCapError before anything is built.
     """
 
     __slots__ = ()
+
+    def __new__(cls, k, depth, full_root=False):
+        k = tree_order(k)
+        if not _is_integer(depth) or depth < 0:
+            raise ValueError(f"depth must be a nonnegative integer, got {_shown(depth)}")
+        depth = int(depth)
+        size = ring = 1  # the ball through generation g, and generation g alone
+        for g in range(1, depth + 1):
+            ring = ring * k + (full_root and g == 1)
+            size += ring
+            if size > ENUMERATION_CAP:
+                # the ball through generation g: the whole tree only when g == depth
+                shown = size if g == depth else f"at least {size}"
+                raise SizeCapError(f"tree has {shown} vertices, above the "
+                                   f"exact-enumeration cap {ENUMERATION_CAP}")
+        return tuple.__new__(cls, (k, depth, full_root))
+
+    @property
+    @functools.cache
+    def parents(self) -> tuple:
+        parents = [-1]
+        frontier = range(1)  # the ids of the last generation built
+        for _ in range(self.depth):
+            for v in frontier:
+                parents += [v] * (self.k + 1 if (v == 0 and self.full_root) else self.k)
+            frontier = range(frontier.stop, len(parents))
+        return tuple(parents)
 
     @property
     def size(self) -> int:
@@ -95,49 +123,20 @@ class FiniteCayleyTree(_value_type("FiniteCayleyTree", "k depth full_root parent
         return range(max(self.parents) + 1, self.size)
 
 
-def cayley_tree(k: int, depth: int, full_root: bool = False) -> FiniteCayleyTree:
-    """Build the radius-``depth`` ball of the order-``k`` Cayley tree.
-
-    Raises SizeCapError before allocating the first generation that would
-    take the ball past ENUMERATION_CAP vertices."""
-    k = tree_order(k)
-    if not _is_integer(depth) or depth < 0:
-        raise ValueError(f"depth must be a nonnegative integer, got {_shown(depth)}")
-    depth = int(depth)
-    parents = [-1]
-    frontier = range(1)  # the ids of the last generation built
-    for g in range(1, depth + 1):
-        size = len(parents) + len(frontier) * k + (full_root and g == 1)
-        if size > ENUMERATION_CAP:
-            # the ball through generation g: the whole tree only when g == depth
-            raise _over_cap(size if g == depth else f"at least {size}")
-        for v in frontier:
-            parents += [v] * (k + 1 if (v == 0 and full_root) else k)
-        frontier = range(frontier.stop, len(parents))
-    return FiniteCayleyTree(k=k, depth=depth, full_root=full_root, parents=tuple(parents))
-
-
 def hamiltonian(config, tree: FiniteCayleyTree) -> int:
     """The J-free energy sum over edges of (spin(x) - spin(y))^2.
 
     ``config`` is a spin sequence indexed by vertex id.  Non-admissible
     configurations (an edge outside the constraint graph) are rejected.
     """
-    if len(config) != tree.size:
-        raise ValueError(f"configuration has {len(config)} spins for {tree.size} vertices")
-    total = 0
-    for v in range(1, tree.size):
-        su, sv = config[tree.parents[v]], config[v]
+    parents = tree.parents
+    if len(config) != len(parents):
+        raise ValueError(f"configuration has {len(config)} spins for {len(parents)} vertices")
+    for v in range(1, len(parents)):
+        su, sv = config[parents[v]], config[v]
         if not allows(su, sv):
-            raise ValueError(f"configuration is not admissible: pair ({su}, {sv}) on edge ({tree.parents[v]}, {v})")
-        total += (su - sv) ** 2
-    return total
-
-
-def _over_cap(vertices) -> SizeCapError:
-    return SizeCapError(
-        f"tree has {vertices} vertices, above the exact-enumeration cap {ENUMERATION_CAP}"
-    )
+            raise ValueError(f"configuration is not admissible: pair ({su}, {sv}) on edge ({parents[v]}, {v})")
+    return _statistic(config, parents, ())[0]
 
 
 def enumerate_admissible(tree: FiniteCayleyTree) -> list:
@@ -148,11 +147,8 @@ def enumerate_admissible(tree: FiniteCayleyTree) -> list:
     the cost is proportional to the admissible count, not to 3^(vertices).
     Configurations come out in lexicographic order.
     """
-    if tree.size > ENUMERATION_CAP:
-        raise _over_cap(tree.size)
     configs = [(s,) for s in SPINS]
-    for v in range(1, tree.size):
-        parent = tree.parents[v]
+    for parent in tree.parents[1:]:
         configs = [c + (s,) for c in configs for s in _ALLOWED[c[parent]]]
     return configs
 
@@ -232,8 +228,7 @@ def _prefix_marginals(tree: FiniteCayleyTree, prefix_size: int, theta: float,
     return {prefix: mass / total for mass, (_, _, prefixes) in zip(masses, groups) for prefix in prefixes}
 
 
-class FiniteVolumeMeasure(_value_type("FiniteVolumeMeasure",
-                                      "tree theta boundary_law probabilities log_partition")):
+class FiniteVolumeMeasure(_value_type("FiniteVolumeMeasure", "probabilities log_partition")):
     """Normalized Gibbs measure over the admissible configurations of a tree.
 
     ``probabilities`` maps each admissible configuration tuple to its
@@ -256,20 +251,13 @@ def finite_volume_measure(tree: FiniteCayleyTree, theta: float,
     product of z(spin) over the outermost generation, with z(-1) = z2,
     z(0) = 1, z(+1) = z1; interior vertices carry no field.
     """
-    configs = enumerate_admissible(tree)
     theta = activity(theta)
-    ring = tree.boundary()
-    top, weights = _weights([_statistic(c, tree.parents, ring) for c in configs],
-                            math.log(theta), law)
+    configs = enumerate_admissible(tree)
+    parents, ring = tree.parents, tree.boundary()
+    top, weights = _weights([_statistic(c, parents, ring) for c in configs], math.log(theta), law)
     total = math.fsum(weights)
     probabilities = {config: w / total for config, w in zip(configs, weights)}
-    return FiniteVolumeMeasure(
-        tree=tree,
-        theta=theta,
-        boundary_law=law,
-        probabilities=probabilities,
-        log_partition=top + math.log(total),
-    )
+    return FiniteVolumeMeasure(probabilities, top + math.log(total))
 
 
 def root_marginal(tree: FiniteCayleyTree, theta: float, law: BoundaryLaw) -> tuple:
@@ -278,25 +266,29 @@ def root_marginal(tree: FiniteCayleyTree, theta: float, law: BoundaryLaw) -> tup
     return tuple(marginal[(s,)] for s in SPINS)
 
 
-def check_consistency(tree_small: FiniteCayleyTree, tree_big: FiniteCayleyTree,
-                      theta: float, law: BoundaryLaw) -> float:
-    """Max defect between the depth-(n-1) measure and the depth-n marginal.
+@functools.cache
+def _smaller(tree: FiniteCayleyTree) -> FiniteCayleyTree:
+    return tree._replace(depth=tree.depth - 1)  # once per tree: a copy re-runs the checks
 
-    The two trees must share order and root geometry and differ by one
-    generation.  For a law solving the fixed-point system the defect is at
-    rounding level (<= 1e-10 comfortably); for a law that does not solve it
-    the defect is visibly positive, which is the empirical 'only if'.  The
-    full-root pair at depths (0, 1) is rejected: the root's k + 1 children
-    make its depth-0 ball carry the wrong power of the law.
+
+def check_consistency(tree: FiniteCayleyTree, theta: float, law: BoundaryLaw) -> float:
+    """Max defect between the depth-(n-1) measure and the depth-n marginal,
+    for the depth-n ball ``tree`` and the ball one generation smaller.
+
+    For a law solving the fixed-point system the defect is at rounding level
+    (<= 1e-10 comfortably); for a law that does not solve it the defect is
+    visibly positive, which is the empirical 'only if'.  A depth-0 ball has
+    no smaller ball; the full-root ball of depth 1 is rejected too: the
+    root's k + 1 children make its depth-0 ball carry the wrong power of the
+    law.
     """
-    if tree_small.k != tree_big.k or tree_small.full_root != tree_big.full_root:
-        raise ValueError("trees must share order k and root geometry")
-    if tree_big.depth != tree_small.depth + 1:
-        raise ValueError("trees must differ by exactly one generation")
-    if tree_small.full_root and tree_small.depth == 0:
+    if tree.depth == 0:
+        raise ValueError("the consistency check needs a ball of depth >= 1, got depth 0")
+    if tree.full_root and tree.depth == 1:
         raise ValueError("the full-root ball of depth 0 is not consistent with depth 1")
     theta = activity(theta)
-    small = _prefix_marginals(tree_small, tree_small.size, theta, law)
-    big = _prefix_marginals(tree_big, tree_small.size, theta, law)
+    small = _smaller(tree)
+    small_marginal = _prefix_marginals(small, small.size, theta, law)
+    big_marginal = _prefix_marginals(tree, small.size, theta, law)
     # both are keyed by the small tree's admissible configurations
-    return max(abs(big[config] - mass) for config, mass in small.items())
+    return max(abs(big_marginal[config] - mass) for config, mass in small_marginal.items())

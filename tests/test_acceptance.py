@@ -15,7 +15,7 @@ from wand_gibbs.chain import (
 )
 from wand_gibbs.extremality import msw_gap, msw_threshold_pair
 from wand_gibbs.model import ModelParams
-from wand_gibbs.oracle import cayley_tree, check_consistency
+from wand_gibbs.oracle import FiniteCayleyTree, check_consistency
 from wand_gibbs.scan import theta_grid
 from wand_gibbs.solver import (
     boundary_law,
@@ -117,13 +117,13 @@ def test_criterion_07_oracle_consistency():
     ok = True
     details = []
     for k in (2, 3):
-        small, big = cayley_tree(k, 1), cayley_tree(k, 2)
+        tree = FiniteCayleyTree(k, 2)
         for theta in (0.5, 0.7, 1.0, 1.5, 2.0):
             params = ModelParams(k, theta)
             law = solve_symmetric(params)
-            defect = check_consistency(small, big, theta, law)
+            defect = check_consistency(tree, theta, law)
             perturbed = boundary_law(law.z1 * 1.1, law.z2 * 0.9, params)
-            defect_pert = check_consistency(small, big, theta, perturbed)
+            defect_pert = check_consistency(tree, theta, perturbed)
             ok = ok and defect <= 1e-10 and defect_pert >= 1e-6
             if defect > 1e-10 or defect_pert < 1e-6:
                 details.append(f"k={k} th={theta}: {defect:.1e}/{defect_pert:.1e}")

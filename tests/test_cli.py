@@ -488,6 +488,7 @@ def test_verify_depth_cap(capsys):
 @pytest.mark.parametrize("k, depth, vertices", [
     ("1000000", "1", "1000001"),
     ("2", "1000000000", "at least 31"),
+    ("3", "4", "at least 40"),  # the depth-4 ball is refused, not the depth-3 one
 ])
 def test_verify_cap_checked_before_building(capsys, k, depth, vertices):
     cli._parser()  # built once per process; not part of the measured call

@@ -18,7 +18,7 @@ from wand_gibbs.model import (
     tree_order,
 )
 from wand_gibbs.chain import ks_threshold_pair, spectrum, transition_matrix
-from wand_gibbs.oracle import cayley_tree, check_consistency, finite_volume_measure, root_marginal
+from wand_gibbs.oracle import FiniteCayleyTree, check_consistency, finite_volume_measure, root_marginal
 from wand_gibbs.scan import theta_grid
 from wand_gibbs.solver import theta_critical
 
@@ -68,7 +68,7 @@ def test_params_reject_bad_k(k):
 def test_every_entry_point_checks_tree_order(k):
     matrix = transition_matrix(BoundaryLaw(1.0, 1.0), 1.0)
     checks = (tree_order, lambda k: ModelParams(k, 1.0), theta_critical,
-              lambda k: spectrum(matrix, k), lambda k: cayley_tree(k, 1), ks_threshold_pair)
+              lambda k: spectrum(matrix, k), lambda k: FiniteCayleyTree(k, 1), ks_threshold_pair)
     for check in checks:
         with pytest.raises(ValueError, match=r"^tree order k must be an integer >= 2, got "):
             check(k)
@@ -103,12 +103,12 @@ HUGE = [pytest.param(10**400, id="1e400"), pytest.param(-(10**400), id="-1e400")
 
 @pytest.mark.parametrize("theta", [0.0, -1.0, math.inf, math.nan, *HUGE])
 def test_every_entry_point_checks_activity(theta):
-    law, small, big = BoundaryLaw(1.0, 1.0), cayley_tree(2, 0), cayley_tree(2, 1)
+    law, tree = BoundaryLaw(1.0, 1.0), FiniteCayleyTree(2, 1)
     checks = (activity, lambda theta: ModelParams(2, theta),
               lambda theta: transition_matrix(law, theta),
-              lambda theta: finite_volume_measure(big, theta, law),
-              lambda theta: root_marginal(big, theta, law),
-              lambda theta: check_consistency(small, big, theta, law))
+              lambda theta: finite_volume_measure(tree, theta, law),
+              lambda theta: root_marginal(tree, theta, law),
+              lambda theta: check_consistency(tree, theta, law))
     for check in checks:
         with pytest.raises(ValueError, match=r"^activity theta must be positive and finite, got "):
             check(theta)
@@ -129,8 +129,8 @@ LONG = 10**5000
                  "<negative int of 16610 bits>", id="ModelParams"),
     pytest.param(lambda: BoundaryLaw(LONG, 1.0), "boundary law components must be positive and "
                  "finite, got (<int of 16610 bits>, 1.0)", id="BoundaryLaw"),
-    pytest.param(lambda: cayley_tree(2, -LONG), "depth must be a nonnegative integer, got "
-                 "<negative int of 16610 bits>", id="cayley_tree"),
+    pytest.param(lambda: FiniteCayleyTree(2, -LONG), "depth must be a nonnegative integer, "
+                 "got <negative int of 16610 bits>", id="FiniteCayleyTree"),
     pytest.param(lambda: theta_grid(0.1, 1.0, -LONG), "need at least 2 steps, got "
                  "<negative int of 16610 bits>", id="theta_grid"),
 ])

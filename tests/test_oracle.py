@@ -13,7 +13,6 @@ from wand_gibbs.oracle import (
     FiniteCayleyTree,
     SizeCapError,
     admissible_count_formula,
-    cayley_tree,
     check_consistency,
     enumerate_admissible,
     finite_volume_measure,
@@ -30,14 +29,9 @@ CONSISTENCY_CASES = (
 )
 
 
-def single_edge_tree():
-    """Degenerate two-vertex tree, built directly from its parent array."""
-    return FiniteCayleyTree(k=2, depth=1, full_root=False, parents=(-1, 0))
-
-
 def _fits(k, depth, full_root):
     try:
-        cayley_tree(k, depth, full_root)
+        FiniteCayleyTree(k, depth, full_root)
     except SizeCapError:
         return False
     return True
@@ -69,17 +63,17 @@ def generation_sizes(tree):
 # --- tree construction ---------------------------------------------------------
 
 def test_half_tree_shapes():
-    tree = cayley_tree(2, 2)
+    tree = FiniteCayleyTree(2, 2)
     assert tree.size == 7
     assert generation_sizes(tree) == [1, 2, 4]
     assert all(tree.parents.count(v) == 2 for v in range(3))
-    tree3 = cayley_tree(3, 2)
+    tree3 = FiniteCayleyTree(3, 2)
     assert tree3.size == 13
     assert generation_sizes(tree3) == [1, 3, 9]
 
 
 def test_full_tree_root_fanout():
-    tree = cayley_tree(2, 2, full_root=True)
+    tree = FiniteCayleyTree(2, 2, full_root=True)
     assert tree.parents.count(0) == 3
     assert generation_sizes(tree) == [1, 3, 6]
     assert tree.size == 10
@@ -87,7 +81,7 @@ def test_full_tree_root_fanout():
 
 def test_tree_generation_consistency():
     # breadth-first ids: every parent before its children, generations in id order
-    tree = cayley_tree(3, 2)
+    tree = FiniteCayleyTree(3, 2)
     found = distances(tree)
     assert tree.size == sum(generation_sizes(tree))
     assert all(tree.parents[v] < v for v in range(1, tree.size))
@@ -96,50 +90,57 @@ def test_tree_generation_consistency():
 
 @pytest.mark.parametrize("k,depth,full_root", BALLS)
 def test_boundary_is_the_last_generation(k, depth, full_root):
-    tree = cayley_tree(k, depth, full_root)
+    tree = FiniteCayleyTree(k, depth, full_root)
     assert list(tree.boundary()) == [v for v, d in enumerate(distances(tree)) if d == depth]
 
 
 def test_tree_rejects_bad_args():
     with pytest.raises(ValueError):
-        cayley_tree(1, 1)
+        FiniteCayleyTree(1, 1)
     with pytest.raises(ValueError):
-        cayley_tree(2, -1)
+        FiniteCayleyTree(2, -1)
 
 
 @pytest.mark.parametrize("depth", [math.inf, -math.inf, math.nan])
 def test_tree_rejects_non_finite_depth(depth):
     # int() would raise its own OverflowError or ValueError first
     with pytest.raises(ValueError, match=r"^depth must be a nonnegative integer, got "):
-        cayley_tree(3, depth)
+        FiniteCayleyTree(3, depth)
 
 
 @pytest.mark.parametrize("depth", [True, False, 1.5])
 def test_tree_rejects_non_integer_depth(depth):
     # the same check as tree_order's: a bool is not an integer depth
     with pytest.raises(ValueError, match=r"^depth must be a nonnegative integer, got "):
-        cayley_tree(2, depth)
+        FiniteCayleyTree(2, depth)
 
 
 # --- hamiltonian ------------------------------------------------------------------
 
 def test_hamiltonian_constant_config():
-    tree = cayley_tree(2, 2)
+    tree = FiniteCayleyTree(2, 2)
     assert hamiltonian((1,) * 7, tree) == 0
 
 
 def test_hamiltonian_root_and_children():
-    tree = cayley_tree(2, 1)
+    tree = FiniteCayleyTree(2, 1)
     assert hamiltonian((0, -1, 1), tree) == 2
 
 
-def test_hamiltonian_single_edge():
-    assert hamiltonian((0, 1), single_edge_tree()) == 1
-    assert hamiltonian((-1, -1), single_edge_tree()) == 0
+def test_hamiltonian_edge_energies():
+    tree = FiniteCayleyTree(2, 1)
+    assert hamiltonian((0, 1, -1), tree) == 2
+    assert hamiltonian((-1, -1, 0), tree) == 1
+    assert hamiltonian((-1, -1, -1), tree) == 0
+
+
+def test_hamiltonian_rejects_a_wrong_length():
+    with pytest.raises(ValueError, match="^configuration has 2 spins for 3 vertices$"):
+        hamiltonian((0, 1), FiniteCayleyTree(2, 1))
 
 
 def test_hamiltonian_rejects_inadmissible():
-    tree = cayley_tree(2, 1)
+    tree = FiniteCayleyTree(2, 1)
     with pytest.raises(ValueError, match="admissible"):
         hamiltonian((0, 0, 1), tree)
 
@@ -147,31 +148,33 @@ def test_hamiltonian_rejects_inadmissible():
 # --- enumeration --------------------------------------------------------------------
 
 def test_single_vertex_enumeration():
-    assert len(enumerate_admissible(cayley_tree(2, 0))) == 3
+    assert len(enumerate_admissible(FiniteCayleyTree(2, 0))) == 3
 
 
-def test_single_edge_enumeration():
-    # 9 ordered pairs minus (0,0), (-1,1), (1,-1)
-    configs = enumerate_admissible(single_edge_tree())
-    assert len(configs) == 6
-    assert (0, 0) not in configs and (-1, 1) not in configs and (1, -1) not in configs
-    assert admissible_count_formula(single_edge_tree()) == 6
+def test_depth_one_enumeration_edge_pairs():
+    # each edge carries exactly the 9 ordered pairs minus (0,0), (-1,1), (1,-1)
+    tree = FiniteCayleyTree(2, 1)
+    configs = enumerate_admissible(tree)
+    allowed = {(s, t) for s in SPINS for t in SPINS} - {(0, 0), (-1, 1), (1, -1)}
+    for child in (1, 2):
+        assert {(config[0], config[child]) for config in configs} == allowed
+    assert admissible_count_formula(tree) == 12
 
 
 def test_depth_one_k2_count():
-    tree = cayley_tree(2, 1)
+    tree = FiniteCayleyTree(2, 1)
     configs = enumerate_admissible(tree)
     assert len(configs) == 12  # 3 root spins x 2 admissible children each
 
 
 @pytest.mark.parametrize("k,depth,full_root", BALLS)
 def test_count_formula_matches_enumeration(k, depth, full_root):
-    tree = cayley_tree(k, depth, full_root)
+    tree = FiniteCayleyTree(k, depth, full_root)
     assert admissible_count_formula(tree) == len(enumerate_admissible(tree))
 
 
 def test_every_enumerated_config_is_admissible():
-    tree = cayley_tree(2, 2)
+    tree = FiniteCayleyTree(2, 2)
     for config in enumerate_admissible(tree):
         for v in range(1, tree.size):
             assert allows(config[tree.parents[v]], config[v])
@@ -179,23 +182,33 @@ def test_every_enumerated_config_is_admissible():
 
 def test_size_cap():
     with pytest.raises(SizeCapError, match="^tree has 40 vertices, above"):
-        enumerate_admissible(cayley_tree(3, 3))  # refused before it is built
-    assert cayley_tree(2, 3).size <= ENUMERATION_CAP  # 15 vertices: allowed
+        FiniteCayleyTree(3, 3)  # refused before it is built
+    assert FiniteCayleyTree(2, 3).size <= ENUMERATION_CAP  # 15 vertices: allowed
     with pytest.raises(SizeCapError, match="^tree has 17 vertices, above"):
-        cayley_tree(3, 2, full_root=True)  # the root's k + 1 children count
+        FiniteCayleyTree(3, 2, full_root=True)  # the root's k + 1 children count
     with pytest.raises(SizeCapError, match="^tree has at least 31 vertices, above"):
-        cayley_tree(2, 10 ** 9)
-    # a tree built by hand meets the cap in the enumeration itself
-    n = ENUMERATION_CAP + 1
-    path = FiniteCayleyTree(k=2, depth=n - 1, full_root=False, parents=tuple(range(-1, n - 1)))
-    with pytest.raises(SizeCapError, match=f"^tree has {n} vertices, above"):
-        enumerate_admissible(path)
+        FiniteCayleyTree(2, 10 ** 9)
+
+
+def test_tree_is_its_three_numbers():
+    # no parent array can be passed in, so a tree cannot contradict itself
+    assert FiniteCayleyTree._fields == ("k", "depth", "full_root")
+    with pytest.raises(TypeError):
+        FiniteCayleyTree(2, 1, False, (-1, 0))
+    built = FiniteCayleyTree.parents.fget.cache_info().currsize
+    with pytest.raises(SizeCapError, match="^tree has at least 31 vertices, above"):
+        FiniteCayleyTree(2, 1)._replace(depth=10 ** 9)
+    assert FiniteCayleyTree.parents.fget.cache_info().currsize == built
+
+
+def test_parent_array_is_built_once_per_tree():
+    assert FiniteCayleyTree(3, 2).parents is FiniteCayleyTree(k=3, depth=2).parents
 
 
 # --- finite-volume measure -----------------------------------------------------------
 
 def test_uniform_measure_at_unit_point():
-    tree = cayley_tree(2, 1)
+    tree = FiniteCayleyTree(2, 1)
     measure = finite_volume_measure(tree, 1.0, BoundaryLaw(1.0, 1.0))
     assert len(measure.probabilities) == 12
     for p in measure.probabilities.values():
@@ -204,7 +217,7 @@ def test_uniform_measure_at_unit_point():
 
 
 def test_probabilities_normalized_and_positive():
-    tree = cayley_tree(2, 2)
+    tree = FiniteCayleyTree(2, 2)
     law = solve_symmetric(ModelParams(2, 0.7))
     measure = finite_volume_measure(tree, 0.7, law)
     assert abs(math.fsum(measure.probabilities.values()) - 1.0) <= 1e-12
@@ -214,7 +227,7 @@ def test_probabilities_normalized_and_positive():
 
 
 def test_partition_matches_direct_summation():
-    tree = cayley_tree(2, 2)
+    tree = FiniteCayleyTree(2, 2)
     theta = 0.7
     law = solve_symmetric(ModelParams(2, theta))
     measure = finite_volume_measure(tree, theta, law)
@@ -230,7 +243,7 @@ def test_partition_matches_direct_summation():
 
 
 def test_spin_flip_covariance():
-    tree = cayley_tree(2, 2)
+    tree = FiniteCayleyTree(2, 2)
     law = BoundaryLaw(2.0, 0.5)
     m1 = finite_volume_measure(tree, 0.8, law)
     m2 = finite_volume_measure(tree, 0.8, law.swapped())
@@ -242,22 +255,22 @@ def test_spin_flip_covariance():
 # --- root marginal ---------------------------------------------------------------------
 
 def test_root_marginal_single_vertex():
-    tree = cayley_tree(2, 0)
+    tree = FiniteCayleyTree(2, 0)
     marginal = root_marginal(tree, 1.0, BoundaryLaw(2.0, 3.0))
     assert marginal == pytest.approx((3.0 / 6.0, 1.0 / 6.0, 2.0 / 6.0), rel=1e-14)
 
 
 def test_root_marginal_symmetric_under_flip():
-    tree = cayley_tree(2, 1)
+    tree = FiniteCayleyTree(2, 1)
     marginal = root_marginal(tree, 1.0, BoundaryLaw(1.0, 1.0))
     assert marginal[0] == pytest.approx(marginal[2], rel=1e-12)
     law = solve_symmetric(ModelParams(2, 0.7))
-    marginal = root_marginal(cayley_tree(2, 2), 0.7, law)
+    marginal = root_marginal(FiniteCayleyTree(2, 2), 0.7, law)
     assert marginal[0] == pytest.approx(marginal[2], rel=1e-12)
 
 
 def test_root_marginal_breaks_symmetry_towards_larger_weight():
-    tree = cayley_tree(2, 2)
+    tree = FiniteCayleyTree(2, 2)
     law = find_asymmetric(ModelParams(2, 0.5))[0]  # z1 > z2
     marginal = root_marginal(tree, 0.5, law)
     assert marginal[2] > marginal[0]
@@ -267,37 +280,32 @@ def test_root_marginal_breaks_symmetry_towards_larger_weight():
 
 @pytest.mark.parametrize("theta", [0.5, 0.7, 1.0, 2.0])
 def test_consistency_certified_law(theta):
-    small, big = cayley_tree(2, 1), cayley_tree(2, 2)
     law = solve_symmetric(ModelParams(2, theta))
-    assert check_consistency(small, big, theta, law) <= 1e-10
+    assert check_consistency(FiniteCayleyTree(2, 2), theta, law) <= 1e-10
 
 
 def test_consistency_unit_law_at_unit_activity():
-    small, big = cayley_tree(2, 1), cayley_tree(2, 2)
-    assert check_consistency(small, big, 1.0, BoundaryLaw(1.0, 1.0)) <= 1e-12
+    assert check_consistency(FiniteCayleyTree(2, 2), 1.0, BoundaryLaw(1.0, 1.0)) <= 1e-12
 
 
 def test_consistency_fails_for_non_solution():
-    small, big = cayley_tree(2, 1), cayley_tree(2, 2)
     law = boundary_law(1.0, 1.0, ModelParams(2, 0.7))
     assert law.residual > 1e-3
-    assert check_consistency(small, big, 0.7, law) > 1e-6
+    assert check_consistency(FiniteCayleyTree(2, 2), 0.7, law) > 1e-6
 
 
 def test_consistency_asymmetric_law():
-    small, big = cayley_tree(2, 1), cayley_tree(2, 2)
     law = find_asymmetric(ModelParams(2, 0.5))[0]
-    assert check_consistency(small, big, 0.5, law) <= 1e-10
+    assert check_consistency(FiniteCayleyTree(2, 2), 0.5, law) <= 1e-10
 
 
 def test_consistency_asymmetric_law_k3():
-    small, big = cayley_tree(3, 1), cayley_tree(3, 2)
     for law in find_asymmetric(ModelParams(3, 0.9)):
-        assert check_consistency(small, big, 0.9, law) <= 1e-10
+        assert check_consistency(FiniteCayleyTree(3, 2), 0.9, law) <= 1e-10
 
 
 def test_full_tree_measure_smoke():
-    tree = cayley_tree(2, 2, full_root=True)
+    tree = FiniteCayleyTree(2, 2, full_root=True)
     law = solve_symmetric(ModelParams(2, 0.8))
     measure = finite_volume_measure(tree, 0.8, law)
     assert abs(math.fsum(measure.probabilities.values()) - 1.0) <= 1e-12
@@ -305,25 +313,29 @@ def test_full_tree_measure_smoke():
     assert marginal[0] == pytest.approx(marginal[2], rel=1e-12)
 
 
-def test_consistency_rejects_mismatched_trees():
-    with pytest.raises(ValueError):
-        check_consistency(cayley_tree(2, 1), cayley_tree(3, 2), 1.0, BoundaryLaw(1.0, 1.0))
-    with pytest.raises(ValueError):
-        check_consistency(cayley_tree(2, 1), cayley_tree(2, 3), 1.0, BoundaryLaw(1.0, 1.0))
+def test_consistency_rejects_a_ball_without_a_smaller_one():
+    law = BoundaryLaw(1.0, 1.0)
+    with pytest.raises(ValueError, match="^the consistency check needs a ball of depth >= 1, "
+                                         "got depth 0$"):
+        check_consistency(FiniteCayleyTree(2, 0), 1.0, law)
+    with pytest.raises(ValueError, match="^the full-root ball of depth 0 is not consistent "
+                                         "with depth 1$"):
+        check_consistency(FiniteCayleyTree(2, 1, full_root=True), 1.0, law)
 
 
 def accepted_consistency_pairs() -> list:
-    """Every (small, big) tree pair that ``check_consistency`` accepts and
-    ENUMERATION_CAP allows: half trees from depth 0, full-root ones from 1."""
+    """Every (small, big) tree pair that ``check_consistency`` forms from a
+    big ball ENUMERATION_CAP allows: half trees from depth 1, full-root ones
+    from 2."""
     pairs = []
     for full_root in (False, True):
         for k in range(2, ENUMERATION_CAP):
-            for depth in range(int(full_root), ENUMERATION_CAP):
+            for depth in range(1 + int(full_root), ENUMERATION_CAP):
                 try:
-                    big = cayley_tree(k, depth + 1, full_root)
+                    big = FiniteCayleyTree(k, depth, full_root)
                 except SizeCapError:
                     break
-                pairs.append((cayley_tree(k, depth, full_root), big))
+                pairs.append((big._replace(depth=depth - 1), big))
     return pairs
 
 
@@ -341,7 +353,7 @@ def test_consistency_marginals_share_their_keys():
         assert small_marginal.keys() == big_marginal.keys()
         union_defect = max(abs(big_marginal.get(config, 0.0) - small_marginal.get(config, 0.0))
                            for config in small_marginal.keys() | big_marginal.keys())
-        assert check_consistency(small, big, 0.9, law).hex() == union_defect.hex()
+        assert check_consistency(big, 0.9, law).hex() == union_defect.hex()
 
 
 # --- grouped evaluation against the per-configuration measure ------------------------
@@ -383,8 +395,8 @@ def close(a, b, rel=1e-9, floor=sys.float_info.min):
        st.floats(min_value=-3.0, max_value=3.0), st.floats(min_value=-3.0, max_value=3.0))
 def test_grouped_oracle_matches_per_configuration_oracle(case, log10_theta, log10_z1, log10_z2):
     k, depth, full_root = case
-    small = cayley_tree(k, depth, full_root)
-    big = cayley_tree(k, depth + 1, full_root)
+    small = FiniteCayleyTree(k, depth, full_root)
+    big = FiniteCayleyTree(k, depth + 1, full_root)
     theta = 10.0 ** log10_theta
     params = ModelParams(k, theta)
     symmetric = solve_symmetric(params)
@@ -396,9 +408,9 @@ def test_grouped_oracle_matches_per_configuration_oracle(case, log10_theta, log1
             # the full tree's root has k + 1 children, so its depth-0 ball
             # carries the wrong power of the law: the pair is rejected
             with pytest.raises(ValueError):
-                check_consistency(small, big, theta, law)
+                check_consistency(big, theta, law)
         else:
-            grouped = check_consistency(small, big, theta, law)
+            grouped = check_consistency(big, theta, law)
             brute = brute_force_defect(small, big, theta, law)
             if law in solved:
                 assert grouped <= 1e-10 and brute <= 1e-10
@@ -414,12 +426,12 @@ def test_grouped_oracle_matches_per_configuration_oracle(case, log10_theta, log1
 def test_grouped_oracle_at_extreme_weights(theta, z1, z2):
     # the shift is over the statistics' log weights alone, without ln count;
     # far outside the property's range it must still normalize and agree
-    small, big = cayley_tree(3, 1), cayley_tree(3, 2)
+    small, big = FiniteCayleyTree(3, 1), FiniteCayleyTree(3, 2)
     law = BoundaryLaw(z1, z2)
     marginal = root_marginal(big, theta, law)
     assert abs(math.fsum(marginal) - 1.0) <= 1e-12
     assert all(close(g, b) for g, b in zip(marginal, brute_force_root_marginal(big, theta, law)))
-    assert close(check_consistency(small, big, theta, law),
+    assert close(check_consistency(big, theta, law),
                  brute_force_defect(small, big, theta, law))
 
 
@@ -428,9 +440,9 @@ def test_grouped_oracle_covers_both_sides_of_theta_critical():
     # theta_cr; pin one asymmetric law per order below it
     for k, theta in ((2, 0.5), (3, 0.9)):
         assert theta < theta_critical(k)
-        small, big = cayley_tree(k, 1), cayley_tree(k, 2)
+        small, big = FiniteCayleyTree(k, 1), FiniteCayleyTree(k, 2)
         law = find_asymmetric(ModelParams(k, theta))[0]
-        grouped = check_consistency(small, big, theta, law)
+        grouped = check_consistency(big, theta, law)
         assert grouped <= 1e-10 and brute_force_defect(small, big, theta, law) <= 1e-10
         assert all(close(g, b) for g, b in zip(root_marginal(big, theta, law),
                                                  brute_force_root_marginal(big, theta, law)))
@@ -440,8 +452,8 @@ def test_grouped_oracle_covers_both_sides_of_theta_critical():
 
 @pytest.mark.parametrize("k,depth,full_root", CONSISTENCY_CASES)
 def test_grouped_counts_sum_to_admissible_count(k, depth, full_root):
-    for tree in (cayley_tree(k, depth, full_root), cayley_tree(k, depth + 1, full_root)):
-        for prefix_size in (1, cayley_tree(k, depth, full_root).size):
+    for tree in (FiniteCayleyTree(k, depth, full_root), FiniteCayleyTree(k, depth + 1, full_root)):
+        for prefix_size in (1, FiniteCayleyTree(k, depth, full_root).size):
             _, groups = oracle._grouped_counts(tree, prefix_size)
             # every prefix of a group carries the group's counts
             total = sum(sum(counts) * len(prefixes) for counts, _, prefixes in groups)
@@ -451,15 +463,15 @@ def test_grouped_counts_sum_to_admissible_count(k, depth, full_root):
 @pytest.mark.parametrize("k,depth,expected", [(3, 2, 218), (2, 3, 783)])
 def test_grouped_counts_collapse(k, depth, expected):
     # one term list per distinct multiset: 564 and 4,416 terms over single prefixes
-    _, groups = oracle._grouped_counts(cayley_tree(k, depth), cayley_tree(k, depth - 1).size)
+    _, groups = oracle._grouped_counts(FiniteCayleyTree(k, depth), FiniteCayleyTree(k, depth - 1).size)
     assert sum(len(counts) for counts, _, _ in groups) == expected
 
 
 @pytest.mark.parametrize("k,depth,expected", [(3, 2, 155), (2, 3, 292), (2, 2, 39)])
 def test_grouped_counts_distinct_statistics(k, depth, expected):
     # one exponential per distinct statistic for each marginal of the tree
-    tree = cayley_tree(k, depth)
-    statistics, groups = oracle._grouped_counts(tree, cayley_tree(k, depth - 1).size)
+    tree = FiniteCayleyTree(k, depth)
+    statistics, groups = oracle._grouped_counts(tree, FiniteCayleyTree(k, depth - 1).size)
     assert len(statistics) == len(set(statistics)) == expected
     ring = tree.boundary()
     assert set(statistics) == {oracle._statistic(config, tree.parents, ring)
@@ -471,7 +483,7 @@ def test_grouped_counts_distinct_statistics(k, depth, expected):
 def test_grouped_counts_one_group_per_small_statistic(k, depth, expected):
     # a prefix's extensions depend on it only through its own statistic on
     # the small tree, so the big tree has one group per such statistic
-    small, big = cayley_tree(k, depth - 1), cayley_tree(k, depth)
+    small, big = FiniteCayleyTree(k, depth - 1), FiniteCayleyTree(k, depth)
     small_statistics, _ = oracle._grouped_counts(small, small.size)
     _, groups = oracle._grouped_counts(big, small.size)
     assert len(groups) == len(small_statistics) == expected
@@ -507,7 +519,7 @@ def per_prefix_marginals(tree, prefix_size, theta, law):
 @pytest.mark.parametrize("k,depth,full_root", [(3, 1, False), (2, 2, False), (2, 1, True)])
 def test_grouped_marginals_are_per_prefix_fsums_bit_for_bit(k, depth, full_root, theta, z1, z2):
     law = BoundaryLaw(z1, z2)
-    small, big = cayley_tree(k, depth, full_root), cayley_tree(k, depth + 1, full_root)
+    small, big = FiniteCayleyTree(k, depth, full_root), FiniteCayleyTree(k, depth + 1, full_root)
     for tree, prefix_size in ((small, small.size), (big, small.size), (big, 1)):
         grouped = oracle._prefix_marginals(tree, prefix_size, theta, law)
         expected = per_prefix_marginals(tree, prefix_size, theta, law)
@@ -516,12 +528,12 @@ def test_grouped_marginals_are_per_prefix_fsums_bit_for_bit(k, depth, full_root,
 
 
 @pytest.mark.parametrize("call", [
-    pytest.param(lambda theta, law: finite_volume_measure(cayley_tree(2, 1), theta, law),
+    pytest.param(lambda theta, law: finite_volume_measure(FiniteCayleyTree(2, 1), theta, law),
                  id="finite_volume_measure"),
-    pytest.param(lambda theta, law: root_marginal(cayley_tree(2, 1), theta, law),
+    pytest.param(lambda theta, law: root_marginal(FiniteCayleyTree(2, 1), theta, law),
                  id="root_marginal"),
-    pytest.param(lambda theta, law: check_consistency(cayley_tree(2, 0), cayley_tree(2, 1),
-                                                      theta, law), id="check_consistency"),
+    pytest.param(lambda theta, law: check_consistency(FiniteCayleyTree(2, 1), theta, law),
+                 id="check_consistency"),
 ])
 def test_oracle_checks_theta_once_per_call(monkeypatch, call):
     checked = []
@@ -547,8 +559,4 @@ def test_verify_enumerates_each_tree_once(monkeypatch, capsys):
     finally:
         oracle._grouped_counts.cache_clear()
     capsys.readouterr()
-    assert calls == Counter({cayley_tree(3, 1): 1, cayley_tree(3, 2): 1})
-    # failed enumerations are not cached: an over-cap tree raises every time
-    for _ in range(2):
-        with pytest.raises(SizeCapError):
-            root_marginal(cayley_tree(3, 3), 1.0, BoundaryLaw(1.0, 1.0))
+    assert calls == Counter({FiniteCayleyTree(3, 1): 1, FiniteCayleyTree(3, 2): 1})

@@ -198,6 +198,28 @@ def test_fixed_point_property(k, theta):
     assert direct_residual(law, params) <= 1e-12
 
 
+def ulps_from_one(n: int) -> float:
+    """The double ``n`` steps above 1.0, or ``-n`` steps below it."""
+    theta = 1.0
+    for _ in range(abs(n)):
+        theta = math.nextafter(theta, math.copysign(math.inf, n))
+    return theta
+
+
+@pytest.mark.parametrize("k", [10**5, 10**6])
+def test_symmetric_root_next_to_unit_activity_is_certified(k):
+    # here the climb rose through rounding noise for about 0.69 k steps and
+    # stopped off the root, whose residual failed; the step cap keeps it on it
+    law = solve_symmetric(ModelParams(k, ulps_from_one(1)))
+    assert law.certified()
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.integers(min_value=2, max_value=10**6), st.integers(min_value=-50, max_value=50))
+def test_symmetric_root_within_ulps_of_unit_activity_is_certified(k, ulps):
+    assert solve_symmetric(ModelParams(k, ulps_from_one(ulps))).certified()
+
+
 # --- critical activity -----------------------------------------------------
 
 def test_theta_critical_k2_is_exactly_one():

@@ -14,7 +14,7 @@ import pytest
 
 from wand_gibbs.chain import SpectralReport, TransitionMatrix, spectrum, transition_matrix
 from wand_gibbs.model import BoundaryLaw, ModelParams
-from wand_gibbs.oracle import FiniteCayleyTree, FiniteVolumeMeasure, cayley_tree, finite_volume_measure
+from wand_gibbs.oracle import FiniteCayleyTree, FiniteVolumeMeasure, finite_volume_measure
 from wand_gibbs.solver import TisgmSet, solve_symmetric, tisgm_set
 
 
@@ -27,7 +27,7 @@ def _matrix():
 
 
 def _tree():
-    return cayley_tree(2, 1)
+    return FiniteCayleyTree(2, 1)
 
 
 #: each type: its class, a builder of a fresh instance and its field names
@@ -39,10 +39,9 @@ CASES = {
     "TransitionMatrix": (TransitionMatrix, _matrix, ("entries",)),
     "SpectralReport": (SpectralReport, lambda: spectrum(_matrix(), 3),
                        ("s1", "s2", "s3", "lambda2", "ks_value")),
-    "FiniteCayleyTree": (FiniteCayleyTree, _tree,
-                         ("k", "depth", "full_root", "parents")),
+    "FiniteCayleyTree": (FiniteCayleyTree, _tree, ("k", "depth", "full_root")),
     "FiniteVolumeMeasure": (FiniteVolumeMeasure, lambda: finite_volume_measure(_tree(), 0.7, _law()),
-                            ("tree", "theta", "boundary_law", "probabilities", "log_partition")),
+                            ("probabilities", "log_partition")),
 }
 
 

@@ -266,11 +266,6 @@ def root_marginal(tree: FiniteCayleyTree, theta: float, law: BoundaryLaw) -> tup
     return tuple(marginal[(s,)] for s in SPINS)
 
 
-@functools.cache
-def _smaller(tree: FiniteCayleyTree) -> FiniteCayleyTree:
-    return tree._replace(depth=tree.depth - 1)  # once per tree: a copy re-runs the checks
-
-
 def check_consistency(tree: FiniteCayleyTree, theta: float, law: BoundaryLaw) -> float:
     """Max defect between the depth-(n-1) measure and the depth-n marginal,
     for the depth-n ball ``tree`` and the ball one generation smaller.
@@ -287,7 +282,7 @@ def check_consistency(tree: FiniteCayleyTree, theta: float, law: BoundaryLaw) ->
     if tree.full_root and tree.depth == 1:
         raise ValueError("the full-root ball of depth 0 is not consistent with depth 1")
     theta = activity(theta)
-    small = _smaller(tree)
+    small = tree._replace(depth=tree.depth - 1)
     small_marginal = _prefix_marginals(small, small.size, theta, law)
     big_marginal = _prefix_marginals(tree, small.size, theta, law)
     # both are keyed by the small tree's admissible configurations

@@ -560,3 +560,8 @@ def test_verify_enumerates_each_tree_once(monkeypatch, capsys):
         oracle._grouped_counts.cache_clear()
     capsys.readouterr()
     assert calls == Counter({FiniteCayleyTree(3, 1): 1, FiniteCayleyTree(3, 2): 1})
+    # failed enumerations are not cached: an over-cap tree raises every time
+    for _ in range(2):
+        with pytest.raises(SizeCapError):
+            root_marginal(FiniteCayleyTree(3, 3), 1.0, BoundaryLaw(1.0, 1.0))
+    assert calls == Counter({FiniteCayleyTree(3, 1): 1, FiniteCayleyTree(3, 2): 1})

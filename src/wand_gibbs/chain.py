@@ -55,7 +55,7 @@ from __future__ import annotations
 import math
 
 from .model import BoundaryLaw, ModelParams, _value_type, activity, tree_order
-from .solver import solve_symmetric
+from .solver import SolverError, solve_symmetric
 
 __all__ = [
     "NoBracketError",
@@ -68,7 +68,7 @@ __all__ = [
 ]
 
 
-class NoBracketError(RuntimeError):
+class NoBracketError(SolverError):
     """No sign change of the Kesten-Stigum gap: ``ks_threshold_pair`` at k >= 4."""
 
 

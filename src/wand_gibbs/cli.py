@@ -21,7 +21,7 @@ import sys
 
 from .model import DEFAULT_RESIDUAL_TOL, BoundaryLaw, ModelParams, tree_order
 from .solver import SolverError, solve_symmetric, tisgm_set
-from .chain import NoBracketError, ks_threshold_pair
+from .chain import ks_threshold_pair
 from .oracle import FiniteCayleyTree, check_consistency
 from .scan import (
     CLASS_EXTREMAL_MSW, CLASS_NO_CLAIM, CLASS_NONEXTREMAL_KS, CLASS_SOLVER_ERROR,
@@ -289,7 +289,7 @@ def _read_scan_csv(path: str):
             raise OSError(f"{path}: line {lineno}: {exc}") from exc
         if not all(map(math.isfinite, row.values())):
             raise OSError(f"{path}: line {lineno}: non-finite cell in {row}")
-        rows.append(row)
+        rows.append((lineno, row))
     if not rows:
         raise OSError(f"{path}: no data rows")
     return rows
@@ -311,24 +311,25 @@ def _zero_crossings(xs, ys):
 
 def cmd_plot(args) -> int:
     rows = _read_scan_csv(args.scan)
-    first = rows[0]
-    square = first["lambda2"] ** 2
-    ratio = first["ks_value"] / square if first["lambda2"] > 0.0 and square > 0.0 else 0.0
+    lam, ks_value = rows[0][1]["lambda2"], rows[0][1]["ks_value"]
+    ratio = ks_value / lam / lam if lam > 0.0 else 0.0  # no square to overflow
     if not (math.isfinite(ratio) and round(ratio) >= 2):
         raise OSError(f"{args.scan}: cannot recover a tree order k >= 2 from the first row")
     k = round(ratio)
-    thetas = [row["theta"] for row in rows]
-    curve1 = [k * row["s1"] ** 2 - 1.0 for row in rows]
-    curve2 = [k * row["s2"] ** 2 - 1.0 for row in rows]
-    crossings = []
-    if len(rows) > 1:
-        crossings = sorted(_zero_crossings(thetas, curve1) + _zero_crossings(thetas, curve2))
-    svg = regime_svg(
-        thetas,
-        [(f"{k}*s1^2-1", curve1), (f"{k}*s2^2-1", curve2)],
-        crossings,
-        title=f"Kesten-Stigum gap curves, k={k}",
-    )
+    thetas = [row["theta"] for _, row in rows]
+    series = []
+    for s in ("s1", "s2"):  # |s| >= 1e154 puts k s^2 past the doubles; s ** 2 may raise
+        curve = [k * row[s] ** 2 - 1.0 if abs(row[s]) < 1e154 else math.inf for _, row in rows]
+        if math.inf in curve:
+            raise OSError(f"{args.scan}: line {rows[curve.index(math.inf)][0]}: "
+                          f"{k}*{s}^2-1 overflows the doubles")
+        series.append((f"{k}*{s}^2-1", curve))
+    crossings = [x for _, curve in series for x in _zero_crossings(thetas, curve)]
+    crossings = sorted(crossings) if len(rows) > 1 else []
+    try:
+        svg = regime_svg(thetas, series, crossings, title=f"Kesten-Stigum gap curves, k={k}")
+    except ValueError as exc:  # an axis the doubles cannot draw
+        raise OSError(f"{args.scan}: {exc}") from exc
     _write_text(args.out, svg)
     return EXIT_OK
 
@@ -407,7 +408,7 @@ def main(argv=None) -> int:
         # enumeration cap) are all usage-level failures
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SolverError, NoBracketError, ArithmeticError) as exc:
+    except (SolverError, ArithmeticError) as exc:
         # a leftover overflow or division by zero is a solver failure too
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER

@@ -89,6 +89,8 @@ class FiniteCayleyTree(_value_type("FiniteCayleyTree", "k depth full_root")):
         k = tree_order(k)
         if not _is_integer(depth) or depth < 0:
             raise ValueError(f"depth must be a nonnegative integer, got {_shown(depth)}")
+        if not isinstance(full_root, bool):  # 1 or "yes" would be a second key for one ball
+            raise ValueError(f"full_root must be a bool, got {_shown(full_root)}")
         depth = int(depth)
         size = ring = 1  # the ball through generation g, and generation g alone
         for g in range(1, depth + 1):

@@ -29,7 +29,7 @@ rising past the root for about 0.69 k steps (69,316 at k = 10^5), so the
 climb stops after _SYMMETRIC_STEPS steps; elsewhere it took at most 11
 (200,000 draws, k up to 10^12, theta = 10^U(-300, 300)).
 Since z*^(k+1) = ((theta + z*) / (2 theta))^k > 2^-k, the root can leave
-the range of doubles only upwards, as theta -> 0.
+the range of doubles only upwards, as theta -> 0, past the climb's last u.
 
 Every asymmetric root lies on one explicit branch.  Put x_i = z_i^(1/k),
 t = x2/x1, P(t) = sum_{j<k} t^j and Q(t) = 1 + t^k.  The k-th roots of the
@@ -73,8 +73,8 @@ far-field root, it takes ~4 evaluations on the k = 3 scan grid (at most 8).
 In 20,000 draws with k in [2, 256], 30% of them within 1e-12..1e-1 of
 theta_cr and the rest log-uniform on [1e-300, theta_cr), it took ~1 far
 from theta_cr (at most 12) and at most 32 near it, where g' vanishes and
-Newton first halves s.  Roots are certified by their residual, never by
-iteration count alone.
+Newton first halves s.  Every root is certified in one place, _certified_law:
+by its range and its residual, never by iteration count alone.
 """
 
 from __future__ import annotations
@@ -149,6 +149,21 @@ def _residual(z1: float, z2: float, k: int, theta: float) -> float:
     return worst
 
 
+def _certified_law(log_z1: float, log_z2: float, k: int, theta: float, tol: float) -> BoundaryLaw:
+    """The law (e^log_z1, e^log_z2) with its residual, the one way a solver
+    root becomes an answer: IterationFailureError when a log lies beyond
+    _LOG_RANGE (no normal double) or the residual is not at most ``tol``."""
+    if max(abs(log_z1), abs(log_z2)) > _LOG_RANGE:
+        raise IterationFailureError(f"root (ln z1, ln z2) = ({log_z1:.6g}, {log_z2:.6g}) "
+                                    "lies outside the range of normal doubles")
+    z1, z2 = math.exp(log_z1), math.exp(log_z2)
+    residual = _residual(z1, z2, k, theta)
+    if not residual <= tol:
+        raise IterationFailureError(f"root (z1, z2) = ({z1!r}, {z2!r}) failed certification: "
+                                    f"residual {residual:.3e}, tolerance {tol:.3e}")
+    return BoundaryLaw(z1, z2, residual)
+
+
 @_typed_overflow
 def boundary_law(z1: float, z2: float, params: ModelParams) -> BoundaryLaw:
     """A BoundaryLaw carrying the fixed-point residual evaluated at (z1, z2)."""
@@ -165,8 +180,8 @@ def solve_symmetric(params: ModelParams, tol: float = DEFAULT_RESIDUAL_TOL) -> B
     increases u, for at most _SYMMETRIC_STEPS steps (see the module
     docstring).  The log-sum is shifted by its larger term, so it stays
     finite at every activity; at theta = 1 the first step is exactly 0,
-    which yields z* = 1.0.  Raises IterationFailureError when ln z* leaves
-    the range of normal doubles or the root's residual exceeds ``tol``.
+    which yields z* = 1.0.  ``_certified_law`` takes the last u and raises
+    IterationFailureError when z* is not a normal double or fails ``tol``.
     """
     k, theta = params.k, params.theta
     log_inv_theta, ln2 = -math.log(theta), math.log(2.0)
@@ -182,18 +197,8 @@ def solve_symmetric(params: ModelParams, tol: float = DEFAULT_RESIDUAL_TOL) -> B
     u, after, steps = -math.inf, newton_step(0.0), 0
     while after > u and steps < _SYMMETRIC_STEPS:
         u, steps = after, steps + 1
-        if abs(u) > _LOG_RANGE:
-            raise IterationFailureError(
-                f"symmetric root has ln z* beyond {u:.6g}, outside the range of normal doubles"
-            )
         after = newton_step(u)
-    z = math.exp(u)
-    residual = _residual(z, z, k, theta)
-    if residual > tol:
-        raise IterationFailureError(
-            f"symmetric root residual {residual:.3e} exceeds tolerance {tol:.3e}"
-        )
-    return BoundaryLaw(z, z, residual)
+    return _certified_law(u, u, k, theta, tol)
 
 
 def _log_theta_critical(k: int) -> float:
@@ -239,9 +244,8 @@ def find_asymmetric(params: ModelParams, tol: float = DEFAULT_RESIDUAL_TOL) -> l
     empty list.  The root is solved on its branch: safeguarded Newton in
     s = ln t on g(s) = (k+1) (ln theta(s) - ln theta) inside a sign bracket
     (see the module docstring), then z1 = theta / (P - 1) and
-    z2 = e^(k s) z1.  The law is returned only when its residual is at most
-    ``tol`` and z2 < z1; otherwise, or when a component leaves the range of
-    normal doubles, IterationFailureError is raised.
+    z2 = e^(k s) z1, certified by ``_certified_law``.  IterationFailureError
+    is raised there, or here when z2 rounds onto z1.
     """
     k, theta = params.k, params.theta
     log_theta = math.log(theta)
@@ -275,20 +279,9 @@ def find_asymmetric(params: ModelParams, tol: float = DEFAULT_RESIDUAL_TOL) -> l
             break
         s = after
     log_z1 = log_theta - log_p_minus_1
-    log_z2 = log_z1 + k * s
-    if max(abs(log_z1), abs(log_z2)) > _LOG_RANGE:
-        raise IterationFailureError(
-            f"asymmetric root (ln z1, ln z2) = ({log_z1:.6g}, {log_z2:.6g}) "
-            "lies outside the range of normal doubles"
-        )
-    z1, z2 = math.exp(log_z1), math.exp(log_z2)
-    residual = _residual(z1, z2, k, theta)
-    if not (residual <= tol and z2 < z1):
-        raise IterationFailureError(
-            f"asymmetric root ({z1!r}, {z2!r}) failed certification: "
-            f"residual {residual:.3e}, tolerance {tol:.3e}"
-        )
-    law = BoundaryLaw(z1, z2, residual)
+    law = _certified_law(log_z1, log_z1 + k * s, k, theta, tol)
+    if law.symmetric:  # k s < 0, so z2 <= z1: equal only when z2 rounds onto z1
+        raise IterationFailureError(f"asymmetric root {law[:2]} rounds onto the symmetric root")
     return [law, law.swapped()]
 
 

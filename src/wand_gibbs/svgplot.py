@@ -2,16 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 _WIDTH, _HEIGHT = 800, 600
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 20, 40, 50
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list:
-    span = hi - lo
-    if span <= 0.0:
-        return [lo]
-    return [lo + i * span / (count - 1) for i in range(count)]
+    return [lo + i * (hi - lo) / (count - 1) for i in range(count)]
 
 
 def regime_svg(thetas, series, crossings=(), title="") -> str:
@@ -19,7 +18,8 @@ def regime_svg(thetas, series, crossings=(), title="") -> str:
 
     ``series`` is a list of (label, values) pairs; ``crossings`` marks
     activities with dashed vertical lines.  A single data point renders as
-    dots instead of paths.
+    dots instead of paths.  ValueError when there is no data, or when an
+    axis's span is not a positive double.
     """
     thetas = [float(t) for t in thetas]
     if not thetas:
@@ -33,6 +33,9 @@ def regime_svg(thetas, series, crossings=(), title="") -> str:
         y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
+    for axis, lo, hi in (("theta", x_lo, x_hi), ("the curves", y_lo, y_hi)):
+        if not 0.0 < hi - lo < math.inf:  # else every coordinate is nan or a division by 0
+            raise ValueError(f"{axis} range [{lo:.6g}, {hi:.6g}] cannot be drawn in doubles")
 
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B

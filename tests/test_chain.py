@@ -19,6 +19,7 @@ from wand_gibbs.model import BoundaryLaw, ModelParams
 from wand_gibbs.scan import theta_grid
 from wand_gibbs.solver import (
     IterationFailureError,
+    SolverError,
     find_asymmetric,
     solve_symmetric,
     theta_critical,
@@ -266,6 +267,11 @@ def test_ks_log_window_empty_from_k4():
     for k in range(5, 1001):
         log_lo, log_hi = _log_window(k)
         assert log_lo > log_hi
+
+
+def test_no_bracket_error_is_a_solver_error():
+    # one failure family: every caller that catches SolverError catches it
+    assert issubclass(NoBracketError, SolverError)
 
 
 def test_ks_no_bracket_for_k4():

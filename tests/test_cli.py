@@ -125,6 +125,25 @@ def test_arithmetic_error_maps_to_solver_exit(monkeypatch, capsys):
     assert err == "solver error: math range error\n"
 
 
+@pytest.mark.parametrize("k, theta, logs", [
+    ("2", "1e-300", "(1380.16, 1380.16)"),    # the symmetric root overflows
+    ("3", "1e-35", "(241.771, -725.314)"),   # the asymmetric pair's z2 underflows
+])
+def test_root_outside_the_doubles_has_one_message(capsys, k, theta, logs):
+    # both roots leave the solver through one certificate, so one format
+    code, out, err = run(capsys, "solve", "--k", k, "--theta", theta)
+    assert (code, out) == (3, "")
+    assert err == f"solver error: root (ln z1, ln z2) = {logs} lies outside the range of normal doubles\n"
+
+
+def test_root_failing_its_tolerance_has_one_message(monkeypatch, capsys):
+    monkeypatch.setenv("WAND_GIBBS_TOL", "1e-300")
+    code, out, err = run(capsys, "solve", "--k", "3", "--theta", "5")
+    assert (code, out) == (3, "")
+    assert err == ("solver error: root (z1, z2) = (0.6518422784753741, 0.6518422784753741) "
+                   "failed certification: residual 1.447e-16, tolerance 1.000e-300\n")
+
+
 def test_parser_built_once_per_process(monkeypatch, capsys):
     code, first, _ = run(capsys, "solve", "--k", "2", "--theta", "0.5")
     assert code == 0
@@ -286,6 +305,14 @@ def test_thresholds_both_agree(capsys):
 def test_thresholds_no_bracket_k5(capsys):
     code, _, err = run(capsys, "thresholds", "--k", "5", "--criterion", "ks")
     assert code == 3
+
+
+def test_thresholds_k4_keeps_its_stderr(capsys):
+    # NoBracketError reaches main as a SolverError, with the same bytes
+    code, out, err = run(capsys, "thresholds", "--k", "4")
+    assert (code, out) == (3, "")
+    assert err == ("solver error: no Kesten-Stigum crossing at k=4: "
+                   "k*lambda2^2 >= k/4 >= 1 at every activity\n")
 
 
 @pytest.mark.parametrize("k", ["300", "10000"])
@@ -627,6 +654,7 @@ def test_plot_non_finite_cell_is_io_error(tmp_path, capsys, column, value):
     ("-0.5", "0.75"),     # a negative modulus
     ("1e-200", "0.75"),   # the square underflows to 0: used to exit 3, dividing by zero
     ("1e-160", "1e300"),  # k overflows
+    ("1e200", "0.75"),    # the square overflows: used to exit 3 with errno 34
     ("0.5", "0.25"),      # k = 1
     ("0.5", "0.3"),       # k rounds to 1
     ("0.5", "-0.75"),     # k = -3
@@ -636,6 +664,26 @@ def test_plot_without_a_tree_order_is_io_error(tmp_path, capsys, lambda2, ks_val
     assert code == 4
     assert err == (f"i/o error: {tmp_path / 'rows.csv'}: "
                    "cannot recover a tree order k >= 2 from the first row\n")
+
+
+@pytest.mark.parametrize("rows, reason", [
+    # 3 s1^2 overflows, the square itself does not: used to draw nan and exit 0
+    ([GOOD_ROW, ("2.0", "1.3e154", "-0.5", "0.5", "0.75")], "line 3: 3*s1^2-1 overflows the doubles"),
+    # the square itself overflows: used to exit 3 with errno 34
+    ([GOOD_ROW, ("2.0", "0.5", "-1e155", "0.5", "0.75")], "line 3: 3*s2^2-1 overflows the doubles"),
+    # theta's span overflows: used to draw nan and exit 0
+    ([("-1e308",) + GOOD_ROW[1:], ("1e308",) + GOOD_ROW[1:]],
+     "theta range [-1e+308, 1e+308] cannot be drawn in doubles"),
+    # one activity that 0.5 cannot widen: used to exit 3 dividing by zero
+    ([("1e17",) + GOOD_ROW[1:]], "theta range [1e+17, 1e+17] cannot be drawn in doubles"),
+    # 3 s1^2 stays finite, the axis padded 5% past it does not: used to draw nan and exit 0
+    ([GOOD_ROW, ("2.0", "7.7e153", "-0.5", "0.5", "0.75")],
+     "the curves range [-8.8935e+306, inf] cannot be drawn in doubles"),
+])
+def test_plot_numbers_beyond_the_doubles_are_io_errors(tmp_path, capsys, rows, reason):
+    code, err = _plot_rows(tmp_path, capsys, *rows)
+    assert code == 4
+    assert err == f"i/o error: {tmp_path / 'rows.csv'}: {reason}\n"
 
 
 def test_plot_smallest_tree_order_is_drawn(tmp_path, capsys):

@@ -115,6 +115,13 @@ def test_tree_rejects_non_integer_depth(depth):
         FiniteCayleyTree(2, depth)
 
 
+@pytest.mark.parametrize("full_root", [None, [], "yes", 2, 1, 0, math.nan])
+def test_tree_rejects_a_full_root_that_is_not_a_bool(full_root):
+    # 1 and True would be two trees with one parent array
+    with pytest.raises(ValueError, match=r"^full_root must be a bool, got "):
+        FiniteCayleyTree(2, 1, full_root)
+
+
 # --- hamiltonian ------------------------------------------------------------------
 
 def test_hamiltonian_constant_config():

@@ -382,6 +382,13 @@ def test_symmetric_root_outside_double_range_raises():
         solve_symmetric(ModelParams(2, 1e-300))
 
 
+@pytest.mark.parametrize("solve", [solve_symmetric, find_asymmetric])
+def test_nan_tolerance_certifies_no_root(solve):
+    # both roots pass one certificate, residual <= tol, as BoundaryLaw.certified reads it
+    with pytest.raises(IterationFailureError, match="failed certification"):
+        solve(ModelParams(3, 0.5), math.nan)
+
+
 def test_asymmetric_root_failing_certification_raises():
     with pytest.raises(IterationFailureError):
         find_asymmetric(ModelParams(2, 0.5), tol=1e-300)

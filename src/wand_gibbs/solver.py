@@ -28,8 +28,8 @@ rounding noise of k ln((e^-u + 1/theta) / 2), about k eps, keeps the steps
 rising past the root for about 0.69 k steps (69,316 at k = 10^5), so the
 climb stops after _SYMMETRIC_STEPS steps; elsewhere it took at most 11
 (200,000 draws, k up to 10^12, theta = 10^U(-300, 300)).
-Since z*^(k+1) = ((theta + z*) / (2 theta))^k > 2^-k, the root can leave
-the range of doubles only upwards, as theta -> 0, past the climb's last u.
+Since z*^(k+1) = ((theta + z*) / (2 theta))^k > 2^-k, z* leaves the doubles
+only upwards (theta -> 0), and the rising climb range-checks its last u.
 
 Every asymmetric root lies on one explicit branch.  Put x_i = z_i^(1/k),
 t = x2/x1, P(t) = sum_{j<k} t^j and Q(t) = 1 + t^k.  The k-th roots of the

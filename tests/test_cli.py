@@ -679,7 +679,7 @@ def test_plot_without_a_tree_order_is_io_error(tmp_path, capsys, lambda2, ks_val
     # 3 s1^2 stays finite, the axis padded 5% past it does not: used to draw nan and exit 0
     ([GOOD_ROW, ("2.0", "7.7e153", "-0.5", "0.5", "0.75")],
      "the curves range [-8.8935e+306, inf] cannot be drawn in doubles"),
-])
+], ids=["k-times-square", "square", "theta-span", "one-huge-theta", "padded-curves"])
 def test_plot_numbers_beyond_the_doubles_are_io_errors(tmp_path, capsys, rows, reason):
     code, err = _plot_rows(tmp_path, capsys, *rows)
     assert code == 4

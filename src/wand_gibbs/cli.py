@@ -289,6 +289,11 @@ def _read_scan_csv(path: str):
             raise OSError(f"{path}: line {lineno}: {exc}") from exc
         if not all(map(math.isfinite, row.values())):
             raise OSError(f"{path}: line {lineno}: non-finite cell in {row}")
+        # a scan writes positive activities and a stochastic matrix's eigenvalues;
+        # thetas may step down by an ulp, since theta_grid is not monotone there
+        if not (row["theta"] > 0.0 and max(abs(row[c]) for c in ("s1", "s2", "lambda2")) <= 1.0):
+            raise OSError(f"{path}: line {lineno}: no scan writes theta <= 0 or an "
+                          f"eigenvalue modulus above 1: {row}")
         rows.append((lineno, row))
     if not rows:
         raise OSError(f"{path}: no data rows")
@@ -317,13 +322,8 @@ def cmd_plot(args) -> int:
         raise OSError(f"{args.scan}: cannot recover a tree order k >= 2 from the first row")
     k = round(ratio)
     thetas = [row["theta"] for _, row in rows]
-    series = []
-    for s in ("s1", "s2"):  # |s| >= 1e154 puts k s^2 past the doubles; s ** 2 may raise
-        curve = [k * row[s] ** 2 - 1.0 if abs(row[s]) < 1e154 else math.inf for _, row in rows]
-        if math.inf in curve:
-            raise OSError(f"{args.scan}: line {rows[curve.index(math.inf)][0]}: "
-                          f"{k}*{s}^2-1 overflows the doubles")
-        series.append((f"{k}*{s}^2-1", curve))
+    # |s| <= 1, so k s^2 - 1 stays within [-1, k - 1]
+    series = [(f"{k}*{s}^2-1", [k * row[s] ** 2 - 1.0 for _, row in rows]) for s in ("s1", "s2")]
     crossings = [x for _, curve in series for x in _zero_crossings(thetas, curve)]
     crossings = sorted(crossings) if len(rows) > 1 else []
     try:

@@ -29,8 +29,18 @@ e ln theta + a ln z1 + b ln z2, and exponentiated after subtracting the
 maximum, so it lies in (0, 1] and the largest is 1; each group's mass is
 the fsum of c times the weights of its statistics, and the normalization
 is the fsum of every prefix's mass, so it stays bit-stable even for
-activities far from 1.  The integer counts stay out of the shift: each is
-at most the admissible count, so c w cannot overflow.
+activities far from 1.  The counts stay out of the shift: each is at most
+the admissible count, so c w cannot overflow.  The cached table stores the
+counts and statistics as floats, exact because every one is far below
+2^53, so that no product takes the int-times-float path (which converts
+the int to the same double first, so the bits do not change), and lays
+every group's terms out in one flat slice: a marginal forms all its
+products in one list and takes one fsum per slice.  The consistency
+defect compares the two balls' group probabilities, not their prefixes:
+the (big group, small group) pairs that share a prefix are derived once
+per ball from the prefixes themselves (11 pairs for k = 3 at depth 2),
+and the largest difference over them is the largest over the prefixes,
+bit for bit, since every prefix of a group has the group's probability.
 The grouping is still a brute-force count over the enumeration, not the
 tree recursion whose fixed point is under test.
 """
@@ -193,41 +203,73 @@ def _weights(statistics, log_theta: float, law: BoundaryLaw) -> tuple:
 
 @functools.cache
 def _grouped_counts(tree: FiniteCayleyTree, prefix_size: int) -> tuple:
-    """(statistics, ((counts, indices, prefixes), ...)): the admissible
-    configurations of ``tree`` counted by their first ``prefix_size`` spins
-    and their statistic.  Each prefix in ``prefixes`` has ``counts[j]``
-    configurations of statistic ``statistics[indices[j]]``; prefixes with the
-    same terms share one group, and each distinct statistic appears once in
-    ``statistics``.  Independent of theta and of the law."""
+    """(statistics, counts, indices, groups): the admissible configurations
+    of ``tree`` counted by their first ``prefix_size`` spins and their
+    statistic.  Group g is ``(lo, hi, prefixes)``: each of its prefixes has
+    ``counts[j]`` configurations of statistic ``statistics[indices[j]]`` for
+    j in range(lo, hi); prefixes with the same terms share one group, and
+    each distinct statistic appears once in ``statistics``.  Counts and
+    statistics are stored as floats, which hold them exactly (each is at
+    most the admissible count).  Independent of theta and of the law."""
     ring = tree.boundary()
-    counts = Counter(
+    tally = Counter(
         (config[:prefix_size], _statistic(config, tree.parents, ring))
         for config in enumerate_admissible(tree)
     )
     indices = {}
     terms = {}
-    for (prefix, statistic), count in counts.items():
+    for (prefix, statistic), count in tally.items():
         index = indices.setdefault(statistic, len(indices))
-        terms.setdefault(prefix, []).append((count, index))
-    groups = {}
+        terms.setdefault(prefix, []).append((float(count), index))
+    shared = {}
     for prefix, prefix_terms in terms.items():
-        groups.setdefault(tuple(sorted(prefix_terms)), []).append(prefix)
-    return tuple(indices), tuple((*zip(*key), tuple(prefixes)) for key, prefixes in groups.items())
+        shared.setdefault(tuple(sorted(prefix_terms)), []).append(prefix)
+    flat, groups = [], []
+    for key, prefixes in shared.items():
+        groups.append((len(flat), len(flat) + len(key), tuple(prefixes)))
+        flat += key
+    counts, flat_indices = zip(*flat)
+    statistics = tuple(tuple(map(float, statistic)) for statistic in indices)
+    return statistics, counts, flat_indices, tuple(groups)
+
+
+def _group_probabilities(tree: FiniteCayleyTree, prefix_size: int, theta: float,
+                         law: BoundaryLaw) -> list:
+    """Probability of each prefix of group g of ``_grouped_counts(tree,
+    prefix_size)``, at index g: one exponential per distinct statistic, one
+    product per term and one fsum per group.  ``theta`` is an activity
+    already checked."""
+    statistics, counts, indices, groups = _grouped_counts(tree, prefix_size)
+    _, weights = _weights(statistics, math.log(theta), law)
+    products = [count * weights[index] for count, index in zip(counts, indices)]
+    masses = [math.fsum(products[lo:hi]) for lo, hi, _ in groups]
+    # each prefix's mass once: the same multiset as one fsum per prefix
+    total = math.fsum([mass for mass, (_, _, prefixes) in zip(masses, groups) for _ in prefixes])
+    return [mass / total for mass in masses]
 
 
 def _prefix_marginals(tree: FiniteCayleyTree, prefix_size: int, theta: float,
                       law: BoundaryLaw) -> dict:
     """Probability of each admissible prefix of ``prefix_size`` spins under
-    the finite-volume measure, from the grouped counts: one exponential per
-    distinct statistic and one fsum per group of prefixes.  ``theta`` is an
-    activity already checked."""
-    statistics, groups = _grouped_counts(tree, prefix_size)
-    _, weights = _weights(statistics, math.log(theta), law)
-    masses = [math.fsum([count * weights[index] for count, index in zip(counts, indices)])
-              for counts, indices, _ in groups]
-    # each prefix's mass once: the same multiset as one fsum per prefix
-    total = math.fsum([mass for mass, (_, _, prefixes) in zip(masses, groups) for _ in prefixes])
-    return {prefix: mass / total for mass, (_, _, prefixes) in zip(masses, groups) for prefix in prefixes}
+    the finite-volume measure: the group probabilities, keyed by prefix."""
+    groups = _grouped_counts(tree, prefix_size)[3]
+    probabilities = _group_probabilities(tree, prefix_size, theta, law)
+    return {prefix: p for p, (_, _, prefixes) in zip(probabilities, groups) for prefix in prefixes}
+
+
+@functools.cache
+def _consistency_pairs(tree: FiniteCayleyTree) -> tuple:
+    """(small, pairs): the ball one generation smaller than ``tree``, and
+    each distinct (i, j) such that a prefix of the small ball lies in group
+    i of ``tree`` and group j of ``small``, both counted by ``small.size``
+    spins; looked up prefix by prefix, so it holds for any two partitions."""
+    small = tree._replace(depth=tree.depth - 1)
+    owner = {prefix: i for i, (_, _, prefixes) in enumerate(_grouped_counts(tree, small.size)[3])
+             for prefix in prefixes}
+    pairs = {(owner[prefix], j)
+             for j, (_, _, prefixes) in enumerate(_grouped_counts(small, small.size)[3])
+             for prefix in prefixes}
+    return small, tuple(sorted(pairs))
 
 
 class FiniteVolumeMeasure(_value_type("FiniteVolumeMeasure", "probabilities log_partition")):
@@ -284,8 +326,7 @@ def check_consistency(tree: FiniteCayleyTree, theta: float, law: BoundaryLaw) ->
     if tree.full_root and tree.depth == 1:
         raise ValueError("the full-root ball of depth 0 is not consistent with depth 1")
     theta = activity(theta)
-    small = tree._replace(depth=tree.depth - 1)
-    small_marginal = _prefix_marginals(small, small.size, theta, law)
-    big_marginal = _prefix_marginals(tree, small.size, theta, law)
-    # both are keyed by the small tree's admissible configurations
-    return max(abs(big_marginal[config] - mass) for config, mass in small_marginal.items())
+    small, pairs = _consistency_pairs(tree)
+    big = _group_probabilities(tree, small.size, theta, law)
+    small_probabilities = _group_probabilities(small, small.size, theta, law)
+    return max([abs(big[i] - small_probabilities[j]) for i, j in pairs])

@@ -13,6 +13,15 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list:
     return [lo + i * (hi - lo) / (count - 1) for i in range(count)]
 
 
+def _widened(lo: float, hi: float) -> tuple:
+    """A one-value axis [v, v] as [v - 0.5, v + 0.5], or, where 0.5 rounds
+    away next to v, as v -+ |v| 2^-50 (at least four ulps each side)."""
+    if hi != lo:
+        return lo, hi
+    margin = 0.5 if lo + 0.5 > lo - 0.5 else abs(lo) * 2.0 ** -50
+    return lo - margin, hi + margin
+
+
 def regime_svg(thetas, series, crossings=(), title="") -> str:
     """An 800x600 SVG with the given curves over theta, linear axes.
 
@@ -27,10 +36,8 @@ def regime_svg(thetas, series, crossings=(), title="") -> str:
     ys = [v for _, values in series for v in values]
     x_lo, x_hi = min(thetas), max(thetas)
     y_lo, y_hi = min(ys + [0.0]), max(ys + [0.0])
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+    x_lo, x_hi = _widened(x_lo, x_hi)
+    y_lo, y_hi = _widened(y_lo, y_hi)
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
     for axis, lo, hi in (("theta", x_lo, x_hi), ("the curves", y_lo, y_hi)):

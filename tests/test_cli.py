@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -654,7 +655,6 @@ def test_plot_non_finite_cell_is_io_error(tmp_path, capsys, column, value):
     ("-0.5", "0.75"),     # a negative modulus
     ("1e-200", "0.75"),   # the square underflows to 0: used to exit 3, dividing by zero
     ("1e-160", "1e300"),  # k overflows
-    ("1e200", "0.75"),    # the square overflows: used to exit 3 with errno 34
     ("0.5", "0.25"),      # k = 1
     ("0.5", "0.3"),       # k rounds to 1
     ("0.5", "-0.75"),     # k = -3
@@ -666,20 +666,40 @@ def test_plot_without_a_tree_order_is_io_error(tmp_path, capsys, lambda2, ks_val
                    "cannot recover a tree order k >= 2 from the first row\n")
 
 
+@pytest.mark.parametrize("row", [
+    ("-1e300", "0.5", "-0.5", "0.5", "0.75"),     # used to plot with exit 0
+    ("0", "0.5", "-0.5", "0.5", "0.75"),
+    ("-0.0", "0.5", "-0.5", "0.5", "0.75"),
+    ("2.0", "1.5", "-0.5", "0.5", "0.75"),
+    ("2.0", "1.0000000000000002", "-0.5", "0.5", "0.75"),
+    ("2.0", "1.3e154", "-0.5", "0.5", "0.75"),    # 3 s1^2 overflowed: used to draw nan and exit 0
+    ("2.0", "0.5", "-1e155", "0.5", "0.75"),      # the square overflowed: used to exit 3
+    ("2.0", "0.5", "-0.5", "1e200", "0.75"),     # its square overflowed: used to exit 4 on row 1
+    ("2.0", "0.5", "-0.5", "-1.5", "0.75"),
+], ids=["negative-theta", "zero-theta", "negative-zero-theta", "s1", "s1-by-an-ulp",
+        "k-times-square", "square", "lambda2-square", "negative-lambda2"])
+def test_plot_cells_no_scan_writes_are_io_errors(tmp_path, capsys, row):
+    code, err = _plot_rows(tmp_path, capsys, GOOD_ROW, row)
+    assert code == 4
+    assert err.startswith(f"i/o error: {tmp_path / 'rows.csv'}: line 3: no scan writes theta <= 0 "
+                          "or an eigenvalue modulus above 1: ")
+
+
+def test_plot_accepts_unit_moduli_and_a_descending_theta(tmp_path, capsys):
+    # theta_grid can step down by an ulp on a narrow grid, and s1 = 1 is a real eigenvalue
+    code, _ = _plot_rows(tmp_path, capsys, ("1.0000000000000002", "1.0", "-1.0", "1.0", "3.0"),
+                         GOOD_ROW)
+    assert code == 0
+
+
 @pytest.mark.parametrize("rows, reason", [
-    # 3 s1^2 overflows, the square itself does not: used to draw nan and exit 0
-    ([GOOD_ROW, ("2.0", "1.3e154", "-0.5", "0.5", "0.75")], "line 3: 3*s1^2-1 overflows the doubles"),
-    # the square itself overflows: used to exit 3 with errno 34
-    ([GOOD_ROW, ("2.0", "0.5", "-1e155", "0.5", "0.75")], "line 3: 3*s2^2-1 overflows the doubles"),
-    # theta's span overflows: used to draw nan and exit 0
-    ([("-1e308",) + GOOD_ROW[1:], ("1e308",) + GOOD_ROW[1:]],
-     "theta range [-1e+308, 1e+308] cannot be drawn in doubles"),
-    # one activity that 0.5 cannot widen: used to exit 3 dividing by zero
-    ([("1e17",) + GOOD_ROW[1:]], "theta range [1e+17, 1e+17] cannot be drawn in doubles"),
-    # 3 s1^2 stays finite, the axis padded 5% past it does not: used to draw nan and exit 0
-    ([GOOD_ROW, ("2.0", "7.7e153", "-0.5", "0.5", "0.75")],
-     "the curves range [-8.8935e+306, inf] cannot be drawn in doubles"),
-], ids=["k-times-square", "square", "theta-span", "one-huge-theta", "padded-curves"])
+    # one activity whose relative margin overflows
+    ([("1.7976931348623157e308",) + GOOD_ROW[1:]],
+     "theta range [1.79769e+308, inf] cannot be drawn in doubles"),
+    # k s1^2 stays finite, the axis padded 5% past it does not: used to draw nan and exit 0
+    ([("1.0", "1.0", "-0.5", "1e-4", "1.79e300")],
+     "the curves range [-8.95e+306, inf] cannot be drawn in doubles"),
+], ids=["one-largest-theta", "padded-curves"])
 def test_plot_numbers_beyond_the_doubles_are_io_errors(tmp_path, capsys, rows, reason):
     code, err = _plot_rows(tmp_path, capsys, *rows)
     assert code == 4
@@ -705,6 +725,24 @@ def test_plot_single_row(tmp_path, capsys):
     svg = svg_path.read_text()
     assert "<circle" in svg
     assert "<path" not in svg
+
+
+def test_plot_one_huge_theta_draws_one_dot_per_curve(tmp_path, capsys):
+    # 1e17 +- 0.5 rounds back onto 1e17: used to exit 4, and 3 dividing by zero before that
+    code, _ = _plot_rows(tmp_path, capsys, ("1e17",) + GOOD_ROW[1:])
+    assert code == 0
+    svg = (tmp_path / "rows.svg").read_text()
+    assert svg.count("<circle") == 2 and svg.count('<circle cx="425.00" ') == 2
+    assert "<path" not in svg and "nan" not in svg
+
+
+def test_plot_one_row_that_half_a_unit_widens_keeps_its_bytes(tmp_path, capsys):
+    # the SVG drawn with the fixed +-0.5 margin, before any margin was relative
+    code, _ = _plot_rows(tmp_path, capsys, ("2.0",) + GOOD_ROW[1:])
+    assert code == 0
+    svg = (tmp_path / "rows.svg").read_bytes()
+    assert hashlib.sha256(svg).hexdigest() == (
+        "174a77c44ecd24bfc3a89ab74e37744201d1f0c7e451799079e5c64490dad74c")
 
 
 def test_plot_non_utf8_header_is_io_error(tmp_path, capsys):

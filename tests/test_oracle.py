@@ -457,11 +457,18 @@ def test_grouped_oracle_covers_both_sides_of_theta_critical():
 
 # --- grouped counts --------------------------------------------------------------------------
 
+def term_groups(tree, prefix_size):
+    """(statistics, groups): the cached count table with each group's slice
+    of the flat counts and indices cut out, as (counts, indices, prefixes)."""
+    statistics, counts, indices, groups = oracle._grouped_counts(tree, prefix_size)
+    return statistics, [(counts[lo:hi], indices[lo:hi], prefixes) for lo, hi, prefixes in groups]
+
+
 @pytest.mark.parametrize("k,depth,full_root", CONSISTENCY_CASES)
 def test_grouped_counts_sum_to_admissible_count(k, depth, full_root):
     for tree in (FiniteCayleyTree(k, depth, full_root), FiniteCayleyTree(k, depth + 1, full_root)):
         for prefix_size in (1, FiniteCayleyTree(k, depth, full_root).size):
-            _, groups = oracle._grouped_counts(tree, prefix_size)
+            _, groups = term_groups(tree, prefix_size)
             # every prefix of a group carries the group's counts
             total = sum(sum(counts) * len(prefixes) for counts, _, prefixes in groups)
             assert total == admissible_count_formula(tree)
@@ -470,7 +477,7 @@ def test_grouped_counts_sum_to_admissible_count(k, depth, full_root):
 @pytest.mark.parametrize("k,depth,expected", [(3, 2, 218), (2, 3, 783)])
 def test_grouped_counts_collapse(k, depth, expected):
     # one term list per distinct multiset: 564 and 4,416 terms over single prefixes
-    _, groups = oracle._grouped_counts(FiniteCayleyTree(k, depth), FiniteCayleyTree(k, depth - 1).size)
+    _, groups = term_groups(FiniteCayleyTree(k, depth), FiniteCayleyTree(k, depth - 1).size)
     assert sum(len(counts) for counts, _, _ in groups) == expected
 
 
@@ -478,7 +485,7 @@ def test_grouped_counts_collapse(k, depth, expected):
 def test_grouped_counts_distinct_statistics(k, depth, expected):
     # one exponential per distinct statistic for each marginal of the tree
     tree = FiniteCayleyTree(k, depth)
-    statistics, groups = oracle._grouped_counts(tree, FiniteCayleyTree(k, depth - 1).size)
+    statistics, groups = term_groups(tree, FiniteCayleyTree(k, depth - 1).size)
     assert len(statistics) == len(set(statistics)) == expected
     ring = tree.boundary()
     assert set(statistics) == {oracle._statistic(config, tree.parents, ring)
@@ -491,12 +498,28 @@ def test_grouped_counts_one_group_per_small_statistic(k, depth, expected):
     # a prefix's extensions depend on it only through its own statistic on
     # the small tree, so the big tree has one group per such statistic
     small, big = FiniteCayleyTree(k, depth - 1), FiniteCayleyTree(k, depth)
-    small_statistics, _ = oracle._grouped_counts(small, small.size)
-    _, groups = oracle._grouped_counts(big, small.size)
+    small_statistics, _ = term_groups(small, small.size)
+    _, groups = term_groups(big, small.size)
     assert len(groups) == len(small_statistics) == expected
     prefixes = [prefix for _, _, group in groups for prefix in group]
     assert sorted(prefixes) == enumerate_admissible(small)
     assert len({tuple(sorted(zip(counts, indices))) for counts, indices, _ in groups}) == expected
+
+
+@pytest.mark.parametrize("k,depth,full_root", CONSISTENCY_CASES)
+def test_grouped_counts_are_exact_floats_in_contiguous_slices(k, depth, full_root):
+    # the hot path multiplies floats only; each float must be the count itself
+    small = FiniteCayleyTree(k, depth, full_root)
+    for tree in (small, FiniteCayleyTree(k, depth + 1, full_root)):
+        statistics, counts, indices, groups = oracle._grouped_counts(tree, small.size)
+        assert all(type(x) is float and x == int(x) for x in counts + sum(statistics, ()))
+        assert len(counts) == len(indices)
+        assert [(lo, hi) for lo, hi, _ in groups] == list(zip(
+            [0] + [hi for _, hi, _ in groups][:-1], [hi for _, hi, _ in groups]))
+        assert groups[-1][1] == len(counts) and all(lo < hi for lo, hi, _ in groups)
+        ungrouped = ungrouped_counts(tree, small.size)
+        assert {(prefix, statistics[indices[j]]): counts[j] for lo, hi, prefixes in groups
+                for prefix in prefixes for j in range(lo, hi)} == ungrouped
 
 
 @functools.cache
@@ -532,6 +555,20 @@ def test_grouped_marginals_are_per_prefix_fsums_bit_for_bit(k, depth, full_root,
         expected = per_prefix_marginals(tree, prefix_size, theta, law)
         assert grouped.keys() == expected.keys()
         assert all(grouped[prefix].hex() == p.hex() for prefix, p in expected.items())
+
+
+@pytest.mark.parametrize("small,big", [
+    pytest.param(small, big, id=f"{big.k}-{big.depth}" + "-full" * big.full_root)
+    for small, big in accepted_consistency_pairs()])
+def test_defect_is_max_over_per_prefix_fsums_bit_for_bit(small, big):
+    # the defect comes from group pairs; the reference takes every prefix
+    for theta in (1e-300, 1.0, 1e300):
+        for z1, z2 in ((1e-200, 1e200), (1e200, 1e-200), (1e-300, 1e-300), (0.7, 1.3)):
+            law = BoundaryLaw(z1, z2)
+            small_marginal = per_prefix_marginals(small, small.size, theta, law)
+            big_marginal = per_prefix_marginals(big, small.size, theta, law)
+            expected = max(abs(big_marginal[prefix] - p) for prefix, p in small_marginal.items())
+            assert check_consistency(big, theta, law).hex() == expected.hex()
 
 
 @pytest.mark.parametrize("call", [

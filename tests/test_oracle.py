@@ -513,10 +513,9 @@ def test_grouped_counts_are_exact_floats_in_contiguous_slices(k, depth, full_roo
     for tree in (small, FiniteCayleyTree(k, depth + 1, full_root)):
         statistics, counts, indices, groups = oracle._grouped_counts(tree, small.size)
         assert all(type(x) is float and x == int(x) for x in counts + sum(statistics, ()))
-        assert len(counts) == len(indices)
-        assert [(lo, hi) for lo, hi, _ in groups] == list(zip(
-            [0] + [hi for _, hi, _ in groups][:-1], [hi for _, hi, _ in groups]))
-        assert groups[-1][1] == len(counts) and all(lo < hi for lo, hi, _ in groups)
+        starts, ends = [lo for lo, _, _ in groups], [hi for _, hi, _ in groups]
+        assert starts == [0] + ends[:-1] and ends[-1] == len(counts) == len(indices)
+        assert all(lo < hi for lo, hi in zip(starts, ends))
         ungrouped = ungrouped_counts(tree, small.size)
         assert {(prefix, statistics[indices[j]]): counts[j] for lo, hi, prefixes in groups
                 for prefix in prefixes for j in range(lo, hi)} == ungrouped

@@ -279,7 +279,7 @@ def _read_scan_csv(path: str):
     missing = [c for c in columns if c not in reader.fieldnames]
     if missing:
         raise OSError(f"{path}: line 1: missing columns {missing}")
-    rows = []
+    k, rows = 0, []
     for lineno, record in enumerate(reader, start=2):
         if record.get("classification") == CLASS_SOLVER_ERROR:
             continue  # a point the scan could not solve has no spectrum
@@ -294,10 +294,19 @@ def _read_scan_csv(path: str):
         if not (row["theta"] > 0.0 and max(abs(row[c]) for c in ("s1", "s2", "lambda2")) <= 1.0):
             raise OSError(f"{path}: line {lineno}: no scan writes theta <= 0 or an "
                           f"eigenvalue modulus above 1: {row}")
+        lam = row["lambda2"]
+        ratio = row["ks_value"] / lam / lam if lam > 0.0 else 0.0  # no square to overflow
+        order = round(ratio) if math.isfinite(ratio) else 0
+        k = k or order  # the first data row fixes the tree order
+        if k < 2:
+            raise OSError(f"{path}: cannot recover a tree order k >= 2 from the first row")
+        if lam != max(abs(row["s1"]), abs(row["s2"])) or order != k:
+            raise OSError(f"{path}: line {lineno}: no scan writes lambda2 other than max(|s1|, |s2|) "
+                          f"or a tree order other than the first row's k = {k}: {row}")
         rows.append((lineno, row))
     if not rows:
         raise OSError(f"{path}: no data rows")
-    return rows
+    return k, rows
 
 
 def _zero_crossings(xs, ys):
@@ -315,12 +324,7 @@ def _zero_crossings(xs, ys):
 
 
 def cmd_plot(args) -> int:
-    rows = _read_scan_csv(args.scan)
-    lam, ks_value = rows[0][1]["lambda2"], rows[0][1]["ks_value"]
-    ratio = ks_value / lam / lam if lam > 0.0 else 0.0  # no square to overflow
-    if not (math.isfinite(ratio) and round(ratio) >= 2):
-        raise OSError(f"{args.scan}: cannot recover a tree order k >= 2 from the first row")
-    k = round(ratio)
+    k, rows = _read_scan_csv(args.scan)
     thetas = [row["theta"] for _, row in rows]
     # |s| <= 1, so k s^2 - 1 stays within [-1, k - 1]
     series = [(f"{k}*{s}^2-1", [k * row[s] ** 2 - 1.0 for _, row in rows]) for s in ("s1", "s2")]

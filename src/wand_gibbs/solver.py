@@ -73,8 +73,10 @@ far-field root, it takes ~4 evaluations on the k = 3 scan grid (at most 8).
 In 20,000 draws with k in [2, 256], 30% of them within 1e-12..1e-1 of
 theta_cr and the rest log-uniform on [1e-300, theta_cr), it took ~1 far
 from theta_cr (at most 12) and at most 32 near it, where g' vanishes and
-Newton first halves s.  Every root is certified in one place, _certified_law:
-by its range and its residual, never by iteration count alone.
+Newton first halves s.  The kernels _symmetric_root and _asymmetric_root
+run both searches on plain numbers; solve_symmetric and find_asymmetric are
+wrappers over them, and scan.scan_row calls them.  Each root is certified in
+one place, _certified_law: by range and residual, never by iteration count.
 """
 
 from __future__ import annotations
@@ -183,8 +185,11 @@ def solve_symmetric(params: ModelParams, tol: float = DEFAULT_RESIDUAL_TOL) -> B
     which yields z* = 1.0.  ``_certified_law`` takes the last u and raises
     IterationFailureError when z* is not a normal double or fails ``tol``.
     """
-    k, theta = params.k, params.theta
-    log_inv_theta, ln2 = -math.log(theta), math.log(2.0)
+    return _symmetric_root(params.k, params.theta, math.log(params.theta), tol)
+
+
+def _symmetric_root(k: int, theta: float, log_theta: float, tol: float) -> BoundaryLaw:
+    log_inv_theta, ln2 = -log_theta, math.log(2.0)
 
     def newton_step(u: float) -> float:
         # ln(e^a + e^b) and e^a / (e^a + e^b) at a = -u, b = ln(1/theta)
@@ -245,12 +250,15 @@ def find_asymmetric(params: ModelParams, tol: float = DEFAULT_RESIDUAL_TOL) -> l
     s = ln t on g(s) = (k+1) (ln theta(s) - ln theta) inside a sign bracket
     (see the module docstring), then z1 = theta / (P - 1) and
     z2 = e^(k s) z1, certified by ``_certified_law``.  IterationFailureError
-    is raised there, or here when z2 rounds onto z1.
+    is raised there, or when z2 rounds onto z1.
     """
-    k, theta = params.k, params.theta
-    log_theta = math.log(theta)
-    if log_theta >= _log_theta_critical(k):
+    log_theta = math.log(params.theta)
+    if log_theta >= _log_theta_critical(params.k):
         return []
+    return [law := _asymmetric_root(*params, log_theta, tol), law.swapped()]
+
+
+def _asymmetric_root(k: int, theta: float, log_theta: float, tol: float) -> BoundaryLaw:
     target = (k + 1) * log_theta
     # ln theta(s) <= s/(k+1) - ln(1 - e^s) < s/(k+1) + 0.5 for s <= -1,
     # so g(lo) < 0; ln theta(s) -> ln theta_cr > ln theta as s -> 0-
@@ -282,7 +290,7 @@ def find_asymmetric(params: ModelParams, tol: float = DEFAULT_RESIDUAL_TOL) -> l
     law = _certified_law(log_z1, log_z1 + k * s, k, theta, tol)
     if law.symmetric:  # k s < 0, so z2 <= z1: equal only when z2 rounds onto z1
         raise IterationFailureError(f"asymmetric root {law[:2]} rounds onto the symmetric root")
-    return [law, law.swapped()]
+    return law
 
 
 class TisgmSet(_value_type("TisgmSet", "params symmetric asymmetric theta_cr")):

@@ -685,6 +685,36 @@ def test_plot_cells_no_scan_writes_are_io_errors(tmp_path, capsys, row):
                           "or an eigenvalue modulus above 1: ")
 
 
+@pytest.mark.parametrize("rows, line, k", [
+    # the second row implies k = 7: used to be drawn as k = 3 with exit 0
+    ([GOOD_ROW, ("2.0", "0.5", "-0.5", "0.5", "1.75")], 3, 3),
+    # lambda2 above max(|s1|, |s2|), with ks_value agreeing with it: used to be drawn
+    ([GOOD_ROW, ("2.0", "0.5", "-0.5", "0.9", "2.43")], 3, 3),
+    # lambda2 below it, on the row that fixes k
+    ([("1.0", "0.5", "-0.5", "0.25", "0.1875"), GOOD_ROW], 2, 3),
+    # an order that overflows the ratio after a good first row
+    ([GOOD_ROW, ("2.0", "1e-160", "-1e-160", "1e-160", "1e300")], 3, 3),
+], ids=["order", "lambda2-above", "lambda2-below-on-the-first-row", "order-beyond-the-doubles"])
+def test_plot_rows_that_disagree_are_io_errors(tmp_path, capsys, rows, line, k):
+    code, err = _plot_rows(tmp_path, capsys, *rows)
+    assert code == 4
+    assert err.startswith(f"i/o error: {tmp_path / 'rows.csv'}: line {line}: no scan writes lambda2 "
+                          f"other than max(|s1|, |s2|) or a tree order other than the first "
+                          f"row's k = {k}: ")
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 17, 256])
+def test_plot_draws_every_scan_file(tmp_path, capsys, k):
+    # every row of one scan agrees with the first on lambda2 and on k
+    scan_path = tmp_path / "scan.csv"
+    code, _, _ = run(capsys, "scan", "--k", str(k), "--theta-min", "1e-3", "--theta-max", "1e3",
+                     "--steps", "40", "--scale", "log", "--out", str(scan_path))
+    assert code in (0, 3)
+    code, _, err = run(capsys, "plot", str(scan_path), "--out", str(tmp_path / "scan.svg"))
+    assert (code, err) == (0, "")
+    assert f"k={k}" in (tmp_path / "scan.svg").read_text()
+
+
 def test_plot_accepts_unit_moduli_and_a_descending_theta(tmp_path, capsys):
     # theta_grid can step down by an ulp on a narrow grid, and s1 = 1 is a real eigenvalue
     code, _ = _plot_rows(tmp_path, capsys, ("1.0000000000000002", "1.0", "-1.0", "1.0", "3.0"),
@@ -697,7 +727,7 @@ def test_plot_accepts_unit_moduli_and_a_descending_theta(tmp_path, capsys):
     ([("1.7976931348623157e308",) + GOOD_ROW[1:]],
      "theta range [1.79769e+308, inf] cannot be drawn in doubles"),
     # k s1^2 stays finite, the axis padded 5% past it does not: used to draw nan and exit 0
-    ([("1.0", "1.0", "-0.5", "1e-4", "1.79e300")],
+    ([("1.0", "1.0", "-0.5", "1.0", "1.79e308")],
      "the curves range [-8.95e+306, inf] cannot be drawn in doubles"),
 ], ids=["one-largest-theta", "padded-curves"])
 def test_plot_numbers_beyond_the_doubles_are_io_errors(tmp_path, capsys, rows, reason):
@@ -707,8 +737,9 @@ def test_plot_numbers_beyond_the_doubles_are_io_errors(tmp_path, capsys, rows, r
 
 
 def test_plot_smallest_tree_order_is_drawn(tmp_path, capsys):
-    # ks_value / lambda2^2 = 1.5 rounds to k = 2
-    code, _ = _plot_rows(tmp_path, capsys, ("1.0", "0.5", "-0.5", "0.5", "0.375"), GOOD_ROW)
+    # ks_value / lambda2^2 = 1.5 rounds to k = 2, which the second row's 2.0 agrees with
+    code, _ = _plot_rows(tmp_path, capsys, ("1.0", "0.5", "-0.5", "0.5", "0.375"),
+                         ("2.0", "0.5", "-0.5", "0.5", "0.5"))
     assert code == 0
     assert "k=2" in (tmp_path / "rows.svg").read_text()
 

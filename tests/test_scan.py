@@ -11,8 +11,10 @@ from wand_gibbs.scan import (
     CLASS_EXTREMAL_MSW,
     CLASS_NO_CLAIM,
     CLASS_NONEXTREMAL_KS,
+    CLASS_SOLVER_ERROR,
     CLASS_UNDETERMINED,
     CSV_COLUMNS,
+    LAW_CELLS,
     classify,
     format_value,
     law_cells,
@@ -20,7 +22,8 @@ from wand_gibbs.scan import (
     scan_rows,
     theta_grid,
 )
-from wand_gibbs.solver import _log_theta_critical, find_asymmetric, solve_symmetric
+from wand_gibbs.solver import (IterationFailureError, SolverError, _log_theta_critical,
+                               find_asymmetric, solve_symmetric)
 
 
 def test_classify_regions():
@@ -112,6 +115,62 @@ def test_scan_row_k4_unit_activity_undetermined():
     row = scan_row(ModelParams(4, 1.0))
     assert row["ks_value"] == 1.0
     assert row["classification"] == CLASS_UNDETERMINED
+
+
+# --- the row reaches the roots through the solver's kernels -------------------
+
+def solve_outcome(params):
+    """What ``solve_symmetric`` and then ``find_asymmetric`` give at ``params``:
+    the hex of z_sym, z_asym_1 and z_asym_2, or the first SolverError's type and text."""
+    try:
+        sym, asym = solve_symmetric(params), find_asymmetric(params)
+    except SolverError as exc:
+        return type(exc), str(exc)
+    z1, z2 = (asym[0].z1.hex(), asym[0].z2.hex()) if asym else (None, None)
+    return sym.z1.hex(), z1, z2
+
+
+def row_outcome(params):
+    try:
+        row = scan_row(params)
+    except SolverError as exc:
+        return type(exc), str(exc)
+    return tuple(None if row[c] is None else row[c].hex() for c in ("z_sym", "z_asym_1", "z_asym_2"))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.integers(min_value=2, max_value=10**3), st.floats(min_value=-60.0, max_value=0.0,
+                                                            exclude_max=True))
+def test_scan_row_roots_are_the_solver_roots(k, offset):
+    # below theta_cr both roots exist: the row's roots, or its error, are the
+    # public solvers' bit for bit, and its cells are law_cells of the symmetric law
+    params = ModelParams(k, math.exp(_log_theta_critical(k) + offset / k))
+    assume(math.log(params.theta) < _log_theta_critical(k))
+    expected = solve_outcome(params)
+    assert row_outcome(params) == expected
+    if expected[0] is not IterationFailureError:
+        row = scan_row(params)
+        assert row["tisgm_count"] == 3
+        assert bits({c: row[c] for c in LAW_CELLS}) == bits(law_cells(solve_symmetric(params), params))
+
+
+@pytest.mark.parametrize("k, theta, message", [
+    (10**400, 1.0, r"^tree order too large for doubles: int too large to convert to float$"),
+    (850, 130.14, r"^root \(z1, z2\) = \(.*\) failed certification: residual .*, tolerance 1\.000e-12$"),
+    (3, 1e-35, r"^root \(ln z1, ln z2\) = \(241\.771, -725\.314\) lies outside the range "
+               r"of normal doubles$"),
+], ids=["k-beyond-the-doubles", "asymmetric-residual", "asymmetric-range"])
+def test_scan_row_errors_are_the_solver_errors(k, theta, message):
+    # the row's overflow guard and the asymmetric kernel's certificate give
+    # find_asymmetric's texts, and a scan turns each into one solver-error row
+    params = ModelParams(k, theta)
+    with pytest.raises(IterationFailureError, match=message) as raised:
+        scan_row(params)
+    with pytest.raises(IterationFailureError) as solved:
+        find_asymmetric(params)
+    assert str(raised.value) == str(solved.value)
+    assert scan_rows(k, [theta]) == [dict(dict.fromkeys(CSV_COLUMNS), theta=theta,
+                                          classification=CLASS_SOLVER_ERROR)]
 
 
 def test_format_value():

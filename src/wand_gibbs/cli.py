@@ -206,8 +206,9 @@ def cmd_scan(args) -> int:
 
 
 def cmd_thresholds(args) -> int:
-    k = tree_order(args.k)
-    # one window for both criteria (see ``extremality``); NoBracketError from k = 4 on
+    k = args.k
+    # one window for both criteria (see ``extremality``); it checks k, and
+    # raises NoBracketError from k = 4 on
     lower, upper = ks_threshold_pair(k)
     window = {"lower": lower, "upper": upper}
     names = ("ks", "msw") if args.criterion == "both" else (args.criterion,)
@@ -395,14 +396,33 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # once per process: building it and its JSON-schema epilog costs more than a command
-    return build_parser()
+def _parser() -> tuple:
+    """The parser and its commands' own parsers by name, once per process:
+    building it and its JSON-schema epilog costs more than a command."""
+    parser = build_parser()
+    sub, = (action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+    return parser, sub.choices
+
+
+def _parse_args(argv):
+    """``parse_args(argv)``'s namespace, with a known command's flags parsed
+    once: its own parser takes them, as the subparsers action hands them
+    over.  Anything else, or flags that parser leaves over, goes through the
+    full parse, so every usage error and help text keeps argparse's bytes."""
+    parser, commands = _parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:], None)
+        if not extras:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

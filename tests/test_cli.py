@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import sys
 import tracemalloc
 
 import jsonschema
@@ -152,6 +153,93 @@ def test_parser_built_once_per_process(monkeypatch, capsys):
     assert run(capsys, "solve", "--k", "2", "--theta", "0.5", "--format", "csv")[0] == 0
     assert run(capsys, "frobnicate")[0] == 2
     assert run(capsys, "solve", "--k", "2", "--theta", "0.5") == (0, first, "")
+
+
+#: argv forms whose parse the one-parse dispatch must give as ``parse_args`` does:
+#: every command, usage errors, help, abbreviations, ``--`` and negative numbers
+PARSE_CORPUS = [
+    (),
+    ("--help",),
+    ("-h",),
+    ("--",),
+    ("frobnicate",),
+    ("frobnicate", "--k", "3"),
+    ("--", "thresholds", "--k", "3"),
+    ("--k", "3", "thresholds"),
+    ("thresholds",),
+    ("thresholds", "--k", "3"),
+    ("thresholds", "--k=3", "--criterion=ks", "--format", "csv"),
+    ("thresholds", "--crit", "ks", "--k", "3"),
+    ("thresholds", "--k", "3", "--bogus"),
+    ("thresholds", "--k", "3", "extra"),
+    ("thresholds", "--k", "3", "--k", "5"),
+    ("thresholds", "--k", "-3"),
+    ("thresholds", "--k", "three"),
+    ("thresholds", "--k", "3", "--criterion", "neither"),
+    ("thresholds", "--k", "3", "--he"),
+    ("thresholds", "--", "--k", "3"),
+    ("thresholds", "--k", "3", "--"),
+    ("thresholds", "--k", "--", "3"),
+    ("solve", "--k", "3", "--theta", "-1.0"),
+    ("solve", "--k", "3", "--theta=1e-3", "--format", "csv", "--out", "-"),
+    ("solve", "-k", "3", "--theta", "1"),
+    ("scan", "--k", "3", "--theta-min", "0.1", "--theta-max", "3", "--steps", "5",
+     "--scale", "log", "--format", "json"),
+    ("scan", "--k", "3", "--theta-m", "0.1", "--theta-max", "3", "--steps", "5"),
+    ("scan", "--k", "3", "--theta-min", "-0.1", "--theta-max", "-3", "--steps", "-5"),
+    ("verify", "--k", "2", "--de", "3"),
+    ("verify", "--k", "2", "--thetas", "-0.5,1"),
+    ("verify", "--k", "2", "--thetas=0.5,1.0", "--depth", "1", "--depth", "2"),
+    ("plot",),
+    ("plot", "scan.csv"),
+    ("plot", "a.csv", "b.csv"),
+    ("plot", "--", "-scan.csv"),
+    ("plot", "scan.csv", "--out", "x.svg", "--out", "y.svg"),
+    ("plot", "--out", "x.svg", "--", "scan.csv", "--out"),
+] + [(command, help_flag) for command in ("solve", "scan", "thresholds", "verify", "plot")
+     for help_flag in ("-h", "--help")]
+
+
+def _parse_outcome(capsys, parse, argv):
+    try:
+        result = parse(list(argv))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    return result, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS, ids=repr)
+def test_one_parse_dispatch_equals_parse_args(capsys, argv):
+    # same namespace, or the same exit code, stdout and stderr
+    assert (_parse_outcome(capsys, cli._parse_args, argv)
+            == _parse_outcome(capsys, cli.build_parser().parse_args, argv))
+
+
+def test_known_command_skips_the_top_level_parse(monkeypatch, tmp_path, capsys):
+    parser, commands = cli._parser()
+    assert sorted(commands) == ["plot", "scan", "solve", "thresholds", "verify"]
+    monkeypatch.setattr(parser, "parse_known_args",
+                        lambda *args, **kwargs: pytest.fail("top-level parse reached"))
+    scan_csv, svg = str(tmp_path / "scan.csv"), str(tmp_path / "regime.svg")
+    for argv in (("solve", "--k", "2", "--theta", "0.5"),
+                 ("scan", "--k", "3", "--theta-min", "0.5", "--theta-max", "2", "--steps", "3",
+                  "--out", scan_csv),
+                 ("thresholds", "--k", "3", "--crit", "ks"),
+                 ("verify", "--k", "2", "--depth", "1", "--thetas", "1.0"),
+                 ("plot", scan_csv, "--out", svg)):
+        assert run(capsys, *argv)[0] == 0
+
+
+def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
+    expected = run(capsys, "thresholds", "--k", "3")
+    monkeypatch.setattr(sys, "argv", ["wand-gibbs", "thresholds", "--k", "3"])
+    with monkeypatch.context() as patch:  # the command's own parser reads sys.argv too
+        patch.setattr(cli._parser()[0], "parse_known_args",
+                      lambda *args, **kwargs: pytest.fail("top-level parse reached"))
+        assert (main(), *capsys.readouterr()) == expected
+    monkeypatch.setattr(sys, "argv", ["wand-gibbs", "thresholds", "--k", "3", "--bogus"])
+    assert main() == 2
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --bogus\n")
 
 
 # --- scan ------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Command-line front end: solve, scan, thresholds, verify, plot.
 
-Exit codes are a stable contract: 0 success, 2 usage error, 3 solver
-failure (including any arithmetic error), 4 I/O failure, 5 verification
-failure.  The environment variable WAND_GIBBS_TOL overrides the default
-1e-12 residual acceptance (for exploration only).  JSON output follows the
-schema printed by --help.
+A known command's flags are parsed once, by its own parser (anything else
+takes argparse's full parse).  Exit codes are a stable contract: 0 success,
+2 usage error, 3 solver failure (including any arithmetic error), 4 I/O
+failure, 5 verification failure.  The environment variable WAND_GIBBS_TOL
+overrides the default 1e-12 residual acceptance (for exploration only).
+JSON output follows the schema printed by --help.
 """
 
 from __future__ import annotations
@@ -206,15 +207,13 @@ def cmd_scan(args) -> int:
 
 
 def cmd_thresholds(args) -> int:
-    k = args.k
-    # one window for both criteria (see ``extremality``); it checks k, and
-    # raises NoBracketError from k = 4 on
-    lower, upper = ks_threshold_pair(k)
+    # one window for both criteria (see ``extremality``); it checks k, NoBracketError from 4 on
+    lower, upper = ks_threshold_pair(args.k)
     window = {"lower": lower, "upper": upper}
     names = ("ks", "msw") if args.criterion == "both" else (args.criterion,)
     doc = {
         "command": "thresholds",
-        "k": k,
+        "k": args.k,
         "criterion": args.criterion,
         "certified": True,
         "ks": window if "ks" in names else None,
@@ -222,7 +221,7 @@ def cmd_thresholds(args) -> int:
         "agreement": 0.0 if args.criterion == "both" else None,
     }
     _write_doc(args, doc, ("criterion", "k", "lower", "upper", "certified"),
-               (dict(window, criterion=name, k=k, certified="true") for name in names))
+               (dict(window, criterion=name, k=args.k, certified="true") for name in names))
     return EXIT_OK
 
 
@@ -397,23 +396,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _parser() -> tuple:
-    """The parser and its commands' own parsers by name, once per process:
-    building it and its JSON-schema epilog costs more than a command."""
+    # once per process: building it and its JSON-schema epilog costs more than a command
     parser = build_parser()
     sub, = (action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
-    return parser, sub.choices
+    return parser, sub.choices  # and each command's own parser by name
 
 
 def _parse_args(argv):
-    """``parse_args(argv)``'s namespace, with a known command's flags parsed
-    once: its own parser takes them, as the subparsers action hands them
-    over.  Anything else, or flags that parser leaves over, goes through the
-    full parse, so every usage error and help text keeps argparse's bytes."""
+    """``parse_args(argv)``, a known command's flags parsed once by its own parser, as the
+    subparsers action calls it; anything else, or flags it leaves over, takes the full parse."""
     parser, commands = _parser()
     argv = sys.argv[1:] if argv is None else argv
-    command = commands.get(argv[0]) if argv else None
-    if command is not None:
-        args, extras = command.parse_known_args(argv[1:], None)
+    if argv and argv[0] in commands:
+        args, extras = commands[argv[0]].parse_known_args(argv[1:], None)
         if not extras:
             args.command = argv[0]
             return args

@@ -233,7 +233,7 @@ def test_known_command_skips_the_top_level_parse(monkeypatch, tmp_path, capsys):
 def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
     expected = run(capsys, "thresholds", "--k", "3")
     monkeypatch.setattr(sys, "argv", ["wand-gibbs", "thresholds", "--k", "3"])
-    with monkeypatch.context() as patch:  # the command's own parser reads sys.argv too
+    with monkeypatch.context() as patch:  # argv=None takes the one-parse path too
         patch.setattr(cli._parser()[0], "parse_known_args",
                       lambda *args, **kwargs: pytest.fail("top-level parse reached"))
         assert (main(), *capsys.readouterr()) == expected

@@ -52,7 +52,7 @@ import math
 from collections import Counter
 
 from .model import (
-    SPINS, WAND_ADJACENCY, BoundaryLaw, _is_integer, _shown, _value_type, activity, allows,
+    SPINS, BoundaryLaw, _is_integer, _shown, _value_type, activity, allows,
     tree_order,
 )
 
@@ -61,11 +61,8 @@ __all__ = [
     "SizeCapError",
     "FiniteCayleyTree",
     "FiniteVolumeMeasure",
-    "hamiltonian",
     "enumerate_admissible",
-    "admissible_count_formula",
     "finite_volume_measure",
-    "root_marginal",
     "check_consistency",
 ]
 
@@ -135,22 +132,6 @@ class FiniteCayleyTree(_value_type("FiniteCayleyTree", "k depth full_root")):
         return range(max(self.parents) + 1, self.size)
 
 
-def hamiltonian(config, tree: FiniteCayleyTree) -> int:
-    """The J-free energy sum over edges of (spin(x) - spin(y))^2.
-
-    ``config`` is a spin sequence indexed by vertex id.  Non-admissible
-    configurations (an edge outside the constraint graph) are rejected.
-    """
-    parents = tree.parents
-    if len(config) != len(parents):
-        raise ValueError(f"configuration has {len(config)} spins for {len(parents)} vertices")
-    for v in range(1, len(parents)):
-        su, sv = config[parents[v]], config[v]
-        if not allows(su, sv):
-            raise ValueError(f"configuration is not admissible: pair ({su}, {sv}) on edge ({parents[v]}, {v})")
-    return _statistic(config, parents, ())[0]
-
-
 def enumerate_admissible(tree: FiniteCayleyTree) -> list:
     """All admissible spin configurations on ``tree``, as vertex-indexed tuples.
 
@@ -163,22 +144,6 @@ def enumerate_admissible(tree: FiniteCayleyTree) -> list:
     for parent in tree.parents[1:]:
         configs = [c + (s,) for c in configs for s in _ALLOWED[c[parent]]]
     return configs
-
-
-def admissible_count_formula(tree: FiniteCayleyTree) -> int:
-    """Admissible-configuration count via the adjacency-power recursion.
-
-    Bottom-up, in decreasing id order so that every vertex's children come
-    first: a vertex's completions per spin (one for a leaf) multiply into
-    its parent's, adjacency-weighted.  Independent of enumeration.
-    """
-    a = WAND_ADJACENCY
-    counts = [[1, 1, 1] for _ in range(tree.size)]
-    for v in range(tree.size - 1, 0, -1):
-        parent, child = counts[tree.parents[v]], counts[v]
-        for i in range(3):
-            parent[i] *= sum(a[i][j] * child[j] for j in range(3))
-    return sum(counts[0])
 
 
 def _statistic(config, parents, ring) -> tuple:
@@ -248,15 +213,6 @@ def _group_probabilities(tree: FiniteCayleyTree, prefix_size: int, theta: float,
     return [mass / total for mass in masses]
 
 
-def _prefix_marginals(tree: FiniteCayleyTree, prefix_size: int, theta: float,
-                      law: BoundaryLaw) -> dict:
-    """Probability of each admissible prefix of ``prefix_size`` spins under
-    the finite-volume measure: the group probabilities, keyed by prefix."""
-    groups = _grouped_counts(tree, prefix_size)[3]
-    probabilities = _group_probabilities(tree, prefix_size, theta, law)
-    return {prefix: p for p, (_, _, prefixes) in zip(probabilities, groups) for prefix in prefixes}
-
-
 @functools.cache
 def _consistency_pairs(tree: FiniteCayleyTree) -> tuple:
     """(small, pairs): the ball one generation smaller than ``tree``, and
@@ -276,15 +232,11 @@ class FiniteVolumeMeasure(_value_type("FiniteVolumeMeasure", "probabilities log_
     """Normalized Gibbs measure over the admissible configurations of a tree.
 
     ``probabilities`` maps each admissible configuration tuple to its
-    probability; ``partition`` is the un-normalized weight total Z (also
-    available in log form to survive extreme activities).
+    probability; ``log_partition`` is the log of the un-normalized weight
+    total Z, which survives extreme activities.
     """
 
     __slots__ = ()
-
-    @property
-    def partition(self) -> float:
-        return math.exp(self.log_partition)
 
 
 def finite_volume_measure(tree: FiniteCayleyTree, theta: float,
@@ -302,12 +254,6 @@ def finite_volume_measure(tree: FiniteCayleyTree, theta: float,
     total = math.fsum(weights)
     probabilities = {config: w / total for config, w in zip(configs, weights)}
     return FiniteVolumeMeasure(probabilities, top + math.log(total))
-
-
-def root_marginal(tree: FiniteCayleyTree, theta: float, law: BoundaryLaw) -> tuple:
-    """Marginal distribution of the root spin, in spin order (-1, 0, +1)."""
-    marginal = _prefix_marginals(tree, 1, activity(theta), law)
-    return tuple(marginal[(s,)] for s in SPINS)
 
 
 def check_consistency(tree: FiniteCayleyTree, theta: float, law: BoundaryLaw) -> float:

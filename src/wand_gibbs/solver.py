@@ -91,7 +91,6 @@ __all__ = [
     "SolverError",
     "IterationFailureError",
     "TisgmSet",
-    "boundary_law",
     "solve_symmetric",
     "theta_critical",
     "find_asymmetric",
@@ -164,13 +163,6 @@ def _certified_law(log_z1: float, log_z2: float, k: int, theta: float, tol: floa
         raise IterationFailureError(f"root (z1, z2) = ({z1!r}, {z2!r}) failed certification: "
                                     f"residual {residual:.3e}, tolerance {tol:.3e}")
     return BoundaryLaw(z1, z2, residual)
-
-
-@_typed_overflow
-def boundary_law(z1: float, z2: float, params: ModelParams) -> BoundaryLaw:
-    """A BoundaryLaw carrying the fixed-point residual evaluated at (z1, z2)."""
-    z1, z2, _ = BoundaryLaw(z1, z2)  # the law's own checks come before any arithmetic
-    return BoundaryLaw(z1, z2, _residual(z1, z2, params.k, params.theta))
 
 
 @_typed_overflow

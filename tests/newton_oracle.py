@@ -15,6 +15,8 @@ searches that share none of that iteration:
 
 ``symmetric_gain`` is the fixed-point map restricted to z1 = z2, evaluated
 as written (no logs), for the tests of the symmetric root and the residual.
+``boundary_law`` attaches the library's residual to any positive pair, so
+that a test can certify a root it found, or build a law that is not one.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import math
 from wand_gibbs.model import DEFAULT_RESIDUAL_TOL, BoundaryLaw, ModelParams
 from wand_gibbs.chain import NoBracketError
 from wand_gibbs.scan import theta_grid
-from wand_gibbs.solver import boundary_law, solve_symmetric
+from wand_gibbs.solver import _residual, solve_symmetric
 
 #: relative separation below which a root counts as the symmetric one
 ASYM_SEPARATION = 1e-7
@@ -39,6 +41,12 @@ def symmetric_gain(z: float, params: ModelParams) -> float:
         raise ValueError("z must be positive")
     theta = params.theta
     return ((theta + z) / (2.0 * theta * z)) ** params.k
+
+
+def boundary_law(z1: float, z2: float, params: ModelParams) -> BoundaryLaw:
+    """A BoundaryLaw carrying the fixed-point residual evaluated at (z1, z2)."""
+    z1, z2, _ = BoundaryLaw(z1, z2)  # the law's own checks come before any arithmetic
+    return BoundaryLaw(z1, z2, _residual(z1, z2, params.k, params.theta))
 
 
 def bisect_increasing(fn, lo, hi):

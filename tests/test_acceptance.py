@@ -14,11 +14,10 @@ from wand_gibbs.chain import (
     transition_matrix,
 )
 from wand_gibbs.extremality import msw_gap, msw_threshold_pair
-from wand_gibbs.model import ModelParams
+from wand_gibbs.model import BoundaryLaw, ModelParams
 from wand_gibbs.oracle import FiniteCayleyTree, check_consistency
 from wand_gibbs.scan import theta_grid
 from wand_gibbs.solver import (
-    boundary_law,
     find_asymmetric,
     solve_symmetric,
     theta_critical,
@@ -122,7 +121,7 @@ def test_criterion_07_oracle_consistency():
             params = ModelParams(k, theta)
             law = solve_symmetric(params)
             defect = check_consistency(tree, theta, law)
-            perturbed = boundary_law(law.z1 * 1.1, law.z2 * 0.9, params)
+            perturbed = BoundaryLaw(law.z1 * 1.1, law.z2 * 0.9)
             defect_pert = check_consistency(tree, theta, perturbed)
             ok = ok and defect <= 1e-10 and defect_pert >= 1e-6
             if defect > 1e-10 or defect_pert < 1e-6:

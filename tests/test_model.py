@@ -18,7 +18,7 @@ from wand_gibbs.model import (
     tree_order,
 )
 from wand_gibbs.chain import ks_threshold_pair, spectrum, transition_matrix
-from wand_gibbs.oracle import FiniteCayleyTree, check_consistency, finite_volume_measure, root_marginal
+from wand_gibbs.oracle import FiniteCayleyTree, check_consistency, finite_volume_measure
 from wand_gibbs.scan import theta_grid
 from wand_gibbs.solver import theta_critical
 
@@ -107,7 +107,6 @@ def test_every_entry_point_checks_activity(theta):
     checks = (activity, lambda theta: ModelParams(2, theta),
               lambda theta: transition_matrix(law, theta),
               lambda theta: finite_volume_measure(tree, theta, law),
-              lambda theta: root_marginal(tree, theta, law),
               lambda theta: check_consistency(tree, theta, law))
     for check in checks:
         with pytest.raises(ValueError, match=r"^activity theta must be positive and finite, got "):

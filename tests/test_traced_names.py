@@ -75,6 +75,33 @@ def test_traced_name_is_public_function(name):
     )
 
 
+def _referenced_names(node) -> set:
+    """Every name the node loads or looks up as an attribute (import lines
+    and ``__all__`` strings bind or list a name without using it)."""
+    return ({child.id for child in ast.walk(node) if isinstance(child, ast.Name)}
+            | {child.attr for child in ast.walk(node) if isinstance(child, ast.Attribute)})
+
+
+def test_every_public_function_is_used_or_traced():
+    # a public function that no library code calls and no benchmark metric
+    # reads belongs in a test oracle, not in src/
+    statements = [(path.stem, node, _referenced_names(node))
+                  for path in SRC.glob("*.py") if path.name != "__init__.py"
+                  for node in ast.parse(path.read_text()).body]
+    traced = set(traced_names())
+    unused = []
+    for module_name in (*TRACED_MODULES, "model"):
+        module = importlib.import_module(f"wand_gibbs.{module_name}")
+        for function in public_functions(module):
+            # the function's own definition does not count as a use of it
+            used = any(function in names for stem, node, names in statements
+                       if not (stem == module_name and isinstance(node, ast.FunctionDef)
+                               and node.name == function))
+            if not used and f"{module_name}.{function}" not in traced:
+                unused.append(f"{module_name}.{function}")
+    assert unused == []
+
+
 # --- rootfind: kept for the benchmark alone, so that it can go as one file ---------
 
 def _imports_rootfind(node) -> bool:

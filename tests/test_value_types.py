@@ -125,8 +125,6 @@ def test_properties_and_methods():
     assert solutions.symmetric == solve_symmetric(ModelParams(3, 0.5))
     tree = _tree()
     assert (tree.size, tree.parents, list(tree.boundary())) == (3, (-1, 0, 0), [1, 2])
-    measure = _build("FiniteVolumeMeasure")
-    assert measure.partition == pytest.approx(math.exp(measure.log_partition), rel=1e-15)
 
 
 def test_replace_and_make_validate():

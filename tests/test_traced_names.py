@@ -5,7 +5,8 @@ The tracer wraps a module's public functions (its ``__all__``, else its
 non-underscore names, defined in that module) and the report looks each
 metric's function up in the trace summary, so renaming or deleting one
 breaks only a traced benchmark run.  This test reads ``BENCHMARK.json``
-and fails first.
+and fails first.  Conversely, a public function that neither other library
+code nor the benchmark reads has no place in the library.
 """
 
 import ast

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wand_gibbs.model import ModelParams
+from wand_gibbs.scan import scan_row
 from wand_gibbs.solver import (
     IterationFailureError,
     SolverError,
@@ -90,12 +91,13 @@ def test_high_order_never_miscounts(k, log10_theta):
 
 
 #: each solver entry point as a function of params returning its laws
-#: (theta_critical returns the activity itself)
+#: (theta_critical returns the activity itself, scan_row the scan's row)
 ENTRY_POINTS = {
     "solve_symmetric": lambda params: [solve_symmetric(params)],
     "find_asymmetric": find_asymmetric,
     "tisgm_set": lambda params: list(tisgm_set(params).laws),
     "theta_critical": lambda params: theta_critical(params.k),
+    "scan_row": scan_row,
 }
 
 
@@ -111,6 +113,10 @@ def test_huge_order_answers_or_fails_typed(k, theta, entry):
         return
     if entry == "theta_critical":
         assert math.isfinite(result) and result > 0.0
+    elif entry == "scan_row":
+        # a row is built only from certified roots: the public solvers' roots
+        solutions = tisgm_set(ModelParams(k, theta))
+        assert (result["tisgm_count"], result["z_sym"]) == (solutions.count, solutions.symmetric.z1)
     else:
         assert all(law.certified() for law in result)
 

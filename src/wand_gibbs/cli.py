@@ -16,7 +16,6 @@ import functools
 import io
 import json
 import math
-import operator
 import os
 import sys
 
@@ -26,7 +25,8 @@ from .chain import ks_threshold_pair
 from .oracle import FiniteCayleyTree, check_consistency
 from .scan import (
     CLASS_EXTREMAL_MSW, CLASS_NO_CLAIM, CLASS_NONEXTREMAL_KS, CLASS_SOLVER_ERROR,
-    CLASS_UNDETERMINED, CSV_COLUMNS, LAW_CELLS, format_value, law_cells, scan_rows, theta_grid,
+    CLASS_UNDETERMINED, CSV_COLUMNS, LAW_CELLS, _csv_line, format_value, law_cells, scan_rows,
+    theta_grid,
 )
 from .svgplot import regime_svg
 
@@ -134,33 +134,22 @@ def _write_text(path: str | None, text: str):
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
-#: the conversion that gives ``format_value``'s text, per exact cell type
-_CELL_FORMATS = {float: "%.17g", int: "%d", str: "%s", type(None): "%.0s"}
+def _csv_lines(columns, records):
+    """Each of ``records``, a mapping keyed by ``columns``, as one CSV line of
+    comma-joined ``format_value`` cells (``scan`` has its own, ``scan._csv_line``)."""
+    return (",".join([format_value(record[name]) for name in columns]) for record in records)
 
 
-def _write_csv(path: str | None, columns, records):
-    """Write ``records``, mappings keyed by two or more ``columns``, as CSV
-    under a header row, each cell in ``format_value``'s text.  Cells are
-    comma-joined because none ever needs quoting (a number, an int, empty or
-    a fixed label); the tests check the bytes against the csv module's
-    writer.  Each row is one ``%`` with a template per tuple of cell types."""
-    lines = [",".join(columns)]
-    templates = {}
-    for row in map(operator.itemgetter(*columns), records):
-        kinds = tuple(map(type, row))
-        template = templates.get(kinds)
-        if template is None:
-            template = templates[kinds] = ",".join([_CELL_FORMATS[kind] for kind in kinds])
-        lines.append(template % row)
-    _write_text(path, "\n".join(lines) + "\n")
-
-
-def _write_doc(args, doc: dict, columns, records):
-    """``doc`` as indented JSON or ``records`` as CSV under ``columns``, per ``--format``."""
+def _write_doc(args, doc: dict, columns, lines):
+    """``doc`` as indented JSON or, per ``--format``, ``lines`` as CSV under a
+    header row of two or more ``columns``.  Cells are comma-joined because
+    none ever needs quoting (a number, an int, empty or a fixed label); the
+    tests check the bytes against the csv module's writer."""
     if args.format == "json":
-        _write_text(args.out, json.dumps(doc, indent=2) + "\n")
+        text = json.dumps(doc, indent=2)
     else:
-        _write_csv(args.out, columns, records)
+        text = "\n".join([",".join(columns), *lines])
+    _write_text(args.out, text + "\n")
 
 
 def _law_report(law, params, tol) -> dict:
@@ -188,8 +177,9 @@ def cmd_solve(args) -> int:
         "residual_tol": tol,
         "laws": laws,
     }
-    _write_doc(args, doc, ("kind", "z1", "z2", "residual", "theta_cr") + LAW_CELLS,
-               (dict(law, theta_cr=solutions.theta_cr) for law in laws))
+    columns = ("kind", "z1", "z2", "residual", "theta_cr") + LAW_CELLS
+    _write_doc(args, doc, columns,
+               _csv_lines(columns, (dict(law, theta_cr=solutions.theta_cr) for law in laws)))
     return EXIT_OK
 
 
@@ -197,7 +187,8 @@ def cmd_scan(args) -> int:
     tree_order(args.k)
     thetas = theta_grid(args.theta_min, args.theta_max, args.steps, args.scale)
     rows = scan_rows(args.k, thetas, tol=_residual_tol())
-    _write_doc(args, {"command": "scan", "k": args.k, "rows": rows}, CSV_COLUMNS, rows)
+    _write_doc(args, {"command": "scan", "k": args.k, "rows": rows}, CSV_COLUMNS,
+               map(_csv_line, rows))
     failed = sum(row["classification"] == CLASS_SOLVER_ERROR for row in rows)
     if failed:
         print(f"solver error: {failed} of {len(rows)} rows could not be solved "
@@ -220,8 +211,9 @@ def cmd_thresholds(args) -> int:
         "msw": window if "msw" in names else None,
         "agreement": 0.0 if args.criterion == "both" else None,
     }
-    _write_doc(args, doc, ("criterion", "k", "lower", "upper", "certified"),
-               (dict(window, criterion=name, k=args.k, certified="true") for name in names))
+    columns = ("criterion", "k", "lower", "upper", "certified")
+    _write_doc(args, doc, columns, _csv_lines(
+        columns, (dict(window, criterion=name, k=args.k, certified="true") for name in names)))
     return EXIT_OK
 
 

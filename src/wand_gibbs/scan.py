@@ -117,6 +117,20 @@ def scan_row(params: ModelParams, tol: float = DEFAULT_RESIDUAL_TOL) -> dict:
             "classification": classify(ks_value)}
 
 
+def _csv_line(row: dict) -> str:
+    """A ``scan_rows`` row, keyed by CSV_COLUMNS in order, as one CSV line of
+    ``format_value`` cells, each distinct value formatted once: ``scan_row``
+    sets kappa and gamma to lambda2 and product to ks_value, so their text
+    is reused, and a CLASS_SOLVER_ERROR row has only its theta and label."""
+    theta, z_sym, z1, z2, count, s1, s2, lambda2, ks_value, _, _, _, label = row.values()
+    if count is None:
+        return format_value(theta) + "," * 12 + label
+    asym = "," if z1 is None else "%.17g,%.17g" % (z1, z2)  # two cells, empty at count 1
+    lambda2, ks_value = "%.17g" % lambda2, "%.17g" % ks_value
+    return "%.17g,%.17g,%s,%d,%.17g,%.17g,%s,%s,%s,%s,%s,%s" % (
+        theta, z_sym, asym, count, s1, s2, lambda2, ks_value, lambda2, lambda2, ks_value, label)
+
+
 def scan_rows(k: int, thetas, tol: float = DEFAULT_RESIDUAL_TOL) -> list:
     """One ``scan_row`` per grid point, in grid order.
 

@@ -157,7 +157,8 @@ def _certified_law(log_z1: float, log_z2: float, k: int, theta: float, tol: floa
     if max(abs(log_z1), abs(log_z2)) > _LOG_RANGE:
         raise IterationFailureError(f"root (ln z1, ln z2) = ({log_z1:.6g}, {log_z2:.6g}) "
                                     "lies outside the range of normal doubles")
-    z1, z2 = math.exp(log_z1), math.exp(log_z2)
+    z1 = math.exp(log_z1)
+    z2 = z1 if log_z2 == log_z1 else math.exp(log_z2)
     residual = _residual(z1, z2, k, theta)
     if not residual <= tol:
         raise IterationFailureError(f"root (z1, z2) = ({z1!r}, {z2!r}) failed certification: "
@@ -182,19 +183,19 @@ def solve_symmetric(params: ModelParams, tol: float = DEFAULT_RESIDUAL_TOL) -> B
 
 def _symmetric_root(k: int, theta: float, log_theta: float, tol: float) -> BoundaryLaw:
     log_inv_theta, ln2 = -log_theta, math.log(2.0)
-
-    def newton_step(u: float) -> float:
-        # ln(e^a + e^b) and e^a / (e^a + e^b) at a = -u, b = ln(1/theta)
-        a = -u
+    u, x = -math.inf, 0.0  # the last accepted step, and the point the next step starts from
+    for _ in range(_SYMMETRIC_STEPS):
+        # ln(e^a + e^b) and e^a / (e^a + e^b) at a = -x, b = ln(1/theta), shifted by max(a, b)
+        a = -x
         e = math.exp(-abs(a - log_inv_theta))
-        log_sum = max(a, log_inv_theta) + math.log1p(e)
-        share = (1.0 if a >= log_inv_theta else e) / (1.0 + e)
-        return u - (u - k * (log_sum - ln2)) / (1.0 + k * share)
-
-    u, after, steps = -math.inf, newton_step(0.0), 0
-    while after > u and steps < _SYMMETRIC_STEPS:
-        u, steps = after, steps + 1
-        after = newton_step(u)
+        if a >= log_inv_theta:
+            log_sum, share = a + math.log1p(e), 1.0 / (1.0 + e)
+        else:
+            log_sum, share = log_inv_theta + math.log1p(e), e / (1.0 + e)
+        after = x - (x - k * (log_sum - ln2)) / (1.0 + k * share)
+        if not after > u:
+            break
+        u = x = after
     return _certified_law(u, u, k, theta, tol)
 
 

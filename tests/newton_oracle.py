@@ -15,6 +15,9 @@ searches that share none of that iteration:
 
 ``symmetric_gain`` is the fixed-point map restricted to z1 = z2, evaluated
 as written (no logs), for the tests of the symmetric root and the residual.
+``symmetric_climb`` is the library's symmetric Newton climb as it was written
+with a function call per step: the reference that ``solver._symmetric_root``
+must equal bit for bit.
 ``boundary_law`` attaches the library's residual to any positive pair, so
 that a test can certify a root it found, or build a law that is not one.
 """
@@ -26,7 +29,7 @@ import math
 from wand_gibbs.model import DEFAULT_RESIDUAL_TOL, BoundaryLaw, ModelParams
 from wand_gibbs.chain import NoBracketError
 from wand_gibbs.scan import theta_grid
-from wand_gibbs.solver import _residual, solve_symmetric
+from wand_gibbs.solver import _SYMMETRIC_STEPS, _residual, solve_symmetric
 
 #: relative separation below which a root counts as the symmetric one
 ASYM_SEPARATION = 1e-7
@@ -41,6 +44,27 @@ def symmetric_gain(z: float, params: ModelParams) -> float:
         raise ValueError("z must be positive")
     theta = params.theta
     return ((theta + z) / (2.0 * theta * z)) ** params.k
+
+
+def symmetric_climb(k: int, log_theta: float) -> tuple:
+    """(u, steps): the last u = ln z of Newton's climb on
+    h(u) = u - k ln((e^-u + 1/theta) / 2) from u = 0, and the steps it took,
+    stopping when a step no longer increases u or after _SYMMETRIC_STEPS."""
+    log_inv_theta, ln2 = -log_theta, math.log(2.0)
+
+    def newton_step(u: float) -> float:
+        # ln(e^a + e^b) and e^a / (e^a + e^b) at a = -u, b = ln(1/theta)
+        a = -u
+        e = math.exp(-abs(a - log_inv_theta))
+        log_sum = max(a, log_inv_theta) + math.log1p(e)
+        share = (1.0 if a >= log_inv_theta else e) / (1.0 + e)
+        return u - (u - k * (log_sum - ln2)) / (1.0 + k * share)
+
+    u, after, steps = -math.inf, newton_step(0.0), 0
+    while after > u and steps < _SYMMETRIC_STEPS:
+        u, steps = after, steps + 1
+        after = newton_step(u)
+    return u, steps
 
 
 def boundary_law(z1: float, z2: float, params: ModelParams) -> BoundaryLaw:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io
@@ -13,6 +14,7 @@ from wand_gibbs import cli
 from wand_gibbs.cli import JSON_SCHEMAS, main
 from wand_gibbs import scan
 from wand_gibbs.scan import CSV_COLUMNS, format_value
+from wand_gibbs.solver import theta_critical
 
 
 def run(capsys, *argv):
@@ -498,18 +500,35 @@ def csv_and_json(capsys, *argv):
     return code, out, json.loads(doc)
 
 
-@pytest.mark.parametrize("k", [2, 3, 5, 300])
+@pytest.mark.parametrize("k", [2, 3, 5, 300, 4])
 @pytest.mark.parametrize("grid", [("0.05", "3.0", "31", "linear"),
                                   ("0.01", "100.0", "31", "log"),
-                                  ("1e-300", "1e308", "7", "log")])
-def test_scan_csv_equals_csv_writer(capsys, k, grid):
+                                  ("1e-300", "1e308", "7", "log"),
+                                  ("0.5", "1.5", "3", "linear")])
+def test_scan_csv_equals_csv_writer(capsys, tmp_path, k, grid):
+    # every shape of a scan line: 3 roots, then 1 past theta_cr, solver-error
+    # rows, and at theta = 1.0 exactly s1 = -s2 = 0.5, a tie for lambda2
     lo, hi, steps, scale = grid
-    code, out, doc = csv_and_json(capsys, "scan", "--k", str(k), "--theta-min", lo,
-                                  "--theta-max", hi, "--steps", steps, "--scale", scale)
-    failed = sum(row["classification"] == "solver-error" for row in doc["rows"])
+    argv = ("scan", "--k", str(k), "--theta-min", lo, "--theta-max", hi, "--steps", steps,
+            "--scale", scale)
+    code, out, doc = csv_and_json(capsys, *argv)
+    rows = doc["rows"]
+    failed = sum(row["classification"] == "solver-error" for row in rows)
     assert code == (3 if failed else 0)
     assert failed or lo != "1e-300"  # the extreme grid has solver-error rows at every k
-    assert out == csv_writer_text(CSV_COLUMNS, doc["rows"])
+    solved = [row for row in rows if row["classification"] != "solver-error"]
+    assert [row["tisgm_count"] for row in solved] == [
+        3 if row["theta"] < theta_critical(k) else 1 for row in solved]
+    if lo == "0.05" and k < 300:  # this grid crosses theta_cr(k) for every k below 300
+        assert {row["tisgm_count"] for row in solved} == {1, 3}
+    if lo == "0.5" and k < 300:  # at k = 300 the asymmetric z2 at 1.0 is no double
+        assert rows[1]["theta"] == 1.0
+        assert rows[1]["s1"] == -rows[1]["s2"] == rows[1]["lambda2"] == 0.5
+        assert (rows[1]["classification"] == "undetermined") == (k == 4)  # k lambda2^2 = 1
+    assert out == csv_writer_text(CSV_COLUMNS, rows)
+    path = tmp_path / "scan.csv"
+    assert run(capsys, *argv, "--out", str(path))[:2] == (code, "")
+    assert path.read_bytes() == out.encode()
 
 
 @pytest.mark.parametrize("theta", ["0.5", "3.0"])  # below and above theta_cr = 1
@@ -531,29 +550,35 @@ def test_thresholds_csv_equals_csv_writer(capsys, criterion):
     assert out == csv_writer_text(THRESHOLD_COLUMNS, records)
 
 
-def written_csv(capsys, columns, records):
-    cli._write_csv(None, columns, records)
+def written_csv(capsys, columns, lines):
+    cli._write_doc(argparse.Namespace(format="csv", out=None), {}, columns, lines)
     return capsys.readouterr().out
 
 
 def test_csv_rows_whose_cell_types_change_from_row_to_row(capsys):
-    # 3 roots, 1 root, a solver-error row, then 3 roots again: each row's
-    # template follows its own cell types, and a seen tuple of types reuses one
+    # 3 roots, 1 root, a solver-error row, then 3 roots again, each line in its
+    # own shape; then a hand-made row with -0.0, nan and inf in its float cells
     rows = (scan.scan_rows(3, [0.5, 2.0]) + scan.scan_rows(300, [1e-8])
             + scan.scan_rows(3, [0.7, 0.5]))
     assert [row["tisgm_count"] for row in rows] == [3, 1, None, 3, 3]
     assert rows[2]["classification"] == "solver-error"
-    assert written_csv(capsys, CSV_COLUMNS, rows) == csv_writer_text(CSV_COLUMNS, rows)
+    rows.append(dict(rows[0], z_asym_2=-0.0, s1=-math.inf, lambda2=math.nan, kappa=math.nan,
+                     gamma=math.nan, ks_value=math.inf, product=math.inf))
+    text = written_csv(capsys, CSV_COLUMNS, map(scan._csv_line, rows))
+    assert text == csv_writer_text(CSV_COLUMNS, rows)
+    assert text.splitlines()[-1].split(",")[3:12] == [
+        "-0", "3", "-inf", format_value(rows[0]["s2"]), "nan", "inf", "nan", "nan", "inf"]
 
 
 def test_csv_cells_outside_the_template_types(capsys):
+    # the lines of solve and thresholds: any cell in format_value's text
     columns = ("a", "b", "c", "d")
     records = [
         dict(a=-0.0, b=math.nan, c=math.inf, d=-math.inf),
         dict(a=5e-324, b="%s", c="100%", d=None),
         dict(a=1.7976931348623157e308, b=10**30, c="%(a)s %%", d=2.2250738585072014e-308),
     ]
-    text = written_csv(capsys, columns, records)
+    text = written_csv(capsys, columns, cli._csv_lines(columns, records))
     assert text == csv_writer_text(columns, records)
     assert text.splitlines()[1:3] == ["-0,nan,inf,-inf", "4.9406564584124654e-324,%s,100%,"]
 

@@ -117,6 +117,21 @@ def test_scan_row_k4_unit_activity_undetermined():
     assert row["classification"] == CLASS_UNDETERMINED
 
 
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.floats(min_value=math.log(2.0), max_value=math.log(300.0)),
+       st.floats(min_value=-300.0, max_value=300.0))
+def test_scan_rows_repeat_lambda2_and_ks_value(log_k, log10_theta):
+    # the CSV line formats lambda2 and ks_value once and reuses their text for
+    # kappa, gamma and product, so these cells must hold the same values
+    row, = scan_rows(round(math.exp(log_k)), [10.0 ** log10_theta])
+    copies = (row["kappa"], row["gamma"], row["lambda2"], row["product"], row["ks_value"])
+    if row["classification"] == CLASS_SOLVER_ERROR:
+        assert copies == (None,) * 5
+    else:
+        assert [type(cell) for cell in copies] == [float] * 5
+        assert [cell.hex() for cell in copies] == [row["lambda2"].hex()] * 3 + [row["ks_value"].hex()] * 2
+
+
 # --- the row reaches the roots through the solver's kernels -------------------
 
 def solve_outcome(params):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from wand_gibbs import solver
-from wand_gibbs.model import BoundaryLaw, ModelParams
+from wand_gibbs.model import DEFAULT_RESIDUAL_TOL, BoundaryLaw, ModelParams
 from wand_gibbs.scan import theta_grid
 from wand_gibbs.solver import (
     IterationFailureError,
@@ -25,6 +25,7 @@ from newton_oracle import (
     boundary_law,
     detect_bifurcation_onset,
     newton_asymmetric,
+    symmetric_climb,
     symmetric_gain,
 )
 
@@ -218,6 +219,41 @@ def test_symmetric_root_next_to_unit_activity_is_certified(k):
 @given(st.integers(min_value=2, max_value=10**6), st.integers(min_value=-50, max_value=50))
 def test_symmetric_root_within_ulps_of_unit_activity_is_certified(k, ulps):
     assert solve_symmetric(ModelParams(k, ulps_from_one(ulps))).certified()
+
+
+def assert_symmetric_root_is_the_climb(k, theta):
+    """``_symmetric_root`` gives ``symmetric_climb``'s root bit for bit, or
+    fails where that root is no normal double or fails its residual; the
+    climb's step count is returned."""
+    log_theta = math.log(theta)
+    u, steps = symmetric_climb(k, log_theta)
+    try:
+        law = solver._symmetric_root(k, theta, log_theta, DEFAULT_RESIDUAL_TOL)
+    except IterationFailureError:
+        assert (abs(u) > solver._LOG_RANGE
+                or not solver._residual(math.exp(u), math.exp(u), k, theta) <= DEFAULT_RESIDUAL_TOL)
+        return steps
+    z = math.exp(u)
+    assert (law.z1.hex(), law.z2.hex(), law.residual.hex()) == (
+        z.hex(), z.hex(), solver._residual(z, z, k, theta).hex())
+    return steps
+
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(st.floats(min_value=math.log(2.0), max_value=math.log(1e6)),
+       st.one_of(st.floats(min_value=-300.0, max_value=300.0).map(lambda x: 10.0 ** x),
+                 st.floats(min_value=-1e-12, max_value=1e-12).map(lambda d: 1.0 + d)))
+def test_symmetric_root_is_the_closure_climb_bit_for_bit(log_k, theta):
+    # k log-uniform in [2, 10^6]; theta log-uniform in [1e-300, 1e300], or within 1e-12 of 1
+    assert_symmetric_root_is_the_climb(round(math.exp(log_k)), theta)
+
+
+@pytest.mark.parametrize("k, theta", [(1000, 1.0 + 2.220446049250313e-16), (10**4, 1.0 + 1e-14),
+                                      (10**5, 1.0 + 1e-13), (10**6, 1.0 + 1e-12)])
+def test_symmetric_root_is_the_closure_climb_at_the_step_cap(k, theta):
+    # next to theta = 1 the climb ends at the step cap, not on a falling step
+    assert assert_symmetric_root_is_the_climb(k, theta) == solver._SYMMETRIC_STEPS
 
 
 # --- critical activity -----------------------------------------------------

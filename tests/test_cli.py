@@ -500,7 +500,7 @@ def csv_and_json(capsys, *argv):
     return code, out, json.loads(doc)
 
 
-@pytest.mark.parametrize("k", [2, 3, 5, 300, 4])
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 300])
 @pytest.mark.parametrize("grid", [("0.05", "3.0", "31", "linear"),
                                   ("0.01", "100.0", "31", "log"),
                                   ("1e-300", "1e308", "7", "log"),

@@ -126,7 +126,8 @@ def _entry_spectrum(p00, p01, p10, p12, p21, p22, k) -> tuple:
         s_pos, s_neg = p22, -p21
     else:
         trace = p00 * p22 - p01 * p21
-        det = -(p00 * (p12 * p21) + p01 * (p10 * p22))
+        # grouped so that the +-1 flip, a law's swap, maps each product onto the other
+        det = -(p00 * (p12 * p21) + p22 * (p10 * p01))
         root = math.sqrt(trace * trace - 4.0 * det)
         big = 0.5 * (trace - root if trace < 0.0 else trace + root)
         small = det / big if big else 0.0

@@ -2,7 +2,7 @@
 
 Spins take the three values -1, 0, +1.  Admissible nearest-neighbour spin
 pairs are the edges of the "wand" constraint graph: {0,-1}, {0,1}, {-1,-1}
-and {1,1}.
+and {1,1}; ``NEIGHBOURS`` states that rule, and nothing else in the library does.
 All coupling/temperature dependence enters through the single positive
 activity theta = exp(-J*beta), and a candidate translation-invariant state
 is described by a pair of positive boundary-law ratios (z1, z2), where z1
@@ -20,32 +20,19 @@ import math
 from collections import namedtuple
 
 __all__ = [
-    "SPINS", "SPIN_INDEX", "DEFAULT_RESIDUAL_TOL", "WAND_ADJACENCY", "allows", "tree_order",
-    "activity", "ModelParams", "BoundaryLaw",
+    "SPINS", "NEIGHBOURS", "DEFAULT_RESIDUAL_TOL", "tree_order", "activity", "ModelParams",
+    "BoundaryLaw",
 ]
 
 #: the spin alphabet in its canonical (total) order
 SPINS = (-1, 0, 1)
 
-#: matrix index of each spin: -1 -> 0, 0 -> 1, +1 -> 2
-SPIN_INDEX = {-1: 0, 0: 1, 1: 2}
+#: the wand constraint graph: the spins each spin admits on a neighbouring
+#: vertex, in SPINS order; no 0-0 and no -1/+1 neighbours
+NEIGHBOURS = {-1: (-1, 0), 0: (-1, 1), 1: (0, 1)}
 
 #: relative residual below which a boundary law counts as an exact solution
 DEFAULT_RESIDUAL_TOL = 1e-12
-
-
-#: the wand constraint graph as a 0/1 adjacency matrix in SPINS order:
-#: edges {0,-1}, {0,1}, {-1,-1}, {1,1}; no 0-0 and no -1/+1 neighbours
-WAND_ADJACENCY = (
-    (1, 1, 0),
-    (1, 0, 1),
-    (0, 1, 1),
-)
-
-
-def allows(s: int, t: int) -> bool:
-    """True when spins ``s`` and ``t`` may sit on adjacent vertices."""
-    return WAND_ADJACENCY[SPIN_INDEX[s]][SPIN_INDEX[t]] == 1
 
 
 def _is_integer(x) -> bool:

@@ -52,7 +52,7 @@ import math
 from collections import Counter
 
 from .model import (
-    SPINS, BoundaryLaw, _is_integer, _shown, _value_type, activity, allows,
+    NEIGHBOURS, SPINS, BoundaryLaw, _is_integer, _shown, _value_type, activity,
     tree_order,
 )
 
@@ -68,10 +68,6 @@ __all__ = [
 
 #: largest vertex count the enumeration routines accept
 ENUMERATION_CAP = 16
-
-#: the spins each spin admits on a neighbouring vertex
-_ALLOWED = {s: tuple(t for t in SPINS if allows(s, t)) for s in SPINS}
-
 
 class SizeCapError(ValueError):
     """The tree exceeds the exact-enumeration cap."""
@@ -136,13 +132,14 @@ def enumerate_admissible(tree: FiniteCayleyTree) -> list:
     """All admissible spin configurations on ``tree``, as vertex-indexed tuples.
 
     Vertex by vertex in id order, each parent before its children: every
-    admissible prefix is extended by the spins its parent's spin allows, so
-    the cost is proportional to the admissible count, not to 3^(vertices).
-    Configurations come out in lexicographic order.
+    admissible prefix is extended by the ``NEIGHBOURS`` of its parent's spin,
+    so the cost is proportional to the admissible count, not to 3^(vertices);
+    each neighbour tuple is in SPINS order, so configurations come out in
+    lexicographic order.
     """
     configs = [(s,) for s in SPINS]
     for parent in tree.parents[1:]:
-        configs = [c + (s,) for c in configs for s in _ALLOWED[c[parent]]]
+        configs = [c + (s,) for c in configs for s in NEIGHBOURS[c[parent]]]
     return configs
 
 

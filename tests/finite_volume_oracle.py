@@ -3,6 +3,8 @@
 The library keeps only what ``verify`` runs: enumeration, the grouped count
 tables and the consistency defect.  This module holds the checks on them:
 
+- ``WAND_EDGES``: the wand graph as the paper states it, so that neither
+  check below reads the library's ``NEIGHBOURS``;
 - ``hamiltonian``: the energy of one configuration, from its own edge loop
   and admissibility check, so that a weight built from it is independent
   of the library's statistic;
@@ -16,8 +18,11 @@ tables and the consistency defect.  This module holds the checks on them:
 from __future__ import annotations
 
 from wand_gibbs import oracle
-from wand_gibbs.model import SPINS, WAND_ADJACENCY, BoundaryLaw, activity, allows
+from wand_gibbs.model import SPINS, BoundaryLaw, activity
 from wand_gibbs.oracle import FiniteCayleyTree
+
+#: the edges of the wand constraint graph: {0,-1}, {0,1}, {-1,-1} and {1,1}
+WAND_EDGES = frozenset(frozenset(edge) for edge in ((0, -1), (0, 1), (-1, -1), (1, 1)))
 
 
 def hamiltonian(config, tree: FiniteCayleyTree) -> int:
@@ -32,7 +37,7 @@ def hamiltonian(config, tree: FiniteCayleyTree) -> int:
     energy = 0
     for v in range(1, len(parents)):
         su, sv = config[parents[v]], config[v]
-        if not allows(su, sv):
+        if frozenset((su, sv)) not in WAND_EDGES:
             raise ValueError(f"configuration is not admissible: pair ({su}, {sv}) on edge ({parents[v]}, {v})")
         energy += (su - sv) ** 2
     return energy
@@ -45,7 +50,7 @@ def admissible_count_formula(tree: FiniteCayleyTree) -> int:
     first: a vertex's completions per spin (one for a leaf) multiply into
     its parent's, adjacency-weighted.  Independent of enumeration.
     """
-    a = WAND_ADJACENCY
+    a = [[frozenset((s, t)) in WAND_EDGES for t in SPINS] for s in SPINS]
     counts = [[1, 1, 1] for _ in range(tree.size)]
     for v in range(tree.size - 1, 0, -1):
         parent, child = counts[tree.parents[v]], counts[v]

@@ -8,19 +8,19 @@ import pytest
 import wand_gibbs
 from wand_gibbs import chain, extremality, model, oracle, scan, solver
 from wand_gibbs.model import (
+    NEIGHBOURS,
     SPINS,
-    SPIN_INDEX,
-    WAND_ADJACENCY,
     BoundaryLaw,
     ModelParams,
     activity,
-    allows,
     tree_order,
 )
 from wand_gibbs.chain import ks_threshold_pair, spectrum, transition_matrix
 from wand_gibbs.oracle import FiniteCayleyTree, check_consistency, finite_volume_measure
 from wand_gibbs.scan import theta_grid
 from wand_gibbs.solver import theta_critical
+
+from finite_volume_oracle import WAND_EDGES
 
 SRC = Path(wand_gibbs.__file__).resolve().parent
 
@@ -32,30 +32,24 @@ def test_package_exports_each_module_all():
     assert public == {name for module in modules for name in module.__all__}
 
 
-def test_wand_adjacency_entries():
-    assert allows(1, 1)
-    assert allows(1, 0)
-    assert not allows(1, -1)
-    assert not allows(0, 0)
-    assert allows(0, -1)
-    assert allows(-1, -1)
+def test_wand_neighbour_entries():
+    assert NEIGHBOURS == {-1: (-1, 0), 0: (-1, 1), 1: (0, 1)}
+    # the enumeration's lexicographic order rests on each tuple's SPINS order
+    assert all(list(t) == [s for s in SPINS if s in t] for t in NEIGHBOURS.values())
 
 
 def test_wand_is_symmetric():
-    a = WAND_ADJACENCY
-    assert a == tuple(tuple(a[j][i] for j in range(3)) for i in range(3))
-    assert all(allows(s, t) == allows(t, s) for s in SPINS for t in SPINS)
+    assert set(NEIGHBOURS) == set(SPINS)
+    assert all((t in NEIGHBOURS[s]) == (s in NEIGHBOURS[t]) for s in SPINS for t in SPINS)
 
 
 def test_wand_has_four_undirected_edges():
-    a = WAND_ADJACENCY
-    assert {v for row in a for v in row} == {0, 1}
-    assert sum(a[i][j] for i in range(3) for j in range(i, 3)) == 4
+    edges = {frozenset((s, t)) for s in SPINS for t in NEIGHBOURS[s]}
+    assert len(edges) == 4 and edges == WAND_EDGES
 
 
-def test_spin_index_order():
+def test_spin_order():
     assert SPINS == (-1, 0, 1)
-    assert [SPIN_INDEX[s] for s in SPINS] == [0, 1, 2]
 
 
 @pytest.mark.parametrize("k", [1, 0, -3, 2.5])
@@ -175,5 +169,6 @@ def test_law_defaults_and_swap():
 def test_admissible_pair_count():
     # of the 9 ordered spin pairs on a single edge, exactly 6 are admissible:
     # (0,0), (-1,1) and (1,-1) are excluded
-    count = sum(allows(a, b) for a in SPINS for b in SPINS)
-    assert count == 6
+    pairs = {(a, b) for a in SPINS for b in NEIGHBOURS[a]}
+    assert len(pairs) == 6
+    assert {(a, b) for a in SPINS for b in SPINS} - pairs == {(0, 0), (-1, 1), (1, -1)}

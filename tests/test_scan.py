@@ -293,6 +293,31 @@ def test_asymmetric_cells_are_the_matrix_path_bit_for_bit(case):
         assert bits(cells) == bits(matrix_cells(law, params))
 
 
+@st.composite
+def certified_asymmetric_laws(draw):
+    # k log-uniform in [2, 300] and theta = 10^U(-8, 3); about a third of
+    # these draws certify an asymmetric pair, the rest fail or have none
+    k = round(math.exp(draw(st.floats(min_value=math.log(2.0), max_value=math.log(300.0)))))
+    params = ModelParams(k, 10.0 ** draw(st.floats(min_value=-8.0, max_value=3.0)))
+    try:
+        laws = find_asymmetric(params)
+    except SolverError:
+        laws = []
+    assume(laws)
+    return laws, params
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(certified_asymmetric_laws())
+def test_asymmetric_pair_shares_its_spectrum_bit_for_bit(case):
+    # each law of the pair is the +-1 spin flip of the other, so their chains
+    # have the same eigenvalues, and both paths must give them the same bits
+    (law, _), params = case
+    assert bits(law_cells(law, params)) == bits(law_cells(law.swapped(), params))
+    assert (spectrum(transition_matrix(law, params.theta), params.k)
+            == spectrum(transition_matrix(law.swapped(), params.theta), params.k))
+
+
 def assert_cells_match_the_matrix_path(law, params):
     # the matrix path's answer, or its exception, at the ends of the double range
     try:

@@ -103,6 +103,15 @@ def test_every_public_function_is_used_or_traced():
     assert unused == []
 
 
+def test_every_model_name_is_used_by_another_module():
+    # model holds the shared vocabulary, constants as well as functions; a
+    # name in its __all__ that no other library module reads belongs in a test
+    used = set().union(*(_referenced_names(ast.parse(path.read_text()))
+                         for path in SRC.glob("*.py") if path.name != "model.py"))
+    model = importlib.import_module("wand_gibbs.model")
+    assert [name for name in model.__all__ if name not in used] == []
+
+
 # --- rootfind: kept for the benchmark alone, so that it can go as one file ---------
 
 def _imports_rootfind(node) -> bool:

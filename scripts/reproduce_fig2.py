@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Regenerate the k=3 regime figure: spectral-gap curves over activity.
 
-Writes a scan CSV and the corresponding SVG (curves 3*s1^2-1 and 3*s2^2-1
-with the zero line and threshold markers), and prints the closed-form
-thresholds of both criteria.
+Writes a scan CSV and the same grid's SVG from ``scan --format svg``
+(curves 3*s1^2-1 and 3*s2^2-1 with the zero line and the closed-form
+threshold markers), and prints the closed-form thresholds of both criteria,
+which are one window (see ``extremality``).
 
 Usage:
     python3 scripts/reproduce_fig2.py [--out-dir OUT] [--steps N]
@@ -14,7 +15,6 @@ from pathlib import Path
 
 from wand_gibbs.chain import ks_threshold_pair
 from wand_gibbs.cli import main as cli_main
-from wand_gibbs.extremality import msw_threshold_pair
 
 
 def main() -> int:
@@ -30,24 +30,17 @@ def main() -> int:
     csv_path = out_dir / "regime_k3.csv"
     svg_path = out_dir / "regime_k3.svg"
 
-    code = cli_main([
-        "scan", "--k", "3",
-        "--theta-min", str(args.theta_min),
-        "--theta-max", str(args.theta_max),
-        "--steps", str(args.steps),
-        "--out", str(csv_path),
-    ])
-    if code != 0:
-        return code
-    code = cli_main(["plot", str(csv_path), "--out", str(svg_path)])
-    if code != 0:
-        return code
+    grid = ["scan", "--k", "3", "--theta-min", str(args.theta_min),
+            "--theta-max", str(args.theta_max), "--steps", str(args.steps)]
+    for fmt, path in (("csv", csv_path), ("svg", svg_path)):
+        code = cli_main([*grid, "--format", fmt, "--out", str(path)])
+        if code != 0:
+            return code
 
-    ks = ks_threshold_pair(3)
-    msw = msw_threshold_pair(3)
+    lower, upper = ks_threshold_pair(3)
     print(f"wrote {csv_path} and {svg_path}")
-    print(f"k=3 Kesten-Stigum thresholds: lower {ks[0]:.8f}, upper {ks[1]:.8f}")
-    print(f"k=3 certificate thresholds:   lower {msw[0]:.8f}, upper {msw[1]:.8f}")
+    print(f"k=3 Kesten-Stigum thresholds: lower {lower:.8f}, upper {upper:.8f}")
+    print(f"k=3 certificate thresholds:   lower {lower:.8f}, upper {upper:.8f}")
     print("non-extremal below the lower / above the upper; extremal in between")
     return 0
 

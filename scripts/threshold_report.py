@@ -12,8 +12,9 @@ Usage:
     python3 scripts/threshold_report.py
 """
 
-from wand_gibbs.chain import NoBracketError, ks_gap, ks_threshold_pair
-from wand_gibbs.extremality import msw_threshold_pair
+from wand_gibbs.chain import NoBracketError, ks_threshold_pair
+from wand_gibbs.model import ModelParams
+from wand_gibbs.scan import scan_row
 from wand_gibbs.solver import theta_critical
 
 
@@ -24,10 +25,9 @@ def main() -> int:
 
     print("\nregime windows (non-extremal outside, certified extremal inside):")
     for k in (2, 3):
-        ks = ks_threshold_pair(k)
-        msw = msw_threshold_pair(k)
-        print(f"  k={k}: KS  ({ks[0]:.8f}, {ks[1]:.8f})")
-        print(f"       MSW ({msw[0]:.8f}, {msw[1]:.8f})")
+        lower, upper = ks_threshold_pair(k)  # the certificate's window too (``extremality``)
+        print(f"  k={k}: KS  ({lower:.8f}, {upper:.8f})")
+        print(f"       MSW ({lower:.8f}, {upper:.8f})")
 
     print("\nhigh orders: min Kesten-Stigum statistic, at theta = 1 (k = 4: exactly 1,"
           " where the strict criterion does not fire; undetermined):")
@@ -35,7 +35,8 @@ def main() -> int:
         try:
             ks_threshold_pair(k)
         except NoBracketError as exc:
-            print(f"  k={k:2d}: min k*lambda2^2 = {ks_gap(k, 1.0) + 1.0!r} (k/4 = {k / 4}); {exc}")
+            ks_value = scan_row(ModelParams(k, 1.0))["ks_value"]
+            print(f"  k={k:2d}: min k*lambda2^2 = {ks_value!r} (k/4 = {k / 4}); {exc}")
     return 0
 
 

@@ -47,7 +47,10 @@ k in {2, 3} there is exactly one crossing on each side of t = 1:
 k * lambda2^2 < 1 exactly on (theta_lo, theta_hi).  Both ends are taken in
 logs; ln theta_lo - ln theta_hi = (k + 2)/(k + 1) ln(sqrt k - 1) is
 negative for k < 4, zero at k = 4 and positive beyond, so the formulas
-themselves say the window is empty from k = 4 on.
+themselves say the window is empty from k = 4 on.  At every k >= 2 the
+two ends are where the curves cross 0: theta_lo is the one zero of
+k s1^2 - 1 (s1 = r/(1 + r) falls strictly in t) and theta_hi the one zero
+of k s2^2 - 1 (|s2| = 1/(1 + r) rises strictly).
 """
 
 from __future__ import annotations

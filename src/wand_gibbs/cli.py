@@ -1,9 +1,10 @@
-"""Command-line front end: solve, scan, thresholds, verify, plot.
+"""Command-line front end: solve, scan, thresholds, verify.
 
 A known command's flags are parsed once, by its own parser (anything else
 takes argparse's full parse).  Exit codes are a stable contract: 0 success,
-2 usage error, 3 solver failure (including any arithmetic error), 4 I/O
-failure, 5 verification failure.  The environment variable WAND_GIBBS_TOL
+2 usage error, 3 solver failure (including any arithmetic error, and a scan
+grid with a row it could not solve), 4 write failure (the only I/O a command
+does), 5 verification failure.  The environment variable WAND_GIBBS_TOL
 overrides the default 1e-12 residual acceptance (for exploration only).
 JSON output follows the schema printed by --help.
 """
@@ -11,9 +12,7 @@ JSON output follows the schema printed by --help.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import os
@@ -21,7 +20,7 @@ import sys
 
 from .model import DEFAULT_RESIDUAL_TOL, BoundaryLaw, ModelParams, tree_order
 from .solver import SolverError, solve_symmetric, tisgm_set
-from .chain import ks_threshold_pair
+from .chain import _log_window, ks_threshold_pair
 from .oracle import FiniteCayleyTree, check_consistency
 from .scan import (
     CLASS_EXTREMAL_MSW, CLASS_NO_CLAIM, CLASS_NONEXTREMAL_KS, CLASS_SOLVER_ERROR,
@@ -183,13 +182,30 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _regime_figure(k: int, rows) -> str:
+    """The curves k s1^2 - 1 and k s2^2 - 1 over the solved ``rows`` as SVG, with
+    a dashed marker at each end of ``chain._log_window(k)`` that lies within the
+    drawn activities: at every k those ends are the one zero of the s1 curve and
+    the one zero of the s2 curve."""
+    thetas = [row["theta"] for row in rows]
+    # |s| <= 1, so k s^2 - 1 stays within [-1, k - 1]
+    series = [(f"{k}*{s}^2-1", [k * row[s] ** 2 - 1.0 for row in rows]) for s in ("s1", "s2")]
+    lo, hi = min(thetas), max(thetas)  # a narrow grid may step down by an ulp
+    markers = sorted(x for x in map(math.exp, _log_window(k)) if lo <= x <= hi)
+    return regime_svg(thetas, series, markers, title=f"Kesten-Stigum gap curves, k={k}")
+
+
 def cmd_scan(args) -> int:
     tree_order(args.k)
     thetas = theta_grid(args.theta_min, args.theta_max, args.steps, args.scale)
     rows = scan_rows(args.k, thetas, tol=_residual_tol())
-    _write_doc(args, {"command": "scan", "k": args.k, "rows": rows}, CSV_COLUMNS,
-               map(_csv_line, rows))
-    failed = sum(row["classification"] == CLASS_SOLVER_ERROR for row in rows)
+    solved = [row for row in rows if row["classification"] != CLASS_SOLVER_ERROR]
+    if args.format != "svg":
+        _write_doc(args, {"command": "scan", "k": args.k, "rows": rows}, CSV_COLUMNS,
+                   map(_csv_line, rows))
+    elif solved:  # a point the scan could not solve has no spectrum to draw
+        _write_text(args.out, _regime_figure(args.k, solved))
+    failed = len(rows) - len(solved)
     if failed:
         print(f"solver error: {failed} of {len(rows)} rows could not be solved "
               f"(labelled {CLASS_SOLVER_ERROR})", file=sys.stderr)
@@ -257,79 +273,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _read_scan_csv(path: str):
-    try:
-        # decoding happens while reading, so a non-UTF-8 byte is an i/o error too
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            text = handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise OSError(f"cannot read {path}: {exc}") from exc
-    reader = csv.DictReader(io.StringIO(text, newline=""))
-    if reader.fieldnames is None:
-        raise OSError(f"{path}: empty scan file")
-    columns = ("theta", "s1", "s2", "lambda2", "ks_value")
-    missing = [c for c in columns if c not in reader.fieldnames]
-    if missing:
-        raise OSError(f"{path}: line 1: missing columns {missing}")
-    k, rows = 0, []
-    for lineno, record in enumerate(reader, start=2):
-        if record.get("classification") == CLASS_SOLVER_ERROR:
-            continue  # a point the scan could not solve has no spectrum
-        try:
-            row = {c: float(record[c]) for c in columns}
-        except (TypeError, ValueError) as exc:  # a short row leaves None cells
-            raise OSError(f"{path}: line {lineno}: {exc}") from exc
-        if not all(map(math.isfinite, row.values())):
-            raise OSError(f"{path}: line {lineno}: non-finite cell in {row}")
-        # a scan writes positive activities and a stochastic matrix's eigenvalues;
-        # thetas may step down by an ulp, since theta_grid is not monotone there
-        if not (row["theta"] > 0.0 and max(abs(row[c]) for c in ("s1", "s2", "lambda2")) <= 1.0):
-            raise OSError(f"{path}: line {lineno}: no scan writes theta <= 0 or an "
-                          f"eigenvalue modulus above 1: {row}")
-        lam = row["lambda2"]
-        ratio = row["ks_value"] / lam / lam if lam > 0.0 else 0.0  # no square to overflow
-        order = round(ratio) if math.isfinite(ratio) else 0
-        k = k or order  # the first data row fixes the tree order
-        if k < 2:
-            raise OSError(f"{path}: cannot recover a tree order k >= 2 from the first row")
-        if lam != max(abs(row["s1"]), abs(row["s2"])) or order != k:
-            raise OSError(f"{path}: line {lineno}: no scan writes lambda2 other than max(|s1|, |s2|) "
-                          f"or a tree order other than the first row's k = {k}: {row}")
-        rows.append((lineno, row))
-    if not rows:
-        raise OSError(f"{path}: no data rows")
-    return k, rows
-
-
-def _zero_crossings(xs, ys):
-    """Each grid point where the curve is exactly 0, and the linear
-    interpolant's zero across each strict sign change, in grid order; a
-    curve that falls onto 0 at a point is marked there once."""
-    crossings = []
-    for i, (x, a) in enumerate(zip(xs, ys)):
-        b = ys[i + 1] if i + 1 < len(ys) else a  # the last point starts no interval
-        if a == 0.0:
-            crossings.append(x)
-        elif a < 0.0 < b or b < 0.0 < a:
-            crossings.append(x + a / (a - b) * (xs[i + 1] - x))
-    return crossings
-
-
-def cmd_plot(args) -> int:
-    k, rows = _read_scan_csv(args.scan)
-    thetas = [row["theta"] for _, row in rows]
-    # |s| <= 1, so k s^2 - 1 stays within [-1, k - 1]
-    series = [(f"{k}*{s}^2-1", [k * row[s] ** 2 - 1.0 for _, row in rows]) for s in ("s1", "s2")]
-    crossings = [x for _, curve in series for x in _zero_crossings(thetas, curve)]
-    crossings = sorted(crossings) if len(rows) > 1 else []
-    try:
-        svg = regime_svg(thetas, series, crossings, title=f"Kesten-Stigum gap curves, k={k}")
-    except ValueError as exc:  # an axis the doubles cannot draw
-        raise OSError(f"{args.scan}: {exc}") from exc
-    _write_text(args.out, svg)
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wand-gibbs",
@@ -338,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
             "hard-core Blume-Capel model (wand constraint graph) on Cayley trees."
         ),
         epilog=(
-            "Exit codes: 0 ok, 2 usage, 3 solver, 4 I/O, 5 verification.\n"
+            "Exit codes: 0 ok, 2 usage, 3 solver, 4 write failure, 5 verification.\n"
             "WAND_GIBBS_TOL overrides the 1e-12 residual acceptance.\n\n"
             "JSON output schemas:\n" + json.dumps(JSON_SCHEMAS, indent=2)
         ),
@@ -359,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--theta-max", type=float, required=True)
     p_scan.add_argument("--steps", type=int, required=True)
     p_scan.add_argument("--scale", choices=("linear", "log"), default="linear")
-    p_scan.add_argument("--format", choices=("csv", "json"), default="csv")
+    p_scan.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
     p_scan.add_argument("--out", default=None, help="output path (default stdout)")
     p_scan.set_defaults(func=cmd_scan)
 
@@ -377,11 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated activities")
     p_ver.add_argument("--out", default=None, help="output path (default stdout)")
     p_ver.set_defaults(func=cmd_verify)
-
-    p_plot = sub.add_parser("plot", help="render a scan CSV as an SVG figure")
-    p_plot.add_argument("scan", help="path to a scan CSV")
-    p_plot.add_argument("--out", default=None, help="output path (default stdout)")
-    p_plot.set_defaults(func=cmd_plot)
 
     return parser
 

@@ -11,10 +11,14 @@ import jsonschema
 import pytest
 
 from wand_gibbs import cli
+from wand_gibbs.chain import _log_window, ks_threshold_pair
 from wand_gibbs.cli import JSON_SCHEMAS, main
-from wand_gibbs import scan
-from wand_gibbs.scan import CSV_COLUMNS, format_value
+from wand_gibbs import scan, svgplot
+from wand_gibbs.model import ModelParams
+from wand_gibbs.scan import CSV_COLUMNS, format_value, theta_grid
 from wand_gibbs.solver import theta_critical
+
+from threshold_oracle import zero_crossings
 
 
 def run(capsys, *argv):
@@ -192,13 +196,14 @@ PARSE_CORPUS = [
     ("verify", "--k", "2", "--de", "3"),
     ("verify", "--k", "2", "--thetas", "-0.5,1"),
     ("verify", "--k", "2", "--thetas=0.5,1.0", "--depth", "1", "--depth", "2"),
-    ("plot",),
-    ("plot", "scan.csv"),
-    ("plot", "a.csv", "b.csv"),
-    ("plot", "--", "-scan.csv"),
-    ("plot", "scan.csv", "--out", "x.svg", "--out", "y.svg"),
-    ("plot", "--out", "x.svg", "--", "scan.csv", "--out"),
-] + [(command, help_flag) for command in ("solve", "scan", "thresholds", "verify", "plot")
+    ("scan", "--k", "3", "--theta-min", "0.1", "--theta-max", "3", "--steps", "5",
+     "--format", "svg"),
+    ("scan", "--k", "3", "--theta-min", "0.1", "--theta-max", "3", "--steps", "5",
+     "--form", "svg", "--out", "x.svg", "--out", "y.svg"),
+    ("scan", "--k", "3", "--theta-min", "0.1", "--theta-max", "3", "--steps", "5",
+     "--format", "png"),
+    ("plot", "scan.csv", "--out", "x.svg"),
+] + [(command, help_flag) for command in ("solve", "scan", "thresholds", "verify")
      for help_flag in ("-h", "--help")]
 
 
@@ -219,17 +224,23 @@ def test_one_parse_dispatch_equals_parse_args(capsys, argv):
 
 def test_known_command_skips_the_top_level_parse(monkeypatch, tmp_path, capsys):
     parser, commands = cli._parser()
-    assert sorted(commands) == ["plot", "scan", "solve", "thresholds", "verify"]
+    assert sorted(commands) == ["scan", "solve", "thresholds", "verify"]
     monkeypatch.setattr(parser, "parse_known_args",
                         lambda *args, **kwargs: pytest.fail("top-level parse reached"))
     scan_csv, svg = str(tmp_path / "scan.csv"), str(tmp_path / "regime.svg")
+    grid = ("--k", "3", "--theta-min", "0.5", "--theta-max", "2", "--steps", "3")
     for argv in (("solve", "--k", "2", "--theta", "0.5"),
-                 ("scan", "--k", "3", "--theta-min", "0.5", "--theta-max", "2", "--steps", "3",
-                  "--out", scan_csv),
+                 ("scan", *grid, "--out", scan_csv),
                  ("thresholds", "--k", "3", "--crit", "ks"),
                  ("verify", "--k", "2", "--depth", "1", "--thetas", "1.0"),
-                 ("plot", scan_csv, "--out", svg)):
+                 ("scan", *grid, "--format", "svg", "--out", svg)):
         assert run(capsys, *argv)[0] == 0
+
+
+def test_plot_is_an_unknown_command(capsys):
+    code, out, err = run(capsys, "plot", "scan.csv", "--out", "x.svg")
+    assert (code, out) == (2, "")
+    assert "error: argument command: invalid choice: 'plot'" in err
 
 
 def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
@@ -359,10 +370,10 @@ def test_scan_keeps_rows_around_unsolvable_points(tmp_path, capsys):
     doc = json.loads(out)
     jsonschema.validate(doc, JSON_SCHEMAS["scan"])
     assert sum(row["classification"] == "solver-error" for row in doc["rows"]) == 3
-    path = tmp_path / "scan.csv"
-    run(capsys, *argv, "--out", str(path))
-    code, _, _ = run(capsys, "plot", str(path), "--out", str(tmp_path / "fig.svg"))
-    assert code == 0
+    path = tmp_path / "fig.svg"
+    code, out, svg_err = run(capsys, *argv, "--format", "svg", "--out", str(path))
+    assert (code, out, svg_err) == (3, "", err)
+    assert path.read_text().count(" L ") == 2  # the two solved rows, one segment per curve
 
 
 # --- thresholds --------------------------------------------------------------------
@@ -693,22 +704,22 @@ def test_unwritable_out_exact_message(tmp_path, capsys):
                    f"[Errno 2] No such file or directory: '{path}'\n")
 
 
-# --- plot --------------------------------------------------------------------------
+# --- scan --format svg ---------------------------------------------------------------
 
-def _make_scan(tmp_path, capsys, steps=50):
-    path = tmp_path / "scan.csv"
-    code, _, _ = run(capsys, "scan", "--k", "3", "--theta-min", "0.2",
-                     "--theta-max", "2.5", "--steps", str(steps), "--out", str(path))
-    assert code == 0
-    return path
-
-
-def test_plot_svg(tmp_path, capsys):
-    scan_path = _make_scan(tmp_path, capsys)
+def _scan_svg(tmp_path, capsys, k, lo, hi, steps, scale="linear"):
+    """Exit code, stderr and the SVG text (None when no file was written) of
+    ``scan --format svg`` on this grid; nothing goes to stdout."""
     svg_path = tmp_path / "fig.svg"
-    code, _, _ = run(capsys, "plot", str(scan_path), "--out", str(svg_path))
-    assert code == 0
-    svg = svg_path.read_text()
+    code, out, err = run(capsys, "scan", "--k", str(k), "--theta-min", str(lo), "--theta-max",
+                         str(hi), "--steps", str(steps), "--scale", scale, "--format", "svg",
+                         "--out", str(svg_path))
+    assert out == ""
+    return code, err, svg_path.read_text() if svg_path.exists() else None
+
+
+def test_scan_svg(tmp_path, capsys):
+    code, err, svg = _scan_svg(tmp_path, capsys, 3, 0.2, 2.5, 50)
+    assert (code, err) == (0, "")
     assert svg.startswith("<svg")
     assert svg.count("<path") == 2
     assert 'viewBox="0 0 800 600"' in svg
@@ -716,200 +727,71 @@ def test_plot_svg(tmp_path, capsys):
     assert svg.count("stroke-dasharray") >= 3
 
 
-def test_plot_empty_file(tmp_path, capsys):
-    empty = tmp_path / "empty.csv"
-    empty.write_text("")
-    code, _, err = run(capsys, "plot", str(empty), "--out", str(tmp_path / "x.svg"))
-    assert code == 4
-
-
-def test_plot_header_only(tmp_path, capsys):
-    stub = tmp_path / "stub.csv"
-    stub.write_text(",".join(CSV_COLUMNS) + "\n")
-    code, _, _ = run(capsys, "plot", str(stub), "--out", str(tmp_path / "x.svg"))
-    assert code == 4
-
-
-def test_plot_bad_number_reports_line(tmp_path, capsys):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("theta,s1,s2,lambda2,ks_value\n1.0,0.5,-0.5,0.5,oops\n")
-    code, _, err = run(capsys, "plot", str(bad), "--out", str(tmp_path / "x.svg"))
-    assert code == 4
-    assert "line 2" in err
-
-
-def _plot_rows(tmp_path, capsys, *rows):
-    """Exit code and stderr of ``plot`` on a scan file of these
-    (theta, s1, s2, lambda2, ks_value) rows; no SVG may be left on failure."""
-    path = tmp_path / "rows.csv"
-    path.write_text("theta,s1,s2,lambda2,ks_value\n" + "".join(",".join(r) + "\n" for r in rows))
-    svg = tmp_path / "rows.svg"
-    code, out, err = run(capsys, "plot", str(path), "--out", str(svg))
-    assert out == "" and svg.exists() == (code == 0)
-    return code, err
-
-
-GOOD_ROW = ("1.0", "0.5", "-0.5", "0.5", "0.75")
-
-
-@pytest.mark.parametrize("column", range(5))
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-def test_plot_non_finite_cell_is_io_error(tmp_path, capsys, column, value):
-    # a NaN theta used to write "M nan,..." paths and exit 0, a NaN lambda2
-    # to exit 2 and an infinite ks_value to exit 3
-    bad = GOOD_ROW[:column] + (value,) + GOOD_ROW[column + 1:]
-    code, err = _plot_rows(tmp_path, capsys, GOOD_ROW, bad)
-    assert code == 4
-    assert err.startswith(f"i/o error: {tmp_path / 'rows.csv'}: line 3: non-finite cell")
-
-
-@pytest.mark.parametrize("lambda2, ks_value", [
-    ("0", "0"),           # no gap
-    ("-0.5", "0.75"),     # a negative modulus
-    ("1e-200", "0.75"),   # the square underflows to 0: used to exit 3, dividing by zero
-    ("1e-160", "1e300"),  # k overflows
-    ("0.5", "0.25"),      # k = 1
-    ("0.5", "0.3"),       # k rounds to 1
-    ("0.5", "-0.75"),     # k = -3
-])
-def test_plot_without_a_tree_order_is_io_error(tmp_path, capsys, lambda2, ks_value):
-    code, err = _plot_rows(tmp_path, capsys, ("1.0", "0.5", "-0.5", lambda2, ks_value), GOOD_ROW)
-    assert code == 4
-    assert err == (f"i/o error: {tmp_path / 'rows.csv'}: "
-                   "cannot recover a tree order k >= 2 from the first row\n")
-
-
-@pytest.mark.parametrize("row", [
-    ("-1e300", "0.5", "-0.5", "0.5", "0.75"),     # used to plot with exit 0
-    ("0", "0.5", "-0.5", "0.5", "0.75"),
-    ("-0.0", "0.5", "-0.5", "0.5", "0.75"),
-    ("2.0", "1.5", "-0.5", "0.5", "0.75"),
-    ("2.0", "1.0000000000000002", "-0.5", "0.5", "0.75"),
-    ("2.0", "1.3e154", "-0.5", "0.5", "0.75"),    # 3 s1^2 overflowed: used to draw nan and exit 0
-    ("2.0", "0.5", "-1e155", "0.5", "0.75"),      # the square overflowed: used to exit 3
-    ("2.0", "0.5", "-0.5", "1e200", "0.75"),     # its square overflowed: used to exit 4 on row 1
-    ("2.0", "0.5", "-0.5", "-1.5", "0.75"),
-], ids=["negative-theta", "zero-theta", "negative-zero-theta", "s1", "s1-by-an-ulp",
-        "k-times-square", "square", "lambda2-square", "negative-lambda2"])
-def test_plot_cells_no_scan_writes_are_io_errors(tmp_path, capsys, row):
-    code, err = _plot_rows(tmp_path, capsys, GOOD_ROW, row)
-    assert code == 4
-    assert err.startswith(f"i/o error: {tmp_path / 'rows.csv'}: line 3: no scan writes theta <= 0 "
-                          "or an eigenvalue modulus above 1: ")
-
-
-@pytest.mark.parametrize("rows, line, k", [
-    # the second row implies k = 7: used to be drawn as k = 3 with exit 0
-    ([GOOD_ROW, ("2.0", "0.5", "-0.5", "0.5", "1.75")], 3, 3),
-    # lambda2 above max(|s1|, |s2|), with ks_value agreeing with it: used to be drawn
-    ([GOOD_ROW, ("2.0", "0.5", "-0.5", "0.9", "2.43")], 3, 3),
-    # lambda2 below it, on the row that fixes k
-    ([("1.0", "0.5", "-0.5", "0.25", "0.1875"), GOOD_ROW], 2, 3),
-    # an order that overflows the ratio after a good first row
-    ([GOOD_ROW, ("2.0", "1e-160", "-1e-160", "1e-160", "1e300")], 3, 3),
-], ids=["order", "lambda2-above", "lambda2-below-on-the-first-row", "order-beyond-the-doubles"])
-def test_plot_rows_that_disagree_are_io_errors(tmp_path, capsys, rows, line, k):
-    code, err = _plot_rows(tmp_path, capsys, *rows)
-    assert code == 4
-    assert err.startswith(f"i/o error: {tmp_path / 'rows.csv'}: line {line}: no scan writes lambda2 "
-                          f"other than max(|s1|, |s2|) or a tree order other than the first "
-                          f"row's k = {k}: ")
+def test_scan_svg_draws_the_figure_of_the_scan_csv(tmp_path, capsys):
+    # the 300-step k = 3 figure: the bytes of the curves drawn from the scan's own
+    # CSV cells, with one marker per closed-form window end
+    argv = ["scan", "--k", "3", "--theta-min", "0.1", "--theta-max", "3", "--steps", "300",
+            "--scale", "log"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    rows = list(csv.DictReader(out.splitlines()))
+    thetas = [float(row["theta"]) for row in rows]
+    series = [(f"3*{s}^2-1", [3 * float(row[s]) ** 2 - 1.0 for row in rows]) for s in ("s1", "s2")]
+    expected = svgplot.regime_svg(thetas, series, ks_threshold_pair(3),
+                                  title="Kesten-Stigum gap curves, k=3")
+    assert run(capsys, *argv, "--format", "svg") == (0, expected, "")
+    assert expected.count('stroke-dasharray="5,4"') == 2
 
 
 @pytest.mark.parametrize("k", [2, 3, 5, 17, 256])
-def test_plot_draws_every_scan_file(tmp_path, capsys, k):
-    # every row of one scan agrees with the first on lambda2 and on k
-    scan_path = tmp_path / "scan.csv"
-    code, _, _ = run(capsys, "scan", "--k", str(k), "--theta-min", "1e-3", "--theta-max", "1e3",
-                     "--steps", "40", "--scale", "log", "--out", str(scan_path))
-    assert code in (0, 3)
-    code, _, err = run(capsys, "plot", str(scan_path), "--out", str(tmp_path / "scan.svg"))
-    assert (code, err) == (0, "")
-    assert f"k={k}" in (tmp_path / "scan.svg").read_text()
+def test_scan_svg_draws_every_grid(tmp_path, capsys, k):
+    # every solved row is drawn, every solver-error row left out
+    argv = ["scan", "--k", str(k), "--theta-min", "1e-3", "--theta-max", "1e3", "--steps", "40",
+            "--scale", "log"]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    solved = sum(row["classification"] != "solver-error" for row in json.loads(out)["rows"])
+    assert solved >= 2
+    code_svg, err, svg = _scan_svg(tmp_path, capsys, k, "1e-3", "1e3", 40, "log")
+    assert code_svg == code and (code == 0) == (err == "")
+    assert f"k={k}" in svg
+    assert svg.count(" L ") == 2 * (solved - 1)
 
 
-def test_plot_accepts_unit_moduli_and_a_descending_theta(tmp_path, capsys):
-    # theta_grid can step down by an ulp on a narrow grid, and s1 = 1 is a real eigenvalue
-    code, _ = _plot_rows(tmp_path, capsys, ("1.0000000000000002", "1.0", "-1.0", "1.0", "3.0"),
-                         GOOD_ROW)
+def test_scan_svg_k4_touching_zero_marks_one_crossing_per_curve(tmp_path, capsys):
+    # at k = 4, theta = 1 both curves 4 s^2 - 1 are exactly 0 on the grid
+    code, _, svg = _scan_svg(tmp_path, capsys, 4, 0.5, 1.5, 3)
     assert code == 0
+    assert svg.count('stroke-dasharray="5,4"') == 2
+    assert svg.count('<line x1="425.00" y1="40" x2="425.00" y2="550"') == 2
 
 
-@pytest.mark.parametrize("rows, reason", [
-    # one activity whose relative margin overflows
-    ([("1.7976931348623157e308",) + GOOD_ROW[1:]],
-     "theta range [1.79769e+308, inf] cannot be drawn in doubles"),
-    # k s1^2 stays finite, the axis padded 5% past it does not: used to draw nan and exit 0
-    ([("1.0", "1.0", "-0.5", "1.0", "1.79e308")],
-     "the curves range [-8.95e+306, inf] cannot be drawn in doubles"),
-], ids=["one-largest-theta", "padded-curves"])
-def test_plot_numbers_beyond_the_doubles_are_io_errors(tmp_path, capsys, rows, reason):
-    code, err = _plot_rows(tmp_path, capsys, *rows)
-    assert code == 4
-    assert err == f"i/o error: {tmp_path / 'rows.csv'}: {reason}\n"
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 10])
+def test_closed_form_markers_lie_within_one_grid_step_of_the_crossings(k):
+    # each window end against the interpolated zero of its own curve on a dense grid
+    markers = [math.exp(log) for log in _log_window(k)]
+    thetas = theta_grid(min(markers) / 2, max(markers) * 2, 2000, "log")
+    rows = scan.scan_rows(k, thetas)
+    assert all(row["classification"] != "solver-error" for row in rows)
+    for marker, s in zip(markers, ("s1", "s2")):
+        crossing, = zero_crossings(thetas, [k * row[s] ** 2 - 1.0 for row in rows])
+        step = max(b - a for a, b in zip(thetas, thetas[1:]) if a <= crossing <= b)
+        assert abs(marker - crossing) <= step
 
 
-def test_plot_smallest_tree_order_is_drawn(tmp_path, capsys):
-    # ks_value / lambda2^2 = 1.5 rounds to k = 2, which the second row's 2.0 agrees with
-    code, _ = _plot_rows(tmp_path, capsys, ("1.0", "0.5", "-0.5", "0.5", "0.375"),
-                         ("2.0", "0.5", "-0.5", "0.5", "0.5"))
-    assert code == 0
-    assert "k=2" in (tmp_path / "rows.svg").read_text()
+@pytest.mark.parametrize("k", [300, 10**160, 10**400], ids=["300", "10**160", "10**400"])
+def test_scan_svg_with_no_solved_row_exits_3(tmp_path, capsys, k):
+    # nothing to draw: the summary line, no traceback and no file; at 10**400,
+    # which no double holds, the closed-form window is never evaluated
+    code, err, svg = _scan_svg(tmp_path, capsys, k, "1e-8", "1e-7", 3)
+    assert (code, svg) == (3, None)
+    assert err == "solver error: 3 of 3 rows could not be solved (labelled solver-error)\n"
 
 
-def test_plot_single_row(tmp_path, capsys):
-    scan_path = _make_scan(tmp_path, capsys, steps=2)
-    # keep only the header and the first data row
-    lines = scan_path.read_text().splitlines()
-    single = scan_path.with_name("single.csv")
-    single.write_text("\n".join(lines[:2]) + "\n")
-    svg_path = single.with_name("single.svg")
-    code, _, _ = run(capsys, "plot", str(single), "--out", str(svg_path))
-    assert code == 0
-    svg = svg_path.read_text()
-    assert "<circle" in svg
-    assert "<path" not in svg
-
-
-def test_plot_one_huge_theta_draws_one_dot_per_curve(tmp_path, capsys):
-    # 1e17 +- 0.5 rounds back onto 1e17: used to exit 4, and 3 dividing by zero before that
-    code, _ = _plot_rows(tmp_path, capsys, ("1e17",) + GOOD_ROW[1:])
-    assert code == 0
-    svg = (tmp_path / "rows.svg").read_text()
-    assert svg.count("<circle") == 2 and svg.count('<circle cx="425.00" ') == 2
-    assert "<path" not in svg and "nan" not in svg
-
-
-def test_plot_one_row_that_half_a_unit_widens_keeps_its_bytes(tmp_path, capsys):
-    # the SVG drawn with the fixed +-0.5 margin, before any margin was relative
-    code, _ = _plot_rows(tmp_path, capsys, ("2.0",) + GOOD_ROW[1:])
-    assert code == 0
-    svg = (tmp_path / "rows.svg").read_bytes()
-    assert hashlib.sha256(svg).hexdigest() == (
-        "174a77c44ecd24bfc3a89ab74e37744201d1f0c7e451799079e5c64490dad74c")
-
-
-def test_plot_non_utf8_header_is_io_error(tmp_path, capsys):
-    bad = tmp_path / "bad.csv"
-    bad.write_bytes(b"\xff\xfe\n1.0,0.5,-0.5,0.5,0.75\n")
-    code, _, err = run(capsys, "plot", str(bad), "--out", str(tmp_path / "x.svg"))
-    assert code == 4
-    assert err.startswith("i/o error: cannot read")
-
-
-def test_plot_non_utf8_data_line_is_io_error(tmp_path, capsys):
-    # many good rows first, so the bad byte lies beyond the first decoded block
-    bad = tmp_path / "bad.csv"
-    good = b"theta,s1,s2,lambda2,ks_value\n" + b"1.0,0.5,-0.5,0.5,0.75\n" * 2000
-    bad.write_bytes(good + b"2.0,\xff,-0.5,0.5,0.75\n")
-    code, _, err = run(capsys, "plot", str(bad), "--out", str(tmp_path / "x.svg"))
-    assert code == 4
-    assert err.startswith("i/o error: cannot read")
-
-
-def test_plot_missing_file(capsys):
-    code, _, _ = run(capsys, "plot", "/nonexistent/scan.csv")
-    assert code == 4
+def test_scan_svg_one_solved_row_at_the_largest_double_is_a_usage_error(tmp_path, capsys):
+    # one row is drawn on an axis widened around it, which leaves the doubles here
+    code, err, svg = _scan_svg(tmp_path, capsys, 300, "1e-8", "1.7976931348623157e308", 2)
+    assert (code, svg) == (2, None)
+    assert err == "error: theta range [1.79769e+308, inf] cannot be drawn in doubles\n"
 
 
 @pytest.mark.parametrize("ys, expected", [
@@ -924,19 +806,53 @@ def test_plot_missing_file(capsys):
     ([1.0, 2.0, 3.0], []),
 ])
 def test_zero_crossings_mark_each_zero_once(ys, expected):
-    assert cli._zero_crossings([0, 1, 2][:len(ys)], ys) == expected
+    assert zero_crossings([0, 1, 2][:len(ys)], ys) == expected
 
 
-def test_plot_k4_touching_zero_marks_one_crossing_per_curve(tmp_path, capsys):
-    # at k = 4, theta = 1 both curves 4 s^2 - 1 are exactly 0 on the grid
-    scan_path = tmp_path / "scan.csv"
-    code, _, _ = run(capsys, "scan", "--k", "4", "--theta-min", "0.5", "--theta-max", "1.5",
-                     "--steps", "3", "--out", str(scan_path))
-    assert code == 0
-    svg_path = tmp_path / "fig.svg"
-    code, _, _ = run(capsys, "plot", str(scan_path), "--out", str(svg_path))
-    assert code == 0
-    assert svg_path.read_text().count('stroke-dasharray="5,4"') == 2
+# --- svgplot -----------------------------------------------------------------------
+
+def _regime_svg(k, *rows):
+    """``svgplot.regime_svg`` of (theta, s1, s2) rows at tree order ``k`` with no
+    markers: the curves k s^2 - 1 and the title that ``scan --format svg`` draws."""
+    thetas = [row[0] for row in rows]
+    series = [(f"{k}*{s}^2-1", [k * row[i] ** 2 - 1.0 for row in rows])
+              for i, s in ((1, "s1"), (2, "s2"))]
+    return svgplot.regime_svg(thetas, series, [], title=f"Kesten-Stigum gap curves, k={k}")
+
+
+def test_svg_single_row():
+    row = scan.scan_row(ModelParams(3, 0.2))
+    svg = _regime_svg(3, (row["theta"], row["s1"], row["s2"]))
+    assert "<circle" in svg
+    assert "<path" not in svg
+
+
+def test_svg_one_huge_theta_draws_one_dot_per_curve():
+    # 1e17 +- 0.5 rounds back onto 1e17: the margin is relative there
+    svg = _regime_svg(3, (1e17, 0.5, -0.5))
+    assert svg.count("<circle") == 2 and svg.count('<circle cx="425.00" ') == 2
+    assert "<path" not in svg and "nan" not in svg
+
+
+def test_svg_one_row_that_half_a_unit_widens_keeps_its_bytes():
+    # the SVG drawn with the fixed +-0.5 margin, before any margin was relative
+    svg = _regime_svg(3, (2.0, 0.5, -0.5)).encode()
+    assert hashlib.sha256(svg).hexdigest() == (
+        "174a77c44ecd24bfc3a89ab74e37744201d1f0c7e451799079e5c64490dad74c")
+
+
+@pytest.mark.parametrize("k, row, reason", [
+    # one activity whose relative margin overflows
+    (3, (1.7976931348623157e308, 0.5, -0.5),
+     "theta range [1.79769e+308, inf] cannot be drawn in doubles"),
+    # k s1^2 stays finite, the axis padded 5% past it does not
+    (round(1.79e308), (1.0, 1.0, -0.5),
+     "the curves range [-8.95e+306, inf] cannot be drawn in doubles"),
+], ids=["one-largest-theta", "padded-curves"])
+def test_svg_numbers_beyond_the_doubles_are_value_errors(k, row, reason):
+    with pytest.raises(ValueError) as excinfo:
+        _regime_svg(k, row)
+    assert str(excinfo.value) == reason
 
 
 # --- environment override -------------------------------------------------------------

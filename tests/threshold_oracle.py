@@ -9,7 +9,10 @@ check the algebra against it:
   theta = 1 brackets the sign change of k*lambda2^2 - 1, and bisection
   refines it;
 - ``ks_sweep``: the statistic on an activity grid, with the side of
-  theta = 1 that z* falls on at each point.
+  theta = 1 that z* falls on at each point;
+- ``zero_crossings``: the zeros of a sampled curve by linear
+  interpolation, against which the markers of ``scan --format svg`` (the
+  window's ends, each the zero of one of the curves k s^2 - 1) are checked.
 """
 
 from __future__ import annotations
@@ -50,3 +53,17 @@ def ks_sweep(k: int, thetas) -> tuple:
         if (theta < 1.0 and not law.z1 > theta) or (theta > 1.0 and not law.z1 < theta):
             sides_ok = False
     return values, sides_ok
+
+
+def zero_crossings(xs, ys) -> list:
+    """Each grid point where the curve is exactly 0, and the linear
+    interpolant's zero across each strict sign change, in grid order; a
+    curve that falls onto 0 at a point is marked there once."""
+    crossings = []
+    for i, (x, a) in enumerate(zip(xs, ys)):
+        b = ys[i + 1] if i + 1 < len(ys) else a  # the last point starts no interval
+        if a == 0.0:
+            crossings.append(x)
+        elif a < 0.0 < b or b < 0.0 < a:
+            crossings.append(x + a / (a - b) * (xs[i + 1] - x))
+    return crossings

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import sys
 import tracemalloc
 
@@ -202,6 +203,15 @@ PARSE_CORPUS = [
      "--form", "svg", "--out", "x.svg", "--out", "y.svg"),
     ("scan", "--k", "3", "--theta-min", "0.1", "--theta-max", "3", "--steps", "5",
      "--format", "png"),
+    ("scan", "--k", "3", "--theta-min", "0.1", "--theta-max", "3", "--steps", "5",
+     "--format=svg", "--out", "-"),
+    ("scan", "--k", "3", "--theta-min", "0.1", "--theta-max", "3", "--steps", "5",
+     "--format", "svg", "--out"),
+    ("scan", "--k", "3", "--theta-min", "0.1", "--theta-max", "3", "--steps", "5",
+     "--format", "svg", "--format", "csv"),
+    ("scan", "--k", "3", "--theta-min", "0.1", "--theta-max", "3", "--steps", "5",
+     "--format", "svg", "--", "-x.svg"),
+    ("scan", "--format", "svg", "--out", "x.svg"),
     ("plot", "scan.csv", "--out", "x.svg"),
 ] + [(command, help_flag) for command in ("solve", "scan", "thresholds", "verify")
      for help_flag in ("-h", "--help")]
@@ -319,6 +329,17 @@ def test_scan_unwritable_path(capsys):
                      "--theta-max", "1.0", "--steps", "3",
                      "--out", "/nonexistent-dir/scan.csv")
     assert code == 4
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
+def test_scan_write_failure_is_the_only_exit_4(tmp_path, capsys, fmt):
+    # each format fails to write the same way, after a grid that solved every row
+    path = tmp_path / "missing" / f"scan.{fmt}"
+    code, out, err = run(capsys, "scan", "--k", "3", "--theta-min", "0.5", "--theta-max", "2",
+                         "--steps", "3", "--format", fmt, "--out", str(path))
+    assert (code, out) == (4, "")
+    assert err == (f"i/o error: cannot write {path}: "
+                   f"[Errno 2] No such file or directory: '{path}'\n")
 
 
 def test_scan_linear_grid_up_to_float_max(capsys):
@@ -763,6 +784,53 @@ def test_scan_svg_k4_touching_zero_marks_one_crossing_per_curve(tmp_path, capsys
     assert code == 0
     assert svg.count('stroke-dasharray="5,4"') == 2
     assert svg.count('<line x1="425.00" y1="40" x2="425.00" y2="550"') == 2
+
+
+def _window_ends(k):
+    """The two closed-form window ends at tree order ``k``, in increasing order."""
+    return sorted(math.exp(log) for log in _log_window(k))
+
+
+#: grids (theta_min, theta_max) around the window ends a <= b, and which ends they hold
+MARKER_SPANS = {
+    "both": (lambda a, b: (a / 2, b * 2), (0, 1)),
+    "first-only": (lambda a, b: (a / 2, math.sqrt(a * b)), (0,)),
+    "second-only": (lambda a, b: (math.sqrt(a * b), b * 2), (1,)),
+    "between": (lambda a, b: (a + (b - a) / 3, a + 2 * (b - a) / 3), ()),
+    "below": (lambda a, b: (a / 4, a / 2), ()),
+}
+
+
+@pytest.mark.parametrize("span", list(MARKER_SPANS))
+@pytest.mark.parametrize("k", [2, 3, 5, 10, 17])
+def test_scan_svg_draws_each_window_end_inside_the_grid(tmp_path, capsys, k, span):
+    # a dashed line and its label for each window end within the drawn thetas, no other
+    ends = _window_ends(k)
+    bounds, inside = MARKER_SPANS[span]
+    code, err, svg = _scan_svg(tmp_path, capsys, k, *map(repr, bounds(*ends)), 5, "log")
+    assert (code, err) == (0, "")
+    assert svg.count('stroke-dasharray="5,4"') == len(inside)
+    labels = re.findall(r'fill="#555">([^<]*)</text>', svg)
+    assert labels == [f"{ends[i]:.4g}" for i in inside]
+    assert "nan" not in svg and "inf" not in svg
+
+
+@pytest.mark.parametrize("scale", ["linear", "log"])
+@pytest.mark.parametrize("k, lo, hi", [(2, "0.1", "3"), (3, "0.1", "3"), (5, "0.5", "2"),
+                                       (300, "1e-8", "1e8")])
+def test_scan_svg_draws_the_solved_json_rows(tmp_path, capsys, k, lo, hi, scale):
+    # the figure's bytes from the JSON cells of the same scan, solver-error rows left out
+    argv = ["scan", "--k", str(k), "--theta-min", lo, "--theta-max", hi, "--steps", "9",
+            "--scale", scale]
+    code, out, err = run(capsys, *argv, "--format", "json")
+    rows = [row for row in json.loads(out)["rows"] if row["classification"] != "solver-error"]
+    assert len(rows) >= 2 and (code == 0) == (err == "")
+    thetas = [row["theta"] for row in rows]
+    series = [(f"{k}*{s}^2-1", [k * row[s] ** 2 - 1.0 for row in rows]) for s in ("s1", "s2")]
+    markers = [x for x in _window_ends(k) if min(thetas) <= x <= max(thetas)]
+    expected = svgplot.regime_svg(thetas, series, markers,
+                                  title=f"Kesten-Stigum gap curves, k={k}")
+    assert run(capsys, *argv, "--format", "svg") == (code, expected, err)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 10])

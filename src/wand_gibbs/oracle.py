@@ -1,8 +1,8 @@
 """Exact finite-volume computations on small Cayley trees.
 
-This is the independent, brute-force side of the artifact: enumerate every
-admissible configuration on a finite tree, weigh it by theta^(energy) times
-the boundary-law weights on the outermost generation, and check that the
+This is the independent, exact side of the artifact: weigh every admissible
+configuration on a finite tree by theta^(energy) times the boundary-law
+weights on the outermost generation, and check that the
 resulting finite-volume measures marginalize consistently from depth n to
 depth n-1.  A law that solves the fixed-point system produces a consistency
 defect at rounding level; a law that does not produces a visibly positive
@@ -41,8 +41,15 @@ the (big group, small group) pairs that share a prefix are derived once
 per ball from the prefixes themselves (11 pairs for k = 3 at depth 2),
 and the largest difference over them is the largest over the prefixes,
 bit for bit, since every prefix of a group has the group's probability.
-The grouping is still a brute-force count over the enumeration, not the
-tree recursion whose fixed point is under test.
+
+Only the prefixes are enumerated; the subtrees below them are counted
+exactly, never listed.  Given its parent's spin, a vertex's subtree has the
+counts {(e, a, b): c} that sum, over the vertex's spins, its edge's and
+ring's monomial times its children's counts, memoised per (vertex, parent
+spin); a prefix's counts are its statistic times those of the subtrees cut
+off below it.  No theta and no law enter, so this is not the recursion whose
+fixed point is under test: its counts are integers, and the tests compare
+every table the cap allows with the full enumeration.
 """
 
 from __future__ import annotations
@@ -137,8 +144,13 @@ def enumerate_admissible(tree: FiniteCayleyTree) -> list:
     each neighbour tuple is in SPINS order, so configurations come out in
     lexicographic order.
     """
+    return _admissible(tree.parents)
+
+
+def _admissible(parents) -> list:
+    """The admissible configurations of the vertices 0..len(parents)-1."""
     configs = [(s,) for s in SPINS]
-    for parent in tree.parents[1:]:
+    for parent in parents[1:]:
         configs = [c + (s,) for c in configs for s in NEIGHBOURS[c[parent]]]
     return configs
 
@@ -151,6 +163,18 @@ def _statistic(config, parents, ring) -> tuple:
         energy += (config[parents[v]] - config[v]) ** 2
     spins = [config[v] for v in ring]
     return energy, spins.count(1), spins.count(-1)
+
+
+def _product(factors) -> dict:
+    """The product of count polynomials {(e, a, b): count}: exponents add."""
+    result = {(0, 0, 0): 1}
+    for factor in factors:
+        terms = Counter()
+        for (e, a, b), count in result.items():
+            for (f, x, y), other in factor.items():
+                terms[e + f, a + x, b + y] += count * other
+        result = terms
+    return result
 
 
 def _weights(statistics, log_theta: float, law: BoundaryLaw) -> tuple:
@@ -173,11 +197,25 @@ def _grouped_counts(tree: FiniteCayleyTree, prefix_size: int) -> tuple:
     each distinct statistic appears once in ``statistics``.  Counts and
     statistics are stored as floats, which hold them exactly (each is at
     most the admissible count).  Independent of theta and of the law."""
-    ring = tree.boundary()
-    tally = Counter(
-        (config[:prefix_size], _statistic(config, tree.parents, ring))
-        for config in enumerate_admissible(tree)
-    )
+    parents, ring = tree.parents, tree.boundary()
+
+    @functools.cache
+    def below(v, parent_spin):
+        # the counts of v's subtree by statistic, v's edge to its parent included
+        counts = Counter()
+        for s in NEIGHBOURS[parent_spin]:
+            edge = {((parent_spin - s) ** 2, v in ring and s == 1, v in ring and s == -1): 1}
+            children = [below(c, s) for c in range(v + 1, tree.size) if parents[c] == v]
+            counts.update(_product([edge] + children))
+        return counts
+
+    cut = [c for c in range(prefix_size, tree.size) if parents[c] < prefix_size]
+    head, head_ring = parents[:prefix_size], range(ring.start, prefix_size)
+    tally = {}
+    for prefix in _admissible(head):
+        own = {_statistic(prefix, head, head_ring): 1}
+        product = _product([own] + [below(c, prefix[parents[c]]) for c in cut])
+        tally.update(((prefix, statistic), count) for statistic, count in product.items())
     indices = {}
     terms = {}
     for (prefix, statistic), count in tally.items():

@@ -19,6 +19,8 @@ def _widened(lo: float, hi: float) -> tuple:
     if hi != lo:
         return lo, hi
     margin = 0.5 if lo + 0.5 > lo - 0.5 else abs(lo) * 2.0 ** -50
+    if hi + margin == math.inf:  # the same width, all of it below v
+        return lo - 2.0 * margin, hi
     return lo - margin, hi + margin
 
 

@@ -855,11 +855,13 @@ def test_scan_svg_with_no_solved_row_exits_3(tmp_path, capsys, k):
     assert err == "solver error: 3 of 3 rows could not be solved (labelled solver-error)\n"
 
 
-def test_scan_svg_one_solved_row_at_the_largest_double_is_a_usage_error(tmp_path, capsys):
-    # one row is drawn on an axis widened around it, which leaves the doubles here
+def test_scan_svg_draws_one_solved_row_at_the_largest_double(tmp_path, capsys):
+    # the axis around the one solved row widens downward, so the row is drawn
+    # and the summary names the row that could not be solved
     code, err, svg = _scan_svg(tmp_path, capsys, 300, "1e-8", "1.7976931348623157e308", 2)
-    assert (code, svg) == (2, None)
-    assert err == "error: theta range [1.79769e+308, inf] cannot be drawn in doubles\n"
+    assert code == 3
+    assert err == "solver error: 1 of 2 rows could not be solved (labelled solver-error)\n"
+    assert svg.startswith("<svg") and svg.count("<circle") == 2 and "nan" not in svg
 
 
 @pytest.mark.parametrize("ys, expected", [
@@ -909,14 +911,18 @@ def test_svg_one_row_that_half_a_unit_widens_keeps_its_bytes():
         "174a77c44ecd24bfc3a89ab74e37744201d1f0c7e451799079e5c64490dad74c")
 
 
+def test_svg_one_largest_theta_widens_downward():
+    # v + |v| 2^-50 overflows at the largest double: the axis is [v - 2 margin, v]
+    svg = _regime_svg(3, (1.7976931348623157e308, 0.5, -0.5))
+    assert svg.count("<circle") == 2 and svg.count('<circle cx="780.00" ') == 2
+    assert "<path" not in svg and "nan" not in svg and "inf" not in svg
+
+
 @pytest.mark.parametrize("k, row, reason", [
-    # one activity whose relative margin overflows
-    (3, (1.7976931348623157e308, 0.5, -0.5),
-     "theta range [1.79769e+308, inf] cannot be drawn in doubles"),
     # k s1^2 stays finite, the axis padded 5% past it does not
     (round(1.79e308), (1.0, 1.0, -0.5),
      "the curves range [-8.95e+306, inf] cannot be drawn in doubles"),
-], ids=["one-largest-theta", "padded-curves"])
+], ids=["padded-curves"])
 def test_svg_numbers_beyond_the_doubles_are_value_errors(k, row, reason):
     with pytest.raises(ValueError) as excinfo:
         _regime_svg(k, row)

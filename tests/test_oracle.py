@@ -530,6 +530,17 @@ def ungrouped_counts(tree, prefix_size):
                    for config in enumerate_admissible(tree))
 
 
+@pytest.mark.parametrize("k,depth,full_root", BALLS)
+def test_grouped_counts_match_the_enumeration(k, depth, full_root):
+    # the subtree counts against every configuration listed in full, at the
+    # prefix sizes the consistency check uses
+    tree = FiniteCayleyTree(k, depth, full_root)
+    for prefix_size in {1, tree._replace(depth=max(depth - 1, 0)).size}:
+        statistics, counts, indices, groups = oracle._grouped_counts(tree, prefix_size)
+        assert {(prefix, statistics[indices[j]]): counts[j] for lo, hi, prefixes in groups
+                for prefix in prefixes for j in range(lo, hi)} == ungrouped_counts(tree, prefix_size)
+
+
 def per_prefix_marginals(tree, prefix_size, theta, law):
     """The reference: one fsum per prefix over the ungrouped counts."""
     counts = ungrouped_counts(tree, prefix_size)
@@ -586,7 +597,9 @@ def test_oracle_checks_theta_once_per_call(monkeypatch, call):
     assert checked == [0.7]
 
 
-def test_verify_enumerates_each_tree_once(monkeypatch, capsys):
+def test_verify_builds_each_count_table_once(monkeypatch, capsys):
+    # the tables come from subtree counts: no configuration of either ball is
+    # listed, and a second verify reuses both (tree, prefix size) tables
     calls = Counter()
     enumerate_original = oracle.enumerate_admissible
 
@@ -599,12 +612,13 @@ def test_verify_enumerates_each_tree_once(monkeypatch, capsys):
     try:
         for thetas in ("0.5,0.9", "1.7"):
             assert cli.main(["verify", "--k", "3", "--depth", "2", "--thetas", thetas]) == 0
+        built = oracle._grouped_counts.cache_info().misses
     finally:
         oracle._grouped_counts.cache_clear()
     capsys.readouterr()
-    assert calls == Counter({FiniteCayleyTree(3, 1): 1, FiniteCayleyTree(3, 2): 1})
+    assert calls == Counter() and built == 2
     # a ball over the cap is refused before anything is enumerated, every time
     for _ in range(2):
         with pytest.raises(SizeCapError):
             FiniteCayleyTree(3, 3)
-    assert calls == Counter({FiniteCayleyTree(3, 1): 1, FiniteCayleyTree(3, 2): 1})
+    assert calls == Counter()

@@ -2,9 +2,9 @@
 
 This is the independent, exact side of the artifact: weigh every admissible
 configuration on a finite tree by theta^(energy) times the boundary-law
-weights on the outermost generation, and check that the
-resulting finite-volume measures marginalize consistently from depth n to
-depth n-1.  A law that solves the fixed-point system produces a consistency
+weights on the outermost generation, and check that the resulting
+finite-volume measures marginalize consistently from depth n to depth
+n-1.  A law that solves the fixed-point system produces a consistency
 defect at rounding level; a law that does not produces a visibly positive
 defect.  Everything is exact or absent -- no sampling -- and sizes are
 capped at 16 vertices to keep the oracle a desk-scale tool.
@@ -211,16 +211,13 @@ def _grouped_counts(tree: FiniteCayleyTree, prefix_size: int) -> tuple:
 
     cut = [c for c in range(prefix_size, tree.size) if parents[c] < prefix_size]
     head, head_ring = parents[:prefix_size], range(ring.start, prefix_size)
-    tally = {}
+    indices = {}
+    terms = {}
     for prefix in _admissible(head):
         own = {_statistic(prefix, head, head_ring): 1}
         product = _product([own] + [below(c, prefix[parents[c]]) for c in cut])
-        tally.update(((prefix, statistic), count) for statistic, count in product.items())
-    indices = {}
-    terms = {}
-    for (prefix, statistic), count in tally.items():
-        index = indices.setdefault(statistic, len(indices))
-        terms.setdefault(prefix, []).append((float(count), index))
+        terms[prefix] = [(float(count), indices.setdefault(statistic, len(indices)))
+                         for statistic, count in product.items()]
     shared = {}
     for prefix, prefix_terms in terms.items():
         shared.setdefault(tuple(sorted(prefix_terms)), []).append(prefix)

@@ -182,7 +182,7 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _regime_figure(k: int, rows) -> str:
+def _regime_figure(k: int, rows, scale: str) -> str:
     """The curves k s1^2 - 1 and k s2^2 - 1 over the solved ``rows`` as SVG, with
     a dashed marker at each end of ``chain._log_window(k)`` that lies within the
     drawn activities: at every k those ends are the one zero of the s1 curve and
@@ -192,7 +192,7 @@ def _regime_figure(k: int, rows) -> str:
     series = [(f"{k}*{s}^2-1", [k * row[s] ** 2 - 1.0 for row in rows]) for s in ("s1", "s2")]
     lo, hi = min(thetas), max(thetas)  # a narrow grid may step down by an ulp
     markers = sorted(x for x in map(math.exp, _log_window(k)) if lo <= x <= hi)
-    return regime_svg(thetas, series, markers, title=f"Kesten-Stigum gap curves, k={k}")
+    return regime_svg(thetas, series, markers, f"Kesten-Stigum gap curves, k={k}", scale)
 
 
 def cmd_scan(args) -> int:
@@ -204,7 +204,7 @@ def cmd_scan(args) -> int:
         _write_doc(args, {"command": "scan", "k": args.k, "rows": rows}, CSV_COLUMNS,
                    map(_csv_line, rows))
     elif solved:  # a point the scan could not solve has no spectrum to draw
-        _write_text(args.out, _regime_figure(args.k, solved))
+        _write_text(args.out, _regime_figure(args.k, solved, args.scale))
     failed = len(rows) - len(solved)
     if failed:
         print(f"solver error: {failed} of {len(rows)} rows could not be solved "

@@ -14,33 +14,28 @@ energy e, and the numbers a of +1 and b of -1 spins on the outermost
 generation; the weight is theta^e z1^a z2^b, with z(0) = 1 because only
 the ratios z1 (for +1) and z2 (for -1) matter.  Marginals of the first few
 spins therefore need only the integer counts c of configurations per
-(prefix, e, a, b), and these do not depend on theta or on the law.  They
-are counted once per (tree, prefix size) and cached for the life of the
-process; the cache stays small because every tree is capped at
-ENUMERATION_CAP vertices (k = 3 at depth 2: 12,288 configurations collapse
-to 564 (prefix, statistic) terms over 155 distinct statistics, k = 2 at
-depth 3: 49,152 to 4,416 terms over 292).  Each marginal is then the
-polynomial sum c theta^e z1^a z2^b per prefix.  Many prefixes share the
-same multiset of terms, and fsum is correctly rounded, so such prefixes
-share one mass: one fsum per distinct term multiset serves them all (564
-terms in 24 prefixes become 218 in 11 groups, 4,416 in 192 become 783 in
-39).  The weight of each distinct statistic is formed once, in logs,
-e ln theta + a ln z1 + b ln z2, and exponentiated after subtracting the
-maximum, so it lies in (0, 1] and the largest is 1; each group's mass is
-the fsum of c times the weights of its statistics, and the normalization
-is the fsum of every prefix's mass, so it stays bit-stable even for
-activities far from 1.  The counts stay out of the shift: each is at most
-the admissible count, so c w cannot overflow.  The cached table stores the
-counts and statistics as floats, exact because every one is far below
-2^53, so that no product takes the int-times-float path (which converts
-the int to the same double first, so the bits do not change), and lays
-every group's terms out in one flat slice: a marginal forms all its
-products in one list and takes one fsum per slice.  The consistency
-defect compares the two balls' group probabilities, not their prefixes:
-the (big group, small group) pairs that share a prefix are derived once
-per ball from the prefixes themselves (11 pairs for k = 3 at depth 2),
-and the largest difference over them is the largest over the prefixes,
-bit for bit, since every prefix of a group has the group's probability.
+(prefix, e, a, b), which depend on neither theta nor the law and are
+cached per (tree, prefix size).  Prefixes with the same multiset of terms
+share one group, and so one mass, as fsum is correctly rounded.  At k = 3,
+depth 2, 12,288 configurations give 564 terms in 24 prefixes, and 218
+terms in 11 groups over 155 distinct statistics (k = 2, depth 3: 49,152,
+4,416 in 192, 783 in 39 over 292).
+
+The consistency check reads one cached plan per big ball.  For that ball
+and the one a generation smaller, both counted by the smaller one's
+spins, it holds the distinct statistics, the flat (count, statistic index)
+terms, each group's (lo, hi) slice and the group of every prefix; and the
+(big group, small group) pairs that share a prefix (11 at k = 3).  A check
+takes ln theta, ln z1 and ln z2 once.  Per ball it forms the log weight
+e ln theta + a ln z1 + b ln z2 of each statistic and their maximum top,
+then each term's product c exp(log weight - top) in one pass: one
+exponential per term (218 at k = 3, not 155), but no list of weights to
+gather from.  One fsum per slice gives each group's mass, and one over
+every prefix's mass the normalization, so the result is bit-stable even
+far from theta = 1.  The counts stay out of the shift (c w cannot
+overflow), and they and the statistics are stored as floats, exact far
+below 2^53.  The defect is the largest difference over the pairs, which
+is the largest over the prefixes, bit for bit.
 
 Only the prefixes are enumerated; the subtrees below them are counted
 exactly, never listed.  Given its parent's spin, a vertex's subtree has the
@@ -177,16 +172,6 @@ def _product(factors) -> dict:
     return result
 
 
-def _weights(statistics, log_theta: float, law: BoundaryLaw) -> tuple:
-    """(top, weights): the largest log weight e ln theta + a ln z1 + b ln z2
-    of the statistics (e, a, b), and each one's exp(log weight - top) in
-    (0, 1]; ``log_theta`` is the log of an activity already checked."""
-    log_z1, log_z2 = math.log(law.z1), math.log(law.z2)
-    logs = [e * log_theta + a * log_z1 + b * log_z2 for e, a, b in statistics]
-    top = max(logs)
-    return top, [math.exp(lw - top) for lw in logs]
-
-
 @functools.cache
 def _grouped_counts(tree: FiniteCayleyTree, prefix_size: int) -> tuple:
     """(statistics, counts, indices, groups): the admissible configurations
@@ -230,34 +215,44 @@ def _grouped_counts(tree: FiniteCayleyTree, prefix_size: int) -> tuple:
     return statistics, counts, flat_indices, tuple(groups)
 
 
-def _group_probabilities(tree: FiniteCayleyTree, prefix_size: int, theta: float,
-                         law: BoundaryLaw) -> list:
-    """Probability of each prefix of group g of ``_grouped_counts(tree,
-    prefix_size)``, at index g: one exponential per distinct statistic, one
-    product per term and one fsum per group.  ``theta`` is an activity
-    already checked."""
+def _ball(tree: FiniteCayleyTree, prefix_size: int) -> tuple:
+    """(statistics, terms, slices, owners): the table of ``_grouped_counts(tree,
+    prefix_size)`` as ``_probabilities`` reads it, with each term a (count,
+    statistic index) pair, each group a (lo, hi) slice of the terms and the
+    group index of every prefix, group by group."""
     statistics, counts, indices, groups = _grouped_counts(tree, prefix_size)
-    _, weights = _weights(statistics, math.log(theta), law)
-    products = [count * weights[index] for count, index in zip(counts, indices)]
-    masses = [math.fsum(products[lo:hi]) for lo, hi, _ in groups]
-    # each prefix's mass once: the same multiset as one fsum per prefix
-    total = math.fsum([mass for mass, (_, _, prefixes) in zip(masses, groups) for _ in prefixes])
-    return [mass / total for mass in masses]
+    return (statistics, tuple(zip(counts, indices)), tuple((lo, hi) for lo, hi, _ in groups),
+            tuple(g for g, (_, _, prefixes) in enumerate(groups) for _ in prefixes))
 
 
 @functools.cache
-def _consistency_pairs(tree: FiniteCayleyTree) -> tuple:
-    """(small, pairs): the ball one generation smaller than ``tree``, and
-    each distinct (i, j) such that a prefix of the small ball lies in group
-    i of ``tree`` and group j of ``small``, both counted by ``small.size``
-    spins; looked up prefix by prefix, so it holds for any two partitions."""
+def _plan(tree: FiniteCayleyTree) -> tuple:
+    """(big, small, pairs): the ``_ball`` of ``tree`` and of the ball one
+    generation smaller, both counted by the smaller ball's spins, and each
+    distinct (i, j) such that a prefix lies in group i of the first and group
+    j of the second; looked up prefix by prefix, so it holds for any two
+    partitions."""
     small = tree._replace(depth=tree.depth - 1)
     owner = {prefix: i for i, (_, _, prefixes) in enumerate(_grouped_counts(tree, small.size)[3])
              for prefix in prefixes}
     pairs = {(owner[prefix], j)
              for j, (_, _, prefixes) in enumerate(_grouped_counts(small, small.size)[3])
              for prefix in prefixes}
-    return small, tuple(sorted(pairs))
+    return _ball(tree, small.size), _ball(small, small.size), tuple(sorted(pairs))
+
+
+def _probabilities(ball: tuple, log_theta: float, log_z1: float, log_z2: float) -> list:
+    """Probability of each prefix of group g of the ``_ball`` ``ball``, at
+    index g: one log weight per statistic, one exponential and product per
+    term, one fsum per group and one over every prefix's mass."""
+    statistics, terms, slices, owners = ball
+    logs = [e * log_theta + a * log_z1 + b * log_z2 for e, a, b in statistics]
+    top = max(logs)
+    products = [count * math.exp(logs[index] - top) for count, index in terms]
+    masses = [math.fsum(products[lo:hi]) for lo, hi in slices]
+    # each prefix's mass once: the same multiset as one fsum per prefix
+    total = math.fsum([masses[g] for g in owners])
+    return [mass / total for mass in masses]
 
 
 class FiniteVolumeMeasure(_value_type("FiniteVolumeMeasure", "probabilities log_partition")):
@@ -279,10 +274,13 @@ def finite_volume_measure(tree: FiniteCayleyTree, theta: float,
     product of z(spin) over the outermost generation, with z(-1) = z2,
     z(0) = 1, z(+1) = z1; interior vertices carry no field.
     """
-    theta = activity(theta)
+    log_theta, log_z1, log_z2 = math.log(activity(theta)), math.log(law.z1), math.log(law.z2)
     configs = enumerate_admissible(tree)
     parents, ring = tree.parents, tree.boundary()
-    top, weights = _weights([_statistic(c, parents, ring) for c in configs], math.log(theta), law)
+    logs = [e * log_theta + a * log_z1 + b * log_z2
+            for e, a, b in (_statistic(c, parents, ring) for c in configs)]
+    top = max(logs)
+    weights = [math.exp(lw - top) for lw in logs]
     total = math.fsum(weights)
     probabilities = {config: w / total for config, w in zip(configs, weights)}
     return FiniteVolumeMeasure(probabilities, top + math.log(total))
@@ -303,8 +301,7 @@ def check_consistency(tree: FiniteCayleyTree, theta: float, law: BoundaryLaw) ->
         raise ValueError("the consistency check needs a ball of depth >= 1, got depth 0")
     if tree.full_root and tree.depth == 1:
         raise ValueError("the full-root ball of depth 0 is not consistent with depth 1")
-    theta = activity(theta)
-    small, pairs = _consistency_pairs(tree)
-    big = _group_probabilities(tree, small.size, theta, law)
-    small_probabilities = _group_probabilities(small, small.size, theta, law)
-    return max([abs(big[i] - small_probabilities[j]) for i, j in pairs])
+    logs = math.log(activity(theta)), math.log(law.z1), math.log(law.z2)
+    big, small, pairs = _plan(tree)
+    p, q = _probabilities(big, *logs), _probabilities(small, *logs)
+    return max([abs(p[i] - q[j]) for i, j in pairs])

@@ -24,21 +24,23 @@ def _widened(lo: float, hi: float) -> tuple:
     return lo - margin, hi + margin
 
 
-def regime_svg(thetas, series, crossings=(), title="") -> str:
-    """An 800x600 SVG with the given curves over theta, linear axes.
+def regime_svg(thetas, series, crossings=(), title="", scale="linear") -> str:
+    """An 800x600 SVG with the given curves over theta: a linear y axis, and a
+    theta axis that is linear or, with ``scale="log"``, places the points,
+    ticks and markers by ln theta.
 
     ``series`` is a list of (label, values) pairs; ``crossings`` marks
     activities with dashed vertical lines.  A single data point renders as
     dots instead of paths.  ValueError when there is no data, or when an
     axis's span is not a positive double.
     """
+    place, shown = (math.log, math.exp) if scale == "log" else (float, float)
     thetas = [float(t) for t in thetas]
     if not thetas:
         raise ValueError("no data to plot")
     ys = [v for _, values in series for v in values]
-    x_lo, x_hi = min(thetas), max(thetas)
+    x_lo, x_hi = _widened(place(min(thetas)), place(max(thetas)))
     y_lo, y_hi = min(ys + [0.0]), max(ys + [0.0])
-    x_lo, x_hi = _widened(x_lo, x_hi)
     y_lo, y_hi = _widened(y_lo, y_hi)
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
@@ -50,7 +52,7 @@ def regime_svg(thetas, series, crossings=(), title="") -> str:
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     def sx(x: float) -> float:
-        return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
+        return _MARGIN_L + (place(x) - x_lo) / (x_hi - x_lo) * plot_w
 
     def sy(y: float) -> float:
         return _MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
@@ -63,7 +65,7 @@ def regime_svg(thetas, series, crossings=(), title="") -> str:
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="#333" stroke-width="1"/>',
     ]
-    for x in _ticks(x_lo, x_hi):
+    for x in map(shown, _ticks(x_lo, x_hi)):
         parts.append(
             f'<line x1="{sx(x):.2f}" y1="{_MARGIN_T + plot_h}" x2="{sx(x):.2f}" '
             f'y2="{_MARGIN_T + plot_h + 5}" stroke="#333"/>'

@@ -11,11 +11,13 @@ tables and the consistency defect.  This module holds the checks on them:
 - ``admissible_count_formula``: the admissible count by the adjacency-power
   recursion, independent of enumeration;
 - ``prefix_marginals`` and ``root_marginal``: the grouped marginals keyed
-  by prefix, built on the library's cached count tables and group
-  probabilities, so that the grouped path stays under test.
+  by prefix, built on the library's cached count tables and the kernel
+  ``verify`` runs on them, so that the grouped path stays under test.
 """
 
 from __future__ import annotations
+
+import math
 
 from wand_gibbs import oracle
 from wand_gibbs.model import SPINS, BoundaryLaw, activity
@@ -62,9 +64,11 @@ def admissible_count_formula(tree: FiniteCayleyTree) -> int:
 def prefix_marginals(tree: FiniteCayleyTree, prefix_size: int, theta: float,
                      law: BoundaryLaw) -> dict:
     """Probability of each admissible prefix of ``prefix_size`` spins under
-    the finite-volume measure: the group probabilities, keyed by prefix."""
+    the finite-volume measure: the group probabilities of the library's
+    kernel over the table of (tree, prefix_size), keyed by prefix."""
     groups = oracle._grouped_counts(tree, prefix_size)[3]
-    probabilities = oracle._group_probabilities(tree, prefix_size, theta, law)
+    logs = math.log(theta), math.log(law.z1), math.log(law.z2)
+    probabilities = oracle._probabilities(oracle._ball(tree, prefix_size), *logs)
     return {prefix: p for p, (_, _, prefixes) in zip(probabilities, groups) for prefix in prefixes}
 
 

@@ -759,7 +759,7 @@ def test_scan_svg_draws_the_figure_of_the_scan_csv(tmp_path, capsys):
     thetas = [float(row["theta"]) for row in rows]
     series = [(f"3*{s}^2-1", [3 * float(row[s]) ** 2 - 1.0 for row in rows]) for s in ("s1", "s2")]
     expected = svgplot.regime_svg(thetas, series, ks_threshold_pair(3),
-                                  title="Kesten-Stigum gap curves, k=3")
+                                  title="Kesten-Stigum gap curves, k=3", scale="log")
     assert run(capsys, *argv, "--format", "svg") == (0, expected, "")
     assert expected.count('stroke-dasharray="5,4"') == 2
 
@@ -829,8 +829,23 @@ def test_scan_svg_draws_the_solved_json_rows(tmp_path, capsys, k, lo, hi, scale)
     series = [(f"{k}*{s}^2-1", [k * row[s] ** 2 - 1.0 for row in rows]) for s in ("s1", "s2")]
     markers = [x for x in _window_ends(k) if min(thetas) <= x <= max(thetas)]
     expected = svgplot.regime_svg(thetas, series, markers,
-                                  title=f"Kesten-Stigum gap curves, k={k}")
+                                  title=f"Kesten-Stigum gap curves, k={k}", scale=scale)
     assert run(capsys, *argv, "--format", "svg") == (code, expected, err)
+
+
+def test_scan_svg_log_scale_places_theta_by_its_log(tmp_path, capsys):
+    # on a linear axis over 1e-3..1e3 the window ends 0.59 and 1.92 sat 0.94 px
+    # apart at x = 70.42 and 71.36; by ln theta they are 710 ln(1.92/0.59) / ln(1e6)
+    # = 60.4 px apart, and the five ticks are one and a half decades apart
+    code, err, svg = _scan_svg(tmp_path, capsys, 2, "1e-3", "1e3", 40, "log")
+    assert (code, err) == (0, "")
+    xs = [float(x) for x in re.findall(r'<line x1="([0-9.]+)"[^>]*stroke-dasharray="5,4"', svg)]
+    assert xs == pytest.approx([70 + 710 * math.log(end / 1e-3) / math.log(1e6)
+                                for end in _window_ends(2)], abs=0.01)
+    assert xs[1] - xs[0] >= 50
+    ticks = re.findall(r'y="570" text-anchor="middle" font-family="sans-serif" '
+                       r'font-size="11">([^<]*)</text>', svg)
+    assert ticks == ["0.001", "0.0316", "1", "31.6", "1e+03"]
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 10])

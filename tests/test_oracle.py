@@ -367,11 +367,32 @@ def test_consistency_marginals_share_their_keys():
 
 # --- grouped evaluation against the per-configuration measure ------------------------
 
-def brute_force_marginal(measure, prefix_size):
+@functools.cache
+def configuration_statistics(tree):
+    """Every admissible configuration of ``tree`` with its statistic (energy,
+    #(+1), #(-1) on the ring), listed once per tree."""
+    ring = tree.boundary()
+    return tuple((config, oracle._statistic(config, tree.parents, ring))
+                 for config in enumerate_admissible(tree))
+
+
+def brute_force_probabilities(tree, theta, law):
+    """The per-configuration measure of ``finite_volume_measure``, weighed
+    configuration by configuration from the cached list."""
+    log_theta, log_z1, log_z2 = math.log(theta), math.log(law.z1), math.log(law.z2)
+    listed = configuration_statistics(tree)
+    logs = [e * log_theta + a * log_z1 + b * log_z2 for _, (e, a, b) in listed]
+    top = max(logs)
+    weights = [math.exp(lw - top) for lw in logs]
+    total = math.fsum(weights)
+    return {config: w / total for (config, _), w in zip(listed, weights)}
+
+
+def brute_force_marginal(probabilities, prefix_size):
     """Marginal of the first ``prefix_size`` spins, summed configuration by
-    configuration over a finite-volume measure."""
+    configuration over a per-configuration measure."""
     marginal = {}
-    for config, p in measure.probabilities.items():
+    for config, p in probabilities.items():
         prefix = config[:prefix_size]
         marginal[prefix] = marginal.get(prefix, 0.0) + p
     return marginal
@@ -379,20 +400,29 @@ def brute_force_marginal(measure, prefix_size):
 
 def brute_force_defect(tree_small, tree_big, theta, law):
     """The consistency defect from two per-configuration measures."""
-    small = finite_volume_measure(tree_small, theta, law)
-    big = finite_volume_measure(tree_big, theta, law)
-    marginal = brute_force_marginal(big, tree_small.size)
+    small = brute_force_probabilities(tree_small, theta, law)
+    marginal = brute_force_marginal(brute_force_probabilities(tree_big, theta, law),
+                                    tree_small.size)
     defect = 0.0
-    for config in set(marginal) | set(small.probabilities):
-        diff = abs(marginal.get(config, 0.0) - small.probabilities.get(config, 0.0))
+    for config in set(marginal) | set(small):
+        diff = abs(marginal.get(config, 0.0) - small.get(config, 0.0))
         if diff > defect:
             defect = diff
     return defect
 
 
 def brute_force_root_marginal(tree, theta, law):
-    marginal = brute_force_marginal(finite_volume_measure(tree, theta, law), 1)
+    marginal = brute_force_marginal(brute_force_probabilities(tree, theta, law), 1)
     return tuple(marginal[(s,)] for s in SPINS)
+
+
+@pytest.mark.parametrize("k,depth,full_root", CONSISTENCY_CASES)
+def test_brute_force_measure_is_finite_volume_measure(k, depth, full_root):
+    # the cached list weighs every configuration as the library's measure does
+    law = BoundaryLaw(0.7, 1.3)
+    for tree in (FiniteCayleyTree(k, depth, full_root), FiniteCayleyTree(k, depth + 1, full_root)):
+        expected = finite_volume_measure(tree, 0.9, law).probabilities
+        assert brute_force_probabilities(tree, 0.9, law) == expected
 
 
 def close(a, b, rel=1e-9, floor=sys.float_info.min):
@@ -583,6 +613,21 @@ def test_defect_is_max_over_per_prefix_fsums_bit_for_bit(small, big):
             assert check_consistency(big, theta, law).hex() == expected.hex()
 
 
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(st.floats(min_value=math.log(0.05), max_value=math.log(5.0)))
+def test_defect_of_the_laws_verify_checks_is_max_over_per_prefix_fsums_bit_for_bit(log_theta):
+    # the inputs verify itself sees: the solved symmetric law and its
+    # (1.1 z, 0.9 z) perturbation, on every ball pair the cap allows
+    theta = math.exp(log_theta)
+    for small, big in accepted_consistency_pairs():
+        law = solve_symmetric(ModelParams(big.k, theta))
+        for checked in (law, BoundaryLaw(law.z1 * 1.1, law.z2 * 0.9)):
+            small_marginal = per_prefix_marginals(small, small.size, theta, checked)
+            big_marginal = per_prefix_marginals(big, small.size, theta, checked)
+            expected = max(abs(big_marginal[prefix] - p) for prefix, p in small_marginal.items())
+            assert check_consistency(big, theta, checked).hex() == expected.hex()
+
+
 @pytest.mark.parametrize("call", [
     pytest.param(lambda theta, law: finite_volume_measure(FiniteCayleyTree(2, 1), theta, law),
                  id="finite_volume_measure"),
@@ -599,7 +644,8 @@ def test_oracle_checks_theta_once_per_call(monkeypatch, call):
 
 def test_verify_builds_each_count_table_once(monkeypatch, capsys):
     # the tables come from subtree counts: no configuration of either ball is
-    # listed, and a second verify reuses both (tree, prefix size) tables
+    # listed, and a second verify reuses the plan over both (tree, prefix size)
+    # tables; both caches start empty, so an earlier test's plan cannot hide a build
     calls = Counter()
     enumerate_original = oracle.enumerate_admissible
 
@@ -607,16 +653,21 @@ def test_verify_builds_each_count_table_once(monkeypatch, capsys):
         calls[tree] += 1
         return enumerate_original(tree)
 
+    def clear():
+        oracle._plan.cache_clear()
+        oracle._grouped_counts.cache_clear()
+
     monkeypatch.setattr(oracle, "enumerate_admissible", counting)
-    oracle._grouped_counts.cache_clear()
+    clear()
     try:
         for thetas in ("0.5,0.9", "1.7"):
             assert cli.main(["verify", "--k", "3", "--depth", "2", "--thetas", thetas]) == 0
         built = oracle._grouped_counts.cache_info().misses
+        planned = oracle._plan.cache_info().misses
     finally:
-        oracle._grouped_counts.cache_clear()
+        clear()
     capsys.readouterr()
-    assert calls == Counter() and built == 2
+    assert calls == Counter() and built == 2 and planned == 1
     # a ball over the cap is refused before anything is enumerated, every time
     for _ in range(2):
         with pytest.raises(SizeCapError):

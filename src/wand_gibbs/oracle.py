@@ -37,6 +37,13 @@ overflow), and they and the statistics are stored as floats, exact far
 below 2^53.  The defect is the largest difference over the pairs, which
 is the largest over the prefixes, bit for bit.
 
+A law with z1 = z2 (the solved symmetric one) weighs (e, a, b) by e and a + b
+only, so it reads a second plan whose tables fold each prefix's counts onto
+(e, a + b, 0), still integers with no theta or law in them; 0 ln z2 adds
+exactly nothing, and groups with equal folded terms merge (k = 3, depth 2: 32
+terms in 5 groups over 32 statistics).  (a + b) ln z rounds apart from
+a ln z + b ln z, so that defect moves only at rounding level.
+
 Only the prefixes are enumerated; the subtrees below them are counted
 exactly, never listed.  Given its parent's spin, a vertex's subtree has the
 counts {(e, a, b): c} that sum, over the vertex's spins, its edge's and
@@ -173,13 +180,14 @@ def _product(factors) -> dict:
 
 
 @functools.cache
-def _grouped_counts(tree: FiniteCayleyTree, prefix_size: int) -> tuple:
+def _grouped_counts(tree: FiniteCayleyTree, prefix_size: int, symmetric: bool = False) -> tuple:
     """(statistics, counts, indices, groups): the admissible configurations
     of ``tree`` counted by their first ``prefix_size`` spins and their
-    statistic.  Group g is ``(lo, hi, prefixes)``: each of its prefixes has
-    ``counts[j]`` configurations of statistic ``statistics[indices[j]]`` for
-    j in range(lo, hi); prefixes with the same terms share one group, and
-    each distinct statistic appears once in ``statistics``.  Counts and
+    statistic, folded to (e, a + b, 0) when ``symmetric``.  Group g is
+    ``(lo, hi, prefixes)``: each of its prefixes has ``counts[j]``
+    configurations of statistic ``statistics[indices[j]]`` for j in
+    range(lo, hi); prefixes with the same terms share one group, and each
+    distinct statistic appears once in ``statistics``.  Counts and
     statistics are stored as floats, which hold them exactly (each is at
     most the admissible count).  Independent of theta and of the law."""
     parents, ring = tree.parents, tree.boundary()
@@ -201,6 +209,11 @@ def _grouped_counts(tree: FiniteCayleyTree, prefix_size: int) -> tuple:
     for prefix in _admissible(head):
         own = {_statistic(prefix, head, head_ring): 1}
         product = _product([own] + [below(c, prefix[parents[c]]) for c in cut])
+        if symmetric:
+            folded = Counter()
+            for (e, a, b), count in product.items():
+                folded[e, a + b, 0] += count
+            product = folded
         terms[prefix] = [(float(count), indices.setdefault(statistic, len(indices)))
                          for statistic, count in product.items()]
     shared = {}
@@ -215,30 +228,31 @@ def _grouped_counts(tree: FiniteCayleyTree, prefix_size: int) -> tuple:
     return statistics, counts, flat_indices, tuple(groups)
 
 
-def _ball(tree: FiniteCayleyTree, prefix_size: int) -> tuple:
-    """(statistics, terms, slices, owners): the table of ``_grouped_counts(tree,
-    prefix_size)`` as ``_probabilities`` reads it, with each term a (count,
-    statistic index) pair, each group a (lo, hi) slice of the terms and the
-    group index of every prefix, group by group."""
-    statistics, counts, indices, groups = _grouped_counts(tree, prefix_size)
+def _ball(tree: FiniteCayleyTree, prefix_size: int, symmetric: bool = False) -> tuple:
+    """(statistics, terms, slices, owners): the table of ``_grouped_counts``
+    as ``_probabilities`` reads it, with each term a (count, statistic
+    index) pair, each group a (lo, hi) slice of the terms and the group
+    index of every prefix, group by group."""
+    statistics, counts, indices, groups = _grouped_counts(tree, prefix_size, symmetric)
     return (statistics, tuple(zip(counts, indices)), tuple((lo, hi) for lo, hi, _ in groups),
             tuple(g for g, (_, _, prefixes) in enumerate(groups) for _ in prefixes))
 
 
 @functools.cache
-def _plan(tree: FiniteCayleyTree) -> tuple:
+def _plan(tree: FiniteCayleyTree, symmetric: bool = False) -> tuple:
     """(big, small, pairs): the ``_ball`` of ``tree`` and of the ball one
-    generation smaller, both counted by the smaller ball's spins, and each
-    distinct (i, j) such that a prefix lies in group i of the first and group
-    j of the second; looked up prefix by prefix, so it holds for any two
-    partitions."""
+    generation smaller, both counted by the smaller ball's spins (folded when
+    ``symmetric``), and each distinct (i, j) such that a prefix lies in group
+    i of the first and group j of the second; looked up prefix by prefix, so
+    it holds for any two partitions."""
     small = tree._replace(depth=tree.depth - 1)
-    owner = {prefix: i for i, (_, _, prefixes) in enumerate(_grouped_counts(tree, small.size)[3])
+    big_groups, small_groups = (_grouped_counts(ball, small.size, symmetric)[3]
+                                for ball in (tree, small))
+    owner = {prefix: i for i, (_, _, prefixes) in enumerate(big_groups) for prefix in prefixes}
+    pairs = {(owner[prefix], j) for j, (_, _, prefixes) in enumerate(small_groups)
              for prefix in prefixes}
-    pairs = {(owner[prefix], j)
-             for j, (_, _, prefixes) in enumerate(_grouped_counts(small, small.size)[3])
-             for prefix in prefixes}
-    return _ball(tree, small.size), _ball(small, small.size), tuple(sorted(pairs))
+    return (_ball(tree, small.size, symmetric), _ball(small, small.size, symmetric),
+            tuple(sorted(pairs)))
 
 
 def _probabilities(ball: tuple, log_theta: float, log_z1: float, log_z2: float) -> list:
@@ -302,6 +316,6 @@ def check_consistency(tree: FiniteCayleyTree, theta: float, law: BoundaryLaw) ->
     if tree.full_root and tree.depth == 1:
         raise ValueError("the full-root ball of depth 0 is not consistent with depth 1")
     logs = math.log(activity(theta)), math.log(law.z1), math.log(law.z2)
-    big, small, pairs = _plan(tree)
+    big, small, pairs = _plan(tree, law.z1 == law.z2)
     p, q = _probabilities(big, *logs), _probabilities(small, *logs)
     return max([abs(p[i] - q[j]) for i, j in pairs])

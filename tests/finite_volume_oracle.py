@@ -65,10 +65,12 @@ def prefix_marginals(tree: FiniteCayleyTree, prefix_size: int, theta: float,
                      law: BoundaryLaw) -> dict:
     """Probability of each admissible prefix of ``prefix_size`` spins under
     the finite-volume measure: the group probabilities of the library's
-    kernel over the table of (tree, prefix_size), keyed by prefix."""
-    groups = oracle._grouped_counts(tree, prefix_size)[3]
+    kernel over the table of (tree, prefix_size), folded for a law with
+    z1 == z2 as the consistency check folds it, keyed by prefix."""
+    symmetric = law.z1 == law.z2
+    groups = oracle._grouped_counts(tree, prefix_size, symmetric)[3]
     logs = math.log(theta), math.log(law.z1), math.log(law.z2)
-    probabilities = oracle._probabilities(oracle._ball(tree, prefix_size), *logs)
+    probabilities = oracle._probabilities(oracle._ball(tree, prefix_size, symmetric), *logs)
     return {prefix: p for p, (_, _, prefixes) in zip(probabilities, groups) for prefix in prefixes}
 
 

@@ -442,7 +442,9 @@ def test_grouped_oracle_matches_per_configuration_oracle(case, log10_theta, log1
     solved = [symmetric] + find_asymmetric(params)[:1]
     perturbed = BoundaryLaw(symmetric.z1 * 1.1, symmetric.z2 * 0.9)
     drawn = BoundaryLaw(10.0 ** log10_z1, 10.0 ** log10_z2)
-    for law in solved + [perturbed, drawn]:
+    # a drawn law with z1 == z2 takes the folded plan, and may not solve the system
+    drawn_symmetric = BoundaryLaw(10.0 ** log10_z1, 10.0 ** log10_z1)
+    for law in solved + [perturbed, drawn, drawn_symmetric]:
         if full_root and depth == 0:
             # the full tree's root has k + 1 children, so its depth-0 ball
             # carries the wrong power of the law: the pair is rejected
@@ -489,10 +491,10 @@ def test_grouped_oracle_covers_both_sides_of_theta_critical():
 
 # --- grouped counts --------------------------------------------------------------------------
 
-def term_groups(tree, prefix_size):
+def term_groups(tree, prefix_size, symmetric=False):
     """(statistics, groups): the cached count table with each group's slice
     of the flat counts and indices cut out, as (counts, indices, prefixes)."""
-    statistics, counts, indices, groups = oracle._grouped_counts(tree, prefix_size)
+    statistics, counts, indices, groups = oracle._grouped_counts(tree, prefix_size, symmetric)
     return statistics, [(counts[lo:hi], indices[lo:hi], prefixes) for lo, hi, prefixes in groups]
 
 
@@ -506,33 +508,47 @@ def test_grouped_counts_sum_to_admissible_count(k, depth, full_root):
             assert total == admissible_count_formula(tree)
 
 
-@pytest.mark.parametrize("k,depth,expected", [(3, 2, 218), (2, 3, 783)])
-def test_grouped_counts_collapse(k, depth, expected):
+def fold(statistic):
+    """(e, a + b, 0): the statistic as a law with z1 == z2 weighs it."""
+    e, a, b = statistic
+    return e, a + b, 0
+
+
+@pytest.mark.parametrize("k,depth,symmetric,expected", [
+    (3, 2, False, 218), (2, 3, False, 783), (3, 2, True, 32), (2, 3, True, 80), (2, 2, True, 14)])
+def test_grouped_counts_collapse(k, depth, symmetric, expected):
     # one term list per distinct multiset: 564 and 4,416 terms over single prefixes
-    _, groups = term_groups(FiniteCayleyTree(k, depth), FiniteCayleyTree(k, depth - 1).size)
+    _, groups = term_groups(FiniteCayleyTree(k, depth), FiniteCayleyTree(k, depth - 1).size,
+                            symmetric)
     assert sum(len(counts) for counts, _, _ in groups) == expected
 
 
-@pytest.mark.parametrize("k,depth,expected", [(3, 2, 155), (2, 3, 292), (2, 2, 39)])
-def test_grouped_counts_distinct_statistics(k, depth, expected):
-    # one exponential per distinct statistic for each marginal of the tree
+@pytest.mark.parametrize("k,depth,symmetric,expected", [
+    (3, 2, False, 155), (2, 3, False, 292), (2, 2, False, 39),
+    (3, 2, True, 32), (2, 3, True, 58), (2, 2, True, 14)])
+def test_grouped_counts_distinct_statistics(k, depth, symmetric, expected):
+    # one log weight per distinct statistic for each marginal of the tree
     tree = FiniteCayleyTree(k, depth)
-    statistics, groups = term_groups(tree, FiniteCayleyTree(k, depth - 1).size)
+    statistics, groups = term_groups(tree, FiniteCayleyTree(k, depth - 1).size, symmetric)
     assert len(statistics) == len(set(statistics)) == expected
     ring = tree.boundary()
-    assert set(statistics) == {oracle._statistic(config, tree.parents, ring)
-                               for config in enumerate_admissible(tree)}
+    listed = {oracle._statistic(config, tree.parents, ring)
+              for config in enumerate_admissible(tree)}
+    assert set(statistics) == ({fold(statistic) for statistic in listed} if symmetric else listed)
     assert {index for _, indices, _ in groups for index in indices} == set(range(expected))
 
 
-@pytest.mark.parametrize("k,depth,expected", [(3, 2, 11), (2, 3, 39), (2, 2, 8)])
-def test_grouped_counts_one_group_per_small_statistic(k, depth, expected):
+@pytest.mark.parametrize("k,depth,symmetric,expected", [
+    (3, 2, False, 11), (2, 3, False, 39), (2, 2, False, 8),
+    (3, 2, True, 5), (2, 3, True, 14), (2, 2, True, 4)])
+def test_grouped_counts_one_group_per_small_statistic(k, depth, symmetric, expected):
     # a prefix's extensions depend on it only through its own statistic on
-    # the small tree, so the big tree has one group per such statistic
+    # the small tree, so the big tree has one group per such statistic, and
+    # the plan one pair per group
     small, big = FiniteCayleyTree(k, depth - 1), FiniteCayleyTree(k, depth)
-    small_statistics, _ = term_groups(small, small.size)
-    _, groups = term_groups(big, small.size)
-    assert len(groups) == len(small_statistics) == expected
+    small_statistics, _ = term_groups(small, small.size, symmetric)
+    _, groups = term_groups(big, small.size, symmetric)
+    assert len(groups) == len(small_statistics) == len(oracle._plan(big, symmetric)[2]) == expected
     prefixes = [prefix for _, _, group in groups for prefix in group]
     assert sorted(prefixes) == enumerate_admissible(small)
     assert len({tuple(sorted(zip(counts, indices))) for counts, indices, _ in groups}) == expected
@@ -554,7 +570,14 @@ def test_grouped_counts_are_exact_floats_in_contiguous_slices(k, depth, full_roo
 
 
 @functools.cache
-def ungrouped_counts(tree, prefix_size):
+def ungrouped_counts(tree, prefix_size, symmetric=False):
+    """{(prefix, statistic): count} over every configuration listed in full,
+    each statistic folded to (e, a + b, 0) when ``symmetric``."""
+    if symmetric:
+        folded = Counter()
+        for (prefix, statistic), count in ungrouped_counts(tree, prefix_size).items():
+            folded[prefix, fold(statistic)] += count
+        return folded
     ring = tree.boundary()
     return Counter((config[:prefix_size], oracle._statistic(config, tree.parents, ring))
                    for config in enumerate_admissible(tree))
@@ -563,17 +586,23 @@ def ungrouped_counts(tree, prefix_size):
 @pytest.mark.parametrize("k,depth,full_root", BALLS)
 def test_grouped_counts_match_the_enumeration(k, depth, full_root):
     # the subtree counts against every configuration listed in full, at the
-    # prefix sizes the consistency check uses
+    # prefix sizes the consistency check uses, as (e, a, b) and folded
     tree = FiniteCayleyTree(k, depth, full_root)
     for prefix_size in {1, tree._replace(depth=max(depth - 1, 0)).size}:
-        statistics, counts, indices, groups = oracle._grouped_counts(tree, prefix_size)
-        assert {(prefix, statistics[indices[j]]): counts[j] for lo, hi, prefixes in groups
-                for prefix in prefixes for j in range(lo, hi)} == ungrouped_counts(tree, prefix_size)
+        for symmetric in (False, True):
+            statistics, counts, indices, groups = oracle._grouped_counts(tree, prefix_size,
+                                                                         symmetric)
+            assert {(prefix, statistics[indices[j]]): counts[j] for lo, hi, prefixes in groups
+                    for prefix in prefixes for j in range(lo, hi)} == ungrouped_counts(
+                        tree, prefix_size, symmetric)
 
 
-def per_prefix_marginals(tree, prefix_size, theta, law):
-    """The reference: one fsum per prefix over the ungrouped counts."""
-    counts = ungrouped_counts(tree, prefix_size)
+def per_prefix_marginals(tree, prefix_size, theta, law, symmetric=None):
+    """The reference: one fsum per prefix over the ungrouped counts, folded
+    as the consistency check folds them (for a law with z1 == z2) unless
+    ``symmetric`` says otherwise."""
+    symmetric = law.z1 == law.z2 if symmetric is None else symmetric
+    counts = ungrouped_counts(tree, prefix_size, symmetric)
     log_theta, log_z1, log_z2 = math.log(theta), math.log(law.z1), math.log(law.z2)
     logs = {statistic: statistic[0] * log_theta + statistic[1] * log_z1 + statistic[2] * log_z2
             for _, statistic in counts}
@@ -622,10 +651,43 @@ def test_defect_of_the_laws_verify_checks_is_max_over_per_prefix_fsums_bit_for_b
     for small, big in accepted_consistency_pairs():
         law = solve_symmetric(ModelParams(big.k, theta))
         for checked in (law, BoundaryLaw(law.z1 * 1.1, law.z2 * 0.9)):
-            small_marginal = per_prefix_marginals(small, small.size, theta, checked)
-            big_marginal = per_prefix_marginals(big, small.size, theta, checked)
-            expected = max(abs(big_marginal[prefix] - p) for prefix, p in small_marginal.items())
+            expected = consistency_defect(small, big, theta, checked)
             assert check_consistency(big, theta, checked).hex() == expected.hex()
+
+
+def consistency_defect(small, big, theta, law, symmetric=None):
+    """The largest per-prefix difference of ``per_prefix_marginals``."""
+    small_marginal = per_prefix_marginals(small, small.size, theta, law, symmetric)
+    big_marginal = per_prefix_marginals(big, small.size, theta, law, symmetric)
+    return max(abs(big_marginal[prefix] - p) for prefix, p in small_marginal.items())
+
+
+def test_folded_defect_of_the_solved_law_is_the_full_one_to_rounding():
+    # (a + b) ln z rounds apart from a ln z + b ln z, so the defect of the
+    # folded tables moves only at rounding level, at every activity verify reads
+    for theta in (1e-8, 0.05, 0.5, 1.0, 2.0, 7.0, 1e8, 1e300):
+        for small, big in accepted_consistency_pairs():
+            law = solve_symmetric(ModelParams(big.k, theta))
+            folded = check_consistency(big, theta, law)
+            full = consistency_defect(small, big, theta, law, symmetric=False)
+            assert abs(folded - full) <= 1e-12 and folded <= 1e-10 and full <= 1e-10
+
+
+def test_a_law_one_ulp_off_symmetry_takes_the_full_plan(monkeypatch):
+    # the fold needs z1 == z2 bit for bit; one ulp apart, the full (e, a, b)
+    # plan weighs the law, and its defect is the folded one's to rounding
+    planned = []
+    plan = oracle._plan
+    monkeypatch.setattr(oracle, "_plan",
+                        lambda tree, symmetric: planned.append(symmetric) or plan(tree, symmetric))
+    for theta in (0.05, 0.7, 7.0):
+        for _, big in accepted_consistency_pairs():
+            law = solve_symmetric(ModelParams(big.k, theta))
+            off = BoundaryLaw(law.z1, math.nextafter(law.z2, math.inf))
+            del planned[:]
+            folded, full = check_consistency(big, theta, law), check_consistency(big, theta, off)
+            assert planned == [True, False]
+            assert abs(folded - full) <= 1e-12
 
 
 @pytest.mark.parametrize("call", [
@@ -644,8 +706,8 @@ def test_oracle_checks_theta_once_per_call(monkeypatch, call):
 
 def test_verify_builds_each_count_table_once(monkeypatch, capsys):
     # the tables come from subtree counts: no configuration of either ball is
-    # listed, and a second verify reuses the plan over both (tree, prefix size)
-    # tables; both caches start empty, so an earlier test's plan cannot hide a build
+    # listed, and a second verify reuses both plans over their (tree, prefix
+    # size) tables; both caches start empty, so an earlier test's plan cannot hide a build
     calls = Counter()
     enumerate_original = oracle.enumerate_admissible
 
@@ -667,7 +729,8 @@ def test_verify_builds_each_count_table_once(monkeypatch, capsys):
     finally:
         clear()
     capsys.readouterr()
-    assert calls == Counter() and built == 2 and planned == 1
+    # the solved law reads the folded tables, its perturbation the full ones
+    assert calls == Counter() and built == 4 and planned == 2
     # a ball over the cap is refused before anything is enumerated, every time
     for _ in range(2):
         with pytest.raises(SizeCapError):

@@ -38,11 +38,11 @@ below 2^53.  The defect is the largest difference over the pairs, which
 is the largest over the prefixes, bit for bit.
 
 A law with z1 = z2 (the solved symmetric one) weighs (e, a, b) by e and a + b
-only, so it reads a second plan whose tables fold each prefix's counts onto
-(e, a + b, 0), still integers with no theta or law in them; 0 ln z2 adds
-exactly nothing, and groups with equal folded terms merge (k = 3, depth 2: 32
-terms in 5 groups over 32 statistics).  (a + b) ln z rounds apart from
-a ln z + b ln z, so that defect moves only at rounding level.
+only, so it reads a second plan whose tables count by (e, a + b, 0), still
+integers with no theta or law in them; 0 ln z2 adds exactly nothing, and
+groups with equal folded terms merge (k = 3, depth 2: 32 terms in 5 groups
+over 32 statistics).  (a + b) ln z rounds apart from a ln z + b ln z, so
+that defect moves only at rounding level.
 
 Only the prefixes are enumerated; the subtrees below them are counted
 exactly, never listed.  Given its parent's spin, a vertex's subtree has the
@@ -167,6 +167,12 @@ def _statistic(config, parents, ring) -> tuple:
     return energy, spins.count(1), spins.count(-1)
 
 
+def _monomial(e, a, b, symmetric) -> tuple:
+    """(e, a, b), or (e, a + b, 0) when ``symmetric``: exponents add, so the
+    product of folded monomials is the folded product."""
+    return (e, a + b, 0) if symmetric else (e, a, b)
+
+
 def _product(factors) -> dict:
     """The product of count polynomials {(e, a, b): count}: exponents add."""
     result = {(0, 0, 0): 1}
@@ -197,7 +203,8 @@ def _grouped_counts(tree: FiniteCayleyTree, prefix_size: int, symmetric: bool = 
         # the counts of v's subtree by statistic, v's edge to its parent included
         counts = Counter()
         for s in NEIGHBOURS[parent_spin]:
-            edge = {((parent_spin - s) ** 2, v in ring and s == 1, v in ring and s == -1): 1}
+            edge = {_monomial((parent_spin - s) ** 2, v in ring and s == 1, v in ring and s == -1,
+                              symmetric): 1}
             children = [below(c, s) for c in range(v + 1, tree.size) if parents[c] == v]
             counts.update(_product([edge] + children))
         return counts
@@ -207,13 +214,8 @@ def _grouped_counts(tree: FiniteCayleyTree, prefix_size: int, symmetric: bool = 
     indices = {}
     terms = {}
     for prefix in _admissible(head):
-        own = {_statistic(prefix, head, head_ring): 1}
+        own = {_monomial(*_statistic(prefix, head, head_ring), symmetric): 1}
         product = _product([own] + [below(c, prefix[parents[c]]) for c in cut])
-        if symmetric:
-            folded = Counter()
-            for (e, a, b), count in product.items():
-                folded[e, a + b, 0] += count
-            product = folded
         terms[prefix] = [(float(count), indices.setdefault(statistic, len(indices)))
                          for statistic, count in product.items()]
     shared = {}

@@ -514,8 +514,15 @@ def fold(statistic):
     return e, a + b, 0
 
 
-@pytest.mark.parametrize("k,depth,symmetric,expected", [
-    (3, 2, False, 218), (2, 3, False, 783), (3, 2, True, 32), (2, 3, True, 80), (2, 2, True, 14)])
+def sizes(*cases):
+    """(k, depth, symmetric, expected) cases, the folded ones marked in their ids."""
+    return [pytest.param(*case, id=f"{case[0]}-{case[1]}-" + "folded-" * case[2] + f"{case[3]}")
+            for case in cases]
+
+
+@pytest.mark.parametrize("k,depth,symmetric,expected", sizes(
+    (3, 2, False, 218), (2, 3, False, 783), (2, 2, False, 52),
+    (3, 2, True, 32), (2, 3, True, 80), (2, 2, True, 14)))
 def test_grouped_counts_collapse(k, depth, symmetric, expected):
     # one term list per distinct multiset: 564 and 4,416 terms over single prefixes
     _, groups = term_groups(FiniteCayleyTree(k, depth), FiniteCayleyTree(k, depth - 1).size,
@@ -523,9 +530,9 @@ def test_grouped_counts_collapse(k, depth, symmetric, expected):
     assert sum(len(counts) for counts, _, _ in groups) == expected
 
 
-@pytest.mark.parametrize("k,depth,symmetric,expected", [
+@pytest.mark.parametrize("k,depth,symmetric,expected", sizes(
     (3, 2, False, 155), (2, 3, False, 292), (2, 2, False, 39),
-    (3, 2, True, 32), (2, 3, True, 58), (2, 2, True, 14)])
+    (3, 2, True, 32), (2, 3, True, 58), (2, 2, True, 14)))
 def test_grouped_counts_distinct_statistics(k, depth, symmetric, expected):
     # one log weight per distinct statistic for each marginal of the tree
     tree = FiniteCayleyTree(k, depth)
@@ -538,9 +545,9 @@ def test_grouped_counts_distinct_statistics(k, depth, symmetric, expected):
     assert {index for _, indices, _ in groups for index in indices} == set(range(expected))
 
 
-@pytest.mark.parametrize("k,depth,symmetric,expected", [
+@pytest.mark.parametrize("k,depth,symmetric,expected", sizes(
     (3, 2, False, 11), (2, 3, False, 39), (2, 2, False, 8),
-    (3, 2, True, 5), (2, 3, True, 14), (2, 2, True, 4)])
+    (3, 2, True, 5), (2, 3, True, 14), (2, 2, True, 4)))
 def test_grouped_counts_one_group_per_small_statistic(k, depth, symmetric, expected):
     # a prefix's extensions depend on it only through its own statistic on
     # the small tree, so the big tree has one group per such statistic, and

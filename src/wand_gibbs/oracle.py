@@ -186,7 +186,7 @@ def _product(factors) -> dict:
 
 
 @functools.cache
-def _grouped_counts(tree: FiniteCayleyTree, prefix_size: int, symmetric: bool = False) -> tuple:
+def _grouped_counts(tree: FiniteCayleyTree, prefix_size: int, symmetric: bool) -> tuple:
     """(statistics, counts, indices, groups): the admissible configurations
     of ``tree`` counted by their first ``prefix_size`` spins and their
     statistic, folded to (e, a + b, 0) when ``symmetric``.  Group g is
@@ -230,7 +230,7 @@ def _grouped_counts(tree: FiniteCayleyTree, prefix_size: int, symmetric: bool = 
     return statistics, counts, flat_indices, tuple(groups)
 
 
-def _ball(tree: FiniteCayleyTree, prefix_size: int, symmetric: bool = False) -> tuple:
+def _ball(tree: FiniteCayleyTree, prefix_size: int, symmetric: bool) -> tuple:
     """(statistics, terms, slices, owners): the table of ``_grouped_counts``
     as ``_probabilities`` reads it, with each term a (count, statistic
     index) pair, each group a (lo, hi) slice of the terms and the group
@@ -241,7 +241,7 @@ def _ball(tree: FiniteCayleyTree, prefix_size: int, symmetric: bool = False) -> 
 
 
 @functools.cache
-def _plan(tree: FiniteCayleyTree, symmetric: bool = False) -> tuple:
+def _plan(tree: FiniteCayleyTree, symmetric: bool) -> tuple:
     """(big, small, pairs): the ``_ball`` of ``tree`` and of the ball one
     generation smaller, both counted by the smaller ball's spins (folded when
     ``symmetric``), and each distinct (i, j) such that a prefix lies in group

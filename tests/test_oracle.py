@@ -491,7 +491,7 @@ def test_grouped_oracle_covers_both_sides_of_theta_critical():
 
 # --- grouped counts --------------------------------------------------------------------------
 
-def term_groups(tree, prefix_size, symmetric=False):
+def term_groups(tree, prefix_size, symmetric):
     """(statistics, groups): the cached count table with each group's slice
     of the flat counts and indices cut out, as (counts, indices, prefixes)."""
     statistics, counts, indices, groups = oracle._grouped_counts(tree, prefix_size, symmetric)
@@ -502,10 +502,11 @@ def term_groups(tree, prefix_size, symmetric=False):
 def test_grouped_counts_sum_to_admissible_count(k, depth, full_root):
     for tree in (FiniteCayleyTree(k, depth, full_root), FiniteCayleyTree(k, depth + 1, full_root)):
         for prefix_size in (1, FiniteCayleyTree(k, depth, full_root).size):
-            _, groups = term_groups(tree, prefix_size)
-            # every prefix of a group carries the group's counts
-            total = sum(sum(counts) * len(prefixes) for counts, _, prefixes in groups)
-            assert total == admissible_count_formula(tree)
+            for symmetric in (False, True):
+                _, groups = term_groups(tree, prefix_size, symmetric)
+                # every prefix of a group carries the group's counts
+                total = sum(sum(counts) * len(prefixes) for counts, _, prefixes in groups)
+                assert total == admissible_count_formula(tree)
 
 
 def fold(statistic):
@@ -566,23 +567,25 @@ def test_grouped_counts_are_exact_floats_in_contiguous_slices(k, depth, full_roo
     # the hot path multiplies floats only; each float must be the count itself
     small = FiniteCayleyTree(k, depth, full_root)
     for tree in (small, FiniteCayleyTree(k, depth + 1, full_root)):
-        statistics, counts, indices, groups = oracle._grouped_counts(tree, small.size)
-        assert all(type(x) is float and x == int(x) for x in counts + sum(statistics, ()))
-        starts, ends = [lo for lo, _, _ in groups], [hi for _, hi, _ in groups]
-        assert starts == [0] + ends[:-1] and ends[-1] == len(counts) == len(indices)
-        assert all(lo < hi for lo, hi in zip(starts, ends))
-        ungrouped = ungrouped_counts(tree, small.size)
-        assert {(prefix, statistics[indices[j]]): counts[j] for lo, hi, prefixes in groups
-                for prefix in prefixes for j in range(lo, hi)} == ungrouped
+        for symmetric in (False, True):
+            statistics, counts, indices, groups = oracle._grouped_counts(tree, small.size,
+                                                                         symmetric)
+            assert all(type(x) is float and x == int(x) for x in counts + sum(statistics, ()))
+            starts, ends = [lo for lo, _, _ in groups], [hi for _, hi, _ in groups]
+            assert starts == [0] + ends[:-1] and ends[-1] == len(counts) == len(indices)
+            assert all(lo < hi for lo, hi in zip(starts, ends))
+            ungrouped = ungrouped_counts(tree, small.size, symmetric)
+            assert {(prefix, statistics[indices[j]]): counts[j] for lo, hi, prefixes in groups
+                    for prefix in prefixes for j in range(lo, hi)} == ungrouped
 
 
 @functools.cache
-def ungrouped_counts(tree, prefix_size, symmetric=False):
+def ungrouped_counts(tree, prefix_size, symmetric):
     """{(prefix, statistic): count} over every configuration listed in full,
     each statistic folded to (e, a + b, 0) when ``symmetric``."""
     if symmetric:
         folded = Counter()
-        for (prefix, statistic), count in ungrouped_counts(tree, prefix_size).items():
+        for (prefix, statistic), count in ungrouped_counts(tree, prefix_size, False).items():
             folded[prefix, fold(statistic)] += count
         return folded
     ring = tree.boundary()

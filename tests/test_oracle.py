@@ -625,6 +625,13 @@ def per_prefix_marginals(tree, prefix_size, theta, law, symmetric=None):
     return {prefix: mass / total for prefix, mass in masses.items()}
 
 
+def consistency_defect(small, big, theta, law, symmetric=None):
+    """The largest per-prefix difference of ``per_prefix_marginals``."""
+    small_marginal = per_prefix_marginals(small, small.size, theta, law, symmetric)
+    big_marginal = per_prefix_marginals(big, small.size, theta, law, symmetric)
+    return max(abs(big_marginal[prefix] - p) for prefix, p in small_marginal.items())
+
+
 @pytest.mark.parametrize("theta", [1e-300, 1.0, 1e300])
 @pytest.mark.parametrize("z1,z2", [(1e-200, 1e200), (1e200, 1e-200), (1e-300, 1e-300), (0.7, 1.3)])
 @pytest.mark.parametrize("k,depth,full_root", [(3, 1, False), (2, 2, False), (2, 1, True)])
@@ -646,9 +653,7 @@ def test_defect_is_max_over_per_prefix_fsums_bit_for_bit(small, big):
     for theta in (1e-300, 1.0, 1e300):
         for z1, z2 in ((1e-200, 1e200), (1e200, 1e-200), (1e-300, 1e-300), (0.7, 1.3)):
             law = BoundaryLaw(z1, z2)
-            small_marginal = per_prefix_marginals(small, small.size, theta, law)
-            big_marginal = per_prefix_marginals(big, small.size, theta, law)
-            expected = max(abs(big_marginal[prefix] - p) for prefix, p in small_marginal.items())
+            expected = consistency_defect(small, big, theta, law)
             assert check_consistency(big, theta, law).hex() == expected.hex()
 
 
@@ -663,13 +668,6 @@ def test_defect_of_the_laws_verify_checks_is_max_over_per_prefix_fsums_bit_for_b
         for checked in (law, BoundaryLaw(law.z1 * 1.1, law.z2 * 0.9)):
             expected = consistency_defect(small, big, theta, checked)
             assert check_consistency(big, theta, checked).hex() == expected.hex()
-
-
-def consistency_defect(small, big, theta, law, symmetric=None):
-    """The largest per-prefix difference of ``per_prefix_marginals``."""
-    small_marginal = per_prefix_marginals(small, small.size, theta, law, symmetric)
-    big_marginal = per_prefix_marginals(big, small.size, theta, law, symmetric)
-    return max(abs(big_marginal[prefix] - p) for prefix, p in small_marginal.items())
 
 
 def test_folded_defect_of_the_solved_law_is_the_full_one_to_rounding():
